@@ -10,13 +10,15 @@ Three subcommands:
 The configuration is a single strict JSON document: unknown keys are
 rejected with their path so that a misspelled rate cannot silently fall
 back to a default. Exit codes: 0 pass or skip, 2 configuration or
-precondition failure, 3 solver non-convergence, 4 verdict failure.
+precondition failure, 3 solver failure (non-convergence or non-finite
+values), 4 verdict failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -59,14 +61,24 @@ def _need(obj: dict, key: str, path: str):
 
 
 def _number(val, path: str) -> float:
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
+    if not isinstance(val, (int, float)) or isinstance(val, bool) \
+            or not math.isfinite(val):
         raise ConfigurationError(f"{path}: expected a number, got {val!r}")
     return float(val)
 
 
+def _integer(val, path: str, minimum: int) -> int:
+    if isinstance(val, bool) or not (
+            isinstance(val, int) or (isinstance(val, float) and val.is_integer())):
+        raise ConfigurationError(f"{path}: expected an integer, got {val!r}")
+    if val < minimum:
+        raise ConfigurationError(f"{path}: must be at least {minimum}, got {val!r}")
+    return int(val)
+
+
 def _poly(coeffs, path: str):
     if not (isinstance(coeffs, list) and coeffs and
-            all(isinstance(c, (int, float)) for c in coeffs)):
+            all(isinstance(c, (int, float)) and math.isfinite(c) for c in coeffs)):
         raise ConfigurationError(f"{path}: expected a list of coefficients")
     arr = np.asarray(coeffs, dtype=float)
 
@@ -82,7 +94,7 @@ def _poly(coeffs, path: str):
 def _scalar_field(spec, path: str):
     """A constant or polynomial-in-m field from config."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return float(spec)
+        return _number(spec, path)
     if isinstance(spec, dict):
         _reject_unknown(spec, {"const", "poly"}, path)
         if "const" in spec and "poly" in spec:
@@ -189,8 +201,8 @@ def build_params(cfg: dict) -> ModelParams:
 def build_grid(cfg: dict, solver_args: dict) -> None:
     grid = cfg.get("grid", {})
     _reject_unknown(grid, {"m_nodes", "dt_divisor"}, "grid")
-    solver_args["m_nodes"] = int(grid.get("m_nodes", 512))
-    solver_args["dt_divisor"] = int(grid.get("dt_divisor", 64))
+    solver_args["m_nodes"] = _integer(grid.get("m_nodes", 512), "grid.m_nodes", 8)
+    solver_args["dt_divisor"] = _integer(grid.get("dt_divisor", 64), "grid.dt_divisor", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +247,8 @@ def build_history(spec: dict, solver: Solver, seed: int, path: str = "run.histor
         raise ConfigurationError(f"{path}.kind: unknown history kind {kind!r}")
     if kind == "random":
         _reject_unknown(spec, {"kind", "level"}, path)
-        phi = xp.random_nonneg_history(seed, level=float(spec.get("level", 0.05)))
+        phi = xp.random_nonneg_history(
+            seed, level=_number(spec.get("level", 0.05), f"{path}.level"))
         return InitialHistory.from_callable(phi, solver.grid)
     if kind == "warmup":
         _reject_unknown(spec, {"kind", "Gamma", "N0"}, path)
@@ -294,11 +307,17 @@ def _run_section(cfg: dict) -> dict:
     return run
 
 
+def _run_seed(run: dict, seed_override) -> int:
+    if seed_override is None:
+        return _integer(run.get("seed", 0), "run.seed", 0)
+    return _integer(seed_override, "--seed", 0)
+
+
 def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
     solver = _make_solver(cfg)
     run = _run_section(cfg)
     horizon = _number(run.get("horizon", 5.0 * solver.grid.tau_upper), "run.horizon")
-    seed = int(run.get("seed", 0)) if seed_override is None else seed_override
+    seed = _run_seed(run, seed_override)
     emit = run.get("emit", ["N"])
     if not isinstance(emit, list) or not set(emit) <= {"N", "P", "residuals"}:
         raise ConfigurationError("run.emit: expected a list drawn from [N, P, residuals]")
@@ -349,17 +368,16 @@ def _experiment_section(cfg: dict, kind: str) -> dict:
     return exp
 
 
-def cmd_experiment(kind: str, cfg: dict, out_dir: Path, threads: int,
-                   seed_override=None) -> int:
+def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> int:
     exp = _experiment_section(cfg, kind)
     out_dir.mkdir(parents=True, exist_ok=True)
     run = _run_section(cfg)
-    seed = int(run.get("seed", 0)) if seed_override is None else seed_override
+    seed = _run_seed(run, seed_override)
 
     if kind == "resolvent":
         solver = _make_solver(cfg)
         lambdas = exp.get("lambdas", [0.1, 1.0, 10.0])
-        n_w = int(exp.get("n_w", 100))
+        n_w = _integer(exp.get("n_w", 100), "experiment.n_w", 1)
         rng = np.random.default_rng(seed)
         reports = []
         verdict = True
@@ -391,7 +409,7 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, threads: int,
         field = solver.solve(history, T)
         report = xp.picard_rate_check(field)
     elif kind == "positivity":
-        n_runs = int(exp.get("n_runs", 20))
+        n_runs = _integer(exp.get("n_runs", 20), "experiment.n_runs", 1)
         report = xp.exp_positivity(solver, n_runs=n_runs, seed=seed,
                                    horizon=horizon)
     else:
@@ -403,8 +421,7 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, threads: int,
             phi2 = InitialHistory(times=history.times.copy(),
                                   values=history.values + pert(solver.grid.m_nodes)[None, :],
                                   upper=None if history.upper is None else history.upper.copy())
-            report = xp.exp_uniqueness(solver, history, phi2, b,
-                                       horizon=horizon, threads=threads)
+            report = xp.exp_uniqueness(solver, history, phi2, b, horizon=horizon)
             _write_profile(out_dir / "divergence.csv", report.times, report.divergence,
                            "t,sup_diff")
         elif kind == "extinction":
@@ -416,7 +433,7 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, threads: int,
                                          values=history.values + cprof(solver.grid.m_nodes)[None, :],
                                          upper=None)
             report = xp.exp_extinction(solver, history, b, control_phi=control,
-                                       horizon=horizon, threads=threads)
+                                       horizon=horizon)
             _write_profile(out_dir / "population.csv", report.times,
                            report.sup_profile, "t,sup_N")
         elif kind == "invariance":
@@ -463,8 +480,6 @@ def main(argv=None) -> int:
         prog="hemaflow",
         description="maturity-structured blood cell production model")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel solves for multi-run experiments")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -482,7 +497,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg, Path(args.out), seed_override=args.seed)
         if args.command == "experiment":
-            return cmd_experiment(args.kind, cfg, Path(args.out), args.threads,
+            return cmd_experiment(args.kind, cfg, Path(args.out),
                                   seed_override=args.seed)
         return cmd_check(cfg)
     except (ConfigurationError, DomainError, PreconditionError) as exc:

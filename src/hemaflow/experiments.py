@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -326,13 +325,10 @@ class PicardRateReport:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _run_pair(solver: Solver, histories, T, threads, tol_picard, n_max):
+def _run_pair(solver: Solver, histories, T, tol_picard, n_max):
+    # one decay table deep enough for the whole pair: the table's depth is
+    # quantized, so building it up front keeps every member on the same one
     solver._ensure_tables(T - solver.grid.tau_upper + 2.0 * solver.grid.tau_upper)
-    if threads > 1 and len(histories) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda h: solver.solve(h, T, tol_picard=tol_picard, n_max=n_max),
-                histories))
     return [solver.solve(h, T, tol_picard=tol_picard, n_max=n_max)
             for h in histories]
 
@@ -343,7 +339,7 @@ def _agreement_nodes(grid, b):
 
 def exp_uniqueness(solver: Solver, phi1, phi2, b: float, *,
                    tol_match: float = DEFAULT_TOL_MATCH,
-                   horizon: Optional[float] = None, threads: int = 1,
+                   horizon: Optional[float] = None,
                    tol_picard: float = 1e-10, n_max: int = 50) -> UniquenessReport:
     """Run two solves whose histories agree on [0, b] and compare them."""
     grid = solver.grid
@@ -358,7 +354,7 @@ def exp_uniqueness(solver: Solver, phi1, phi2, b: float, *,
             "experiment requires exact agreement below b")
     tb = compute_tbar(solver.kern, b)
     T = horizon if horizon is not None else tb.t_bar + 2.0 * grid.tau_upper
-    f1, f2 = _run_pair(solver, [h1, h2], T, threads, tol_picard, n_max)
+    f1, f2 = _run_pair(solver, [h1, h2], T, tol_picard, n_max)
     divergence = np.max(np.abs(f1.N - f2.N), axis=1)
     times = f1.times
     tail_ok = divergence <= tol_match * scale
@@ -378,7 +374,7 @@ def exp_uniqueness(solver: Solver, phi1, phi2, b: float, *,
 
 def exp_extinction(solver: Solver, phi, b: float, *, control_phi=None,
                    tol_match: float = DEFAULT_TOL_MATCH,
-                   horizon: Optional[float] = None, threads: int = 1,
+                   horizon: Optional[float] = None,
                    tol_picard: float = 1e-10, n_max: int = 50) -> ExtinctionReport:
     """No stem cells below b: the population must vanish past the horizon."""
     grid = solver.grid
@@ -395,7 +391,7 @@ def exp_extinction(solver: Solver, phi, b: float, *, control_phi=None,
     runs = [hist]
     if control_phi is not None:
         runs.append(_as_history(control_phi, grid))
-    fields = _run_pair(solver, runs, T, threads, tol_picard, n_max)
+    fields = _run_pair(solver, runs, T, tol_picard, n_max)
     f = fields[0]
     sup_profile = np.max(np.abs(f.N), axis=1)
     times = f.times

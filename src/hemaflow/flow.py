@@ -18,7 +18,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .errors import ConfigurationError, DomainError
 from .params import (CustomVelocity, MaturityMap, PowerLawVelocity,
-                     VelocityModel)
+                     VelocityModel, golden_section_max)
 from .quadrature import adaptive_interval
 
 _EPS = 1e-12
@@ -256,21 +256,8 @@ class FlowMap:
                 "crossing-time supremum appears unbounded "
                 f"(exceeds {cap} within the scan); tau0 undefined")
         j = int(np.argmax(vals))
-        a = grid[max(j - 1, 0)]
-        b = grid[min(j + 1, n_scan - 1)]
-        phi = 0.5 * (math.sqrt(5.0) - 1.0)
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        fc, fd = float(self.crossing_time(c)), float(self.crossing_time(d))
-        for _ in range(200):
-            if fc < fd:
-                a, c, fc = c, d, fd
-                d = a + phi * (b - a)
-                fd = float(self.crossing_time(d))
-            else:
-                b, d, fd = d, c, fc
-                c = b - phi * (b - a)
-                fc = float(self.crossing_time(c))
-            if b - a <= 1e-14 * max(1.0, b):
-                break
-        self._tau0 = max(float(np.max(vals)), fc, fd)
+        polished = golden_section_max(
+            lambda m: float(self.crossing_time(m)), grid[max(j - 1, 0)],
+            grid[min(j + 1, n_scan - 1)], max_iter=200, tol=1e-14)
+        self._tau0 = max(float(np.max(vals)), polished)
         return self._tau0

@@ -19,7 +19,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainError
 from .flow import FlowMap
-from .params import ModelParams
+from .params import ModelParams, golden_section_max
 from .quadrature import gauss_legendre
 
 
@@ -232,21 +232,12 @@ class Kernels:
         m = np.linspace(0.0, g1, n_m)
         vals = self.psi_resting(m)
         j = int(np.argmin(vals))
-        a_br, b_br = m[max(j - 1, 0)], m[min(j + 1, n_m - 1)]
-        phi = 0.5 * (math.sqrt(5.0) - 1.0)
-        c, d = b_br - phi * (b_br - a_br), a_br + phi * (b_br - a_br)
-        fc = float(self.psi_resting(np.array([c]))[0])
-        fd = float(self.psi_resting(np.array([d]))[0])
-        for _ in range(80):
-            if fc > fd:
-                a_br, c, fc = c, d, fd
-                d = a_br + phi * (b_br - a_br)
-                fd = float(self.psi_resting(np.array([d]))[0])
-            else:
-                b_br, d, fd = d, c, fc
-                c = b_br - phi * (b_br - a_br)
-                fc = float(self.psi_resting(np.array([c]))[0])
-        I = min(float(np.min(vals)), fc, fd)
+        # the minimum is the negated maximum of -psi (exact); tol 0 lets the
+        # search run its full 80 steps
+        polished = -golden_section_max(
+            lambda v: -float(self.psi_resting(np.array([v]))[0]),
+            m[max(j - 1, 0)], m[min(j + 1, n_m - 1)], max_iter=80, tol=0.0)
+        I = min(float(np.min(vals)), polished)
 
         def zeta_grid(ms, ages):
             out = np.empty((ms.size, ages.size))

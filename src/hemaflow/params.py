@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -245,28 +246,40 @@ class _LawBase:
         raise NotImplementedError
 
 
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def golden_section_max(f: Callable, a: float, b: float, *, max_iter: int,
+                       tol: float) -> float:
+    """Polish a maximum of the scalar function f inside the bracket [a, b].
+
+    Golden-section search for at most ``max_iter`` steps, stopping early once
+    the bracket is narrower than ``tol * max(1, |b|)``. Returns the larger of
+    the two final probe values; minimise by passing -f and negating.
+    """
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        if b - a < tol * max(1.0, abs(b)):
+            break
+    return max(fc, fd)
+
+
 def _max_field(f: Callable, lo: float, hi: float, n: int = 2049) -> float:
     m = np.linspace(lo, hi, n)
     vals = f(m)
     j = int(np.argmax(vals))
-    # golden-section polish around the best sample
-    a = m[max(j - 1, 0)]
-    b = m[min(j + 1, n - 1)]
-    phi = 0.5 * (np.sqrt(5.0) - 1.0)
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = float(f(c)), float(f(d))
-    for _ in range(80):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = float(f(d))
-        else:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = float(f(c))
-        if b - a < 1e-13 * max(1.0, abs(b)):
-            break
-    return max(float(np.max(vals)), fc, fd)
+    polished = golden_section_max(lambda v: float(f(v)), m[max(j - 1, 0)],
+                                  m[min(j + 1, n - 1)], max_iter=80, tol=1e-13)
+    return max(float(np.max(vals)), polished)
 
 
 @dataclass(frozen=True)
@@ -498,6 +511,8 @@ class ModelParams:
         levels = np.array([0.0, 0.5, 1.0, 4.0, 20.0])
         vals = np.stack([self.reintroduction.rate(m, np.full(m.shape, x))
                          for x in levels])
+        if not np.all(np.isfinite(vals)):
+            raise ConfigurationError("beta must be finite")
         if np.any(vals < 0.0):
             raise ConfigurationError("beta must be nonnegative")
         if np.any(np.diff(vals, axis=0) > 1e-12):

@@ -22,42 +22,6 @@ def mapped_rule(a: float, b: float, n: int):
     return a + half * (z + 1.0), half * w
 
 
-def fixed_panels(f, a: float, b: float, n_nodes: int, n_panels: int) -> float:
-    """Composite rule with a fixed panel count; f must accept arrays."""
-    if b == a:
-        return 0.0
-    edges = np.linspace(a, b, n_panels + 1)
-    z, w = gauss_legendre(n_nodes)
-    half = 0.5 * (edges[1:] - edges[:-1])          # (P,)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    pts = mids[:, None] + half[:, None] * z[None, :]   # (P, n)
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return float(np.sum(vals @ w * half))
-
-
-def adaptive_panels(f, a: float, b: float, *, n_start: int = 32,
-                    rtol: float = 1e-10, n_cap: int = 256,
-                    panels_per_unit: float = 1.0) -> float:
-    """Composite Gauss-Legendre with node doubling until the value settles.
-
-    The interval is split into roughly ``panels_per_unit`` panels per unit
-    length; the per-panel node count doubles from ``n_start`` until the
-    relative change drops below ``rtol`` (or ``n_cap`` is reached).
-    """
-    if b == a:
-        return 0.0
-    n_panels = max(1, int(np.ceil(abs(b - a) * panels_per_unit)))
-    n = n_start
-    prev = fixed_panels(f, a, b, n, n_panels)
-    while n < n_cap:
-        n *= 2
-        cur = fixed_panels(f, a, b, n, n_panels)
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    return prev
-
-
 def adaptive_interval(f, a: float, b: float, *, n_nodes: int = 15,
                       rtol: float = 1e-10, max_depth: int = 14) -> float:
     """Recursive panel splitting until each panel's value settles.

@@ -12,13 +12,14 @@ length tau_lower: inside a window every G evaluation reaches only into
 finalized history, so the window reduces to a Picard iteration on J alone,
 whose contraction constant scales with the window length.
 
-Both running integrals are accumulated along characteristics: the attenuation
-tables make the flow factorization of K exact, so one step costs a single
-re-interpolation of the accumulated field at x * exp(-dt) plus a trapezoid
-increment. Direct (quadrature-from-scratch) evaluators ``eval_G`` and
-``eval_J`` are kept alongside as the slow reference form.
-
-The maturity grid is uniform in the flow coordinate x = h(m); slices
+The maturity grid is uniform in the flow coordinate x = h(m), where one step
+dt of the flow is the exact map x -> x * exp(-dt). Every transport is that
+one step, ``_Shift``: monotone-cubic re-interpolation of a slice at the fixed
+feet x * exp(-dt). ``Solver._accumulate`` carries the running integrals G and
+J with it plus a trapezoid increment (the attenuation tables make the flow
+factorization of K exact), and ``_rk4_step`` integrates the band, warmup and
+proliferating equations along characteristics. Direct evaluators ``eval_G``
+and ``eval_J`` are kept as the slow reference form. Other lookups
 interpolate monotone-cubically in x and linearly in t.
 """
 
@@ -126,11 +127,66 @@ class Grid:
 
 
 # ---------------------------------------------------------------------------
+# one characteristic step
+# ---------------------------------------------------------------------------
+
+class _Shift:
+    """One step dt of transport: values on the nodes ``x``, re-interpolated
+    monotone-cubically at the fixed feet ``x_out * exp(-dt)``."""
+
+    def __init__(self, x: np.ndarray, x_out: np.ndarray, dt: float):
+        self.x = x
+        self.feet = x_out * math.exp(-dt)
+
+    def __call__(self, values: np.ndarray, window_index: Optional[int] = None) -> np.ndarray:
+        try:
+            return PchipInterpolator(self.x, values, extrapolate=False)(self.feet)
+        except ValueError:
+            # the interpolant refuses non-finite data: the first place a
+            # NaN-producing rate law shows up in a solve
+            if np.all(np.isfinite(values)):
+                raise
+            where = "" if window_index is None else f" in window {window_index}"
+            raise ConvergenceError(
+                f"non-finite values in the transported field{where}; "
+                "check the rate laws for NaN or inf", window_index=window_index)
+
+
+def _rk4_step(u0: np.ndarray, dt: float, rhs: Callable) -> np.ndarray:
+    """Classic fourth-order step along characteristics from the foot value u0.
+
+    ``rhs(stage, u)`` evaluates the right-hand side at stage 0 (foot),
+    1 (midpoint) or 2 (node) of the step.
+    """
+    k1 = rhs(0, u0)
+    k2 = rhs(1, u0 + 0.5 * dt * k1)
+    k3 = rhs(1, u0 + 0.5 * dt * k2)
+    k4 = rhs(2, u0 + dt * k3)
+    return u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# ---------------------------------------------------------------------------
 # time-indexed slice stacks
 # ---------------------------------------------------------------------------
 
-class _SliceStack:
-    """Slices on a fixed x-grid at uniform times i*dt, with cached interpolants."""
+def _time_bracket(t: float, dt: float):
+    """(i, theta) with t = (i + theta) * dt, snapping onto slices within _TIME_SNAP."""
+    pos = t / dt
+    i = math.floor(pos + _TIME_SNAP)
+    theta = pos - i
+    if theta < _TIME_SNAP:
+        theta = 0.0
+    return i, theta
+
+
+class HistoryField:
+    """Sliding ring of recent slices feeding the delayed lookups.
+
+    Slices live on a fixed x-grid at uniform times i*dt, with cached
+    interpolants. Capacity defaults to ceil(2 * tau_upper / dt) + 2 slices
+    in the solver, enough to serve every (s - a) reach of the division
+    integral.
+    """
 
     def __init__(self, x: np.ndarray, dt: float, capacity: Optional[int] = None):
         self.x = x
@@ -139,9 +195,6 @@ class _SliceStack:
         self.start_index = 0
         self._values: list = []
         self._interp: list = []
-
-    def __len__(self):
-        return len(self._values)
 
     @property
     def last_index(self) -> int:
@@ -155,9 +208,6 @@ class _SliceStack:
             self._interp.pop(0)
             self.start_index += 1
 
-    def values_at(self, index: int) -> np.ndarray:
-        return self._values[index - self.start_index]
-
     def interpolant(self, index: int) -> PchipInterpolator:
         k = index - self.start_index
         if self._interp[k] is None:
@@ -166,11 +216,7 @@ class _SliceStack:
 
     def lookup(self, t: float, xq: np.ndarray) -> np.ndarray:
         """Field value at time t (linear between slices) and coordinates xq."""
-        pos = t / self.dt
-        i = math.floor(pos + _TIME_SNAP)
-        theta = pos - i
-        if theta < _TIME_SNAP:
-            theta = 0.0
+        i, theta = _time_bracket(t, self.dt)
         lo, hi = self.start_index, self.last_index
         if i < lo or i > hi or (theta > 0.0 and i + 1 > hi):
             raise HistoryWindowError(
@@ -180,14 +226,6 @@ class _SliceStack:
         if theta == 0.0:
             return base
         return (1.0 - theta) * base + theta * self.interpolant(i + 1)(xq)
-
-
-class HistoryField(_SliceStack):
-    """Sliding ring of recent slices feeding the delayed lookups.
-
-    Capacity defaults to ceil(2 * tau_upper / dt) + 2 slices in the solver,
-    enough to serve every (s - a) reach of the division integral.
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +300,23 @@ class UpperBand:
 
 
 class SolutionField:
-    """Full record of N (and optionally P) on [0, T] x [0, g(1)]."""
+    """Full record of N (and optionally P) on [0, T] x [0, g(1)].
+
+    ``x`` holds the flow coordinates of the maturity nodes; it is None for a
+    field read back from CSV, which stores maturities only, and such a field
+    refuses lookups in flow coordinates.
+    """
 
     def __init__(self, times, x, m, N, P=None, upper: Optional[UpperBand] = None,
                  metadata: Optional[dict] = None):
         self.times = np.asarray(times, dtype=float)
-        self.x = np.asarray(x, dtype=float)
+        self.x = None if x is None else np.asarray(x, dtype=float)
         self.m = np.asarray(m, dtype=float)
         self.N = np.asarray(N, dtype=float)
         self.P = None if P is None else np.asarray(P, dtype=float)
         self.upper = upper
         self.metadata = metadata or {}
         self._interp_cache: dict = {}
-        self._combined_cache: dict = {}
 
     @property
     def dt(self) -> float:
@@ -284,39 +326,33 @@ class SolutionField:
         return float(np.max(np.abs(self.N)))
 
     def _index(self, t: float):
-        pos = t / self.dt
-        i = math.floor(pos + _TIME_SNAP)
-        theta = pos - i
-        if theta < _TIME_SNAP:
-            theta = 0.0
+        i, theta = _time_bracket(t, self.dt)
         if i < 0 or i + (1 if theta > 0.0 else 0) >= self.times.size:
             raise HistoryWindowError(f"time {t:.9g} outside the recorded range")
         return i, theta
 
-    def _main_interp(self, i: int) -> PchipInterpolator:
-        f = self._interp_cache.get(i)
+    def _interp(self, i: int, combined: bool) -> PchipInterpolator:
+        f = self._interp_cache.get((i, combined))
         if f is None:
-            f = PchipInterpolator(self.x, self.N[i], extrapolate=False)
-            self._interp_cache[i] = f
-        return f
-
-    def _combined_interp(self, i: int) -> PchipInterpolator:
-        f = self._combined_cache.get(i)
-        if f is None:
-            xf = np.concatenate([self.x, self.upper.x[1:]])
-            vf = np.concatenate([self.N[i], self.upper.N[i][1:]])
-            f = PchipInterpolator(xf, vf, extrapolate=False)
-            self._combined_cache[i] = f
+            xf, vf = self.x, self.N[i]
+            if combined:
+                xf = np.concatenate([xf, self.upper.x[1:]])
+                vf = np.concatenate([vf, self.upper.N[i][1:]])
+            f = self._interp_cache[i, combined] = PchipInterpolator(xf, vf, extrapolate=False)
         return f
 
     def lookup(self, t: float, xq, *, combined: bool = False) -> np.ndarray:
         """N at time t (linear between slices) and flow coordinates xq."""
+        if self.x is None:
+            raise DomainError(
+                "this field carries no flow coordinates (CSV stores maturities "
+                "only); reload it with SolutionField.load to look it up")
         i, theta = self._index(t)
-        pick = self._combined_interp if (combined and self.upper is not None) else self._main_interp
-        base = pick(i)(xq)
+        combined = combined and self.upper is not None
+        base = self._interp(i, combined)(xq)
         if theta == 0.0:
             return base
-        return (1.0 - theta) * base + theta * pick(i + 1)(xq)
+        return (1.0 - theta) * base + theta * self._interp(i + 1, combined)(xq)
 
     # -- serialization -------------------------------------------------------
 
@@ -343,21 +379,18 @@ class SolutionField:
             raise ConfigurationError("CSV is not a complete time x maturity table")
         N = data[:, 2].reshape(n_t, n_m)
         P = data[:, 3].reshape(n_t, n_m) if data.shape[1] > 3 else None
-        return cls(times=times, x=m.copy(), m=m, N=N, P=P)
+        return cls(times=times, x=None, m=m, N=N, P=P)
 
     def save(self, path_prefix) -> None:
         """Compact binary table plus a JSON sidecar with run metadata."""
         import json
-        arrays = {"times": self.times, "x": self.x, "m": self.m, "N": self.N}
-        if self.P is not None:
-            arrays["P"] = self.P
+        arrays = {"times": self.times, "x": self.x, "m": self.m, "N": self.N,
+                  "P": self.P}
         if self.upper is not None:
-            arrays["upper_x"] = self.upper.x
-            arrays["upper_m"] = self.upper.m
-            arrays["upper_N"] = self.upper.N
-            if self.upper.P is not None:
-                arrays["upper_P"] = self.upper.P
-        np.savez_compressed(str(path_prefix) + ".npz", **arrays)
+            arrays.update(upper_x=self.upper.x, upper_m=self.upper.m,
+                          upper_N=self.upper.N, upper_P=self.upper.P)
+        np.savez_compressed(str(path_prefix) + ".npz",
+                            **{k: v for k, v in arrays.items() if v is not None})
         with open(str(path_prefix) + ".meta.json", "w") as fh:
             json.dump(self.metadata, fh, indent=2, sort_keys=True, default=float)
 
@@ -375,7 +408,8 @@ class SolutionField:
         if "upper_x" in data:
             upper = UpperBand(x=data["upper_x"], m=data["upper_m"], N=data["upper_N"],
                               P=data["upper_P"] if "upper_P" in data else None)
-        return cls(times=data["times"], x=data["x"], m=data["m"], N=data["N"],
+        return cls(times=data["times"], x=data["x"] if "x" in data else None,
+                   m=data["m"], N=data["N"],
                    P=data["P"] if "P" in data else None, upper=upper,
                    metadata=metadata)
 
@@ -411,7 +445,7 @@ class Solver:
     """Windowed Picard solver bound to one model and grid.
 
     A single solve is sequential (windows are causally ordered); distinct
-    solves from one Solver are independent and may run concurrently.
+    solves from one Solver are independent of each other.
     """
 
     def __init__(self, params: ModelParams, grid: Optional[Grid] = None, *,
@@ -434,15 +468,18 @@ class Solver:
         self._a_nodes, self._a_weights = a_nodes, a_weights
         self._xdelta = np.exp(self._log_gi[None, :] - a_nodes[:, None])   # (16, M)
         self._mdelta = flow.h_inv_log(self._log_gi[None, :] - a_nodes[:, None])
-        self._shift_x = xs * math.exp(-grid.dt)
-        # band characteristics: stage maturities fixed per step
-        xb = grid.band_x
-        self._band_stage_m = tuple(
-            np.asarray(flow.h_inv(xb * math.exp(-s))) for s in
-            (grid.dt, 0.5 * grid.dt, 0.0))
+        # one-step transports of the main grid, of main plus band (warmup,
+        # P), and of main plus band onto the band nodes
+        x_full = grid.x_full
+        self._shift_main = _Shift(xs, xs, grid.dt)
+        self._shift_full = _Shift(x_full, x_full, grid.dt)
+        self._shift_band = _Shift(x_full, grid.band_x, grid.dt)
+        # stage maturities of the characteristics, fixed per step; the band
+        # nodes are the tail of the full node set
         self._full_stage_m = tuple(
-            np.asarray(flow.h_inv(grid.x_full * math.exp(-s))) for s in
+            np.asarray(flow.h_inv(x_full * math.exp(-s))) for s in
             (grid.dt, 0.5 * grid.dt, 0.0))
+        self._band_stage_m = tuple(mm[xs.size - 1:] for mm in self._full_stage_m)
         self._tables = None
 
     # -- attenuation tables ----------------------------------------------------
@@ -614,17 +651,24 @@ class Solver:
         Covers only [t_window_start, t]; the contribution of earlier times
         is transported separately (it is frozen during the iteration).
         """
-        grid = self.grid
-        half = 0.5 * grid.dt
-        m = grid.m_nodes
-        w = self.kern.beta(m[None, :], N_win) * N_win
-        J = np.empty_like(N_win)
-        J[0] = 0.0
+        w = self.kern.beta(self.grid.m_nodes[None, :], N_win) * N_win
+        return self._accumulate(st, 0.0, steps, w)
+
+    def _accumulate(self, st: _RunState, start, steps: int,
+                    w: Optional[np.ndarray] = None) -> np.ndarray:
+        """Row r = K(dt) * shift(row[r-1] + dt/2 * w[r-1]) + dt/2 * w[r]: the
+        trapezoid rule for the attenuated source w along characteristics
+        (without w, the pure transport of ``start``)."""
+        half = 0.5 * self.grid.dt
+        out = np.empty((steps + 1, self.grid.m_nodes.size))
+        out[0] = start
         for r in range(1, steps + 1):
-            carried = PchipInterpolator(grid.x_nodes, J[r - 1] + half * w[r - 1],
-                                        extrapolate=False)(self._shift_x)
-            J[r] = st.K_step * carried + half * w[r]
-        return J
+            if w is None:
+                out[r] = st.K_step * self._shift_main(out[r - 1], st.window_index)
+            else:
+                carried = self._shift_main(out[r - 1] + half * w[r - 1], st.window_index)
+                out[r] = st.K_step * carried + half * w[r]
+        return out
 
     def solve_window(self, st: _RunState) -> dict:
         """Advance one method-of-steps window; returns its iteration record."""
@@ -635,27 +679,16 @@ class Solver:
         if steps <= 0:
             raise ConfigurationError("no slices left to solve")
         M = grid.m_nodes.size
-        half = 0.5 * grid.dt
 
         # division influx: depends only on finalized history
         Q = np.empty((steps + 1, M))
         for r in range(steps + 1):
             Q[r] = self._q_slice(st, i0 + r)
-        G = np.empty((steps + 1, M))
-        G[0] = st.G_carry
-        for r in range(1, steps + 1):
-            carried = PchipInterpolator(grid.x_nodes, G[r - 1] + half * Q[r - 1],
-                                        extrapolate=False)(self._shift_x)
-            G[r] = st.K_step * carried + half * Q[r]
+        G = self._accumulate(st, st.G_carry, steps, Q)
 
         # transport of the accumulated past reintroduction integral: frozen
         # during the iteration because it reads only finalized slices
-        J_past = np.empty((steps + 1, M))
-        J_past[0] = st.J_carry
-        for r in range(1, steps + 1):
-            carried = PchipInterpolator(grid.x_nodes, J_past[r - 1],
-                                        extrapolate=False)(self._shift_x)
-            J_past[r] = st.K_step * carried
+        J_past = self._accumulate(st, st.J_carry, steps)
 
         # zeroth iterate: transported history term plus influx minus the
         # past outflux; only the window-local outflux remains to iterate
@@ -719,26 +752,16 @@ class Solver:
 
     def _advance_band(self, st: _RunState, i0: int, steps: int) -> None:
         """Transport-decay march of the upper band across one window."""
-        grid = self.grid
-        dt = grid.dt
-        xb = grid.band_x
-        m_foot, m_mid, m_node = self._band_stage_m
-        psi = self.kern.psi_resting
-        p_foot, p_mid, p_node = psi(m_foot), psi(m_mid), psi(m_node)
+        stage_m = self._band_stage_m
+        stage_psi = tuple(self.kern.psi_resting(mm) for mm in stage_m)
         beta = self.kern.beta
-        foot_x = xb * math.exp(-dt)
 
-        def rhs(mv, pv, u):
-            return -(pv + beta(mv, u)) * u
+        def rhs(stage, u):
+            return -(stage_psi[stage] + beta(stage_m[stage], u)) * u
 
         for r in range(1, steps + 1):
-            prev = np.concatenate([st.N[i0 + r - 1], st.band[i0 + r - 1][1:]])
-            u0 = PchipInterpolator(grid.x_full, prev, extrapolate=False)(foot_x)
-            k1 = rhs(m_foot, p_foot, u0)
-            k2 = rhs(m_mid, p_mid, u0 + 0.5 * dt * k1)
-            k3 = rhs(m_mid, p_mid, u0 + 0.5 * dt * k2)
-            k4 = rhs(m_node, p_node, u0 + dt * k3)
-            st.band[i0 + r] = u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u0 = self._shift_band(self._active_row(st, i0 + r - 1), st.window_index)
+            st.band[i0 + r] = _rk4_step(u0, self.grid.dt, rhs)
 
     def solve(self, history: InitialHistory, T: float, *,
               tol_picard: float = 1e-10, n_max: int = 50) -> SolutionField:
@@ -838,27 +861,22 @@ class Solver:
         values = np.empty((nh + 1, n_full))
         n0 = np.asarray(data.N0(m_full), dtype=float)
         values[0] = np.broadcast_to(n0, (n_full,))
+        if not np.all(np.isfinite(values[0])):
+            raise ConfigurationError("N0 must be finite")
         record = HistoryField(x_full, dt, capacity=nh + 2)
         record.append(values[0])
-        foot_x = x_full * math.exp(-dt)
-
-        def rhs(stage: int, u: np.ndarray, src_main: np.ndarray) -> np.ndarray:
-            mm = stage_m[stage]
-            out = -(stage_psi[stage] + beta(mm, u)) * u
-            out[:M] += src_main
-            return out
 
         for i in range(1, nh + 1):
             t0 = (i - 1) * dt
-            u0 = PchipInterpolator(x_full, values[i - 1], extrapolate=False)(foot_x)
-            src0 = source(t0, 0, record)
-            src_mid = source(t0 + 0.5 * dt, 1, record)
-            src1 = source(t0 + dt, 2, record)
-            k1 = rhs(0, u0, src0)
-            k2 = rhs(1, u0 + 0.5 * dt * k1, src_mid)
-            k3 = rhs(1, u0 + 0.5 * dt * k2, src_mid)
-            k4 = rhs(2, u0 + dt * k3, src1)
-            values[i] = u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            sigmas = (t0, t0 + 0.5 * dt, t0 + dt)
+            src = tuple(source(sigma, stage, record) for stage, sigma in enumerate(sigmas))
+
+            def rhs(stage: int, u: np.ndarray) -> np.ndarray:
+                out = -(stage_psi[stage] + beta(stage_m[stage], u)) * u
+                out[:M] += src[stage]
+                return out
+
+            values[i] = _rk4_step(self._shift_full(values[i - 1]), dt, rhs)
             if not np.all(np.isfinite(values[i])):
                 raise ConfigurationError(
                     f"warmup produced non-finite densities at t = {i * dt:.6g}; "
@@ -890,8 +908,8 @@ class Solver:
         beta = self.kern.beta
         psi = self.kern.psi_proliferating
         has_band = field.upper is not None
-        x_act = np.concatenate([grid.x_nodes, grid.band_x[1:]]) if has_band else grid.x_nodes
-        m_act = np.concatenate([grid.m_nodes, grid.band_m[1:]]) if has_band else grid.m_nodes
+        x_act = grid.x_full if has_band else grid.x_nodes
+        m_act = grid.m_full if has_band else grid.m_nodes
         n_act = x_act.size
         M = grid.m_nodes.size
 
@@ -921,9 +939,6 @@ class Solver:
             nv = n_at(sigma, stage_x[stage])
             return beta(stage_m[stage], nv) * nv
 
-        def rhs(stage: int, u, src, drain):
-            return -stage_psi[stage] * u + src - drain
-
         # initial proliferating load: age integral of Gamma
         z, w = gauss_legendre(16)
         edges = np.linspace(0.0, tau_up, 9)
@@ -937,17 +952,17 @@ class Solver:
         n_slices = field.times.size
         P = np.empty((n_slices, n_act))
         P[0] = P0
-        foot_x = stage_x[0]
+        shift = self._shift_full if has_band else self._shift_main
         for i in range(1, n_slices):
             t0 = (i - 1) * dt
-            u0 = PchipInterpolator(x_act, P[i - 1], extrapolate=False)(foot_x)
-            s0, sm, s1 = (influx(t0, 0), influx(t0 + 0.5 * dt, 1), influx(t0 + dt, 2))
-            d0, dm, d1 = (sink(t0, 0), sink(t0 + 0.5 * dt, 1), sink(t0 + dt, 2))
-            k1 = rhs(0, u0, s0, d0)
-            k2 = rhs(1, u0 + 0.5 * dt * k1, sm, dm)
-            k3 = rhs(1, u0 + 0.5 * dt * k2, sm, dm)
-            k4 = rhs(2, u0 + dt * k3, s1, d1)
-            P[i] = u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            sigmas = (t0, t0 + 0.5 * dt, t0 + dt)
+            src = tuple(influx(sigma, stage) for stage, sigma in enumerate(sigmas))
+            drain = tuple(sink(sigma, stage) for stage, sigma in enumerate(sigmas))
+
+            def rhs(stage: int, u: np.ndarray) -> np.ndarray:
+                return -stage_psi[stage] * u + src[stage] - drain[stage]
+
+            P[i] = _rk4_step(shift(P[i - 1]), dt, rhs)
 
         field.P = P[:, :M].copy()
         if has_band:

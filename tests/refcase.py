@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from hemaflow import (ConstantReintroduction, CustomVelocity,
-                      HillReintroduction, LinearMaturityMap, ModelParams,
-                      PowerLawVelocity, RateFunctions, SeparableUniformKernel)
+from hemaflow import (ConstantReintroduction, CustomReintroduction,
+                      CustomVelocity, HillReintroduction, LinearMaturityMap,
+                      ModelParams, PowerLawVelocity, RateFunctions,
+                      SeparableUniformKernel)
 
 TAU_LOWER = 1.0
 TAU_UPPER = 2.0
@@ -30,6 +31,20 @@ def reference_params(*, beta0=0.3, theta=1.0, n=1.0, delta=0.05, gamma=0.1,
         division=SeparableUniformKernel(tau_lower=tau_lower,
                                         tau_upper=tau_upper,
                                         kappa=kappa, taper=taper))
+
+
+def nan_band_params():
+    """Reference model whose reintroduction rate is NaN for populations in
+    (0.6, 0.7): between the levels the model probe samples, so it passes."""
+    law = CustomReintroduction(
+        fn=lambda m, x: np.where((x > 0.6) & (x < 0.7), np.nan, 0.3) + 0.0 * m,
+        lipschitz_bound=0.3, name="nan_band")
+    return ModelParams(
+        velocity=PowerLawVelocity(alpha=1.0, p=1.0),
+        maturity=LinearMaturityMap(c=0.5),
+        rates=RateFunctions(delta=0.05, gamma=0.1),
+        reintroduction=law,
+        division=SeparableUniformKernel(tau_lower=TAU_LOWER, tau_upper=TAU_UPPER))
 
 
 def quadratic_velocity():

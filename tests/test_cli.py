@@ -8,6 +8,8 @@ import pytest
 
 from hemaflow.cli import main
 
+from refcase import nan_band_params
+
 BASE_CONFIG = {
     "model": {
         "velocity": {"alpha": 1.0, "p": 1.0},
@@ -93,6 +95,36 @@ class TestConfigRejection:
         cfg["model"]["beta"] = {"form": "custom"}
         assert run_cli(tmp_path, "check", write_config(tmp_path, cfg)) == 2
         assert "Lipschitz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value, command", [
+        ("grid", "m_nodes", "abc", "run"),
+        ("grid", "m_nodes", 0, "run"),
+        ("grid", "dt_divisor", 2.5, "run"),
+        ("run", "seed", True, "run"),
+        ("run", "seed", -1, "run"),
+        ("experiment", "n_runs", "3", "positivity"),
+        ("experiment", "n_w", 1.5, "resolvent"),
+    ])
+    def test_bad_integer_names_path(self, tmp_path, capsys, section, key,
+                                    value, command):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        args = ["run"]
+        if section == "experiment":
+            cfg["experiment"] = {"kind": command}
+            args = ["experiment", command]
+        cfg[section][key] = value
+        assert run_cli(tmp_path, *args, write_config(tmp_path, cfg)) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("delta", {"poly": [0.05, float("nan")]}, "model.delta.poly"),
+        ("gamma", float("inf"), "model.gamma"),
+    ])
+    def test_nonfinite_number_names_path(self, tmp_path, capsys, key, value, path):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["model"][key] = value
+        assert run_cli(tmp_path, "check", write_config(tmp_path, cfg)) == 2
+        assert path in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli(tmp_path, "check", str(tmp_path / "nope.json")) == 2
@@ -181,6 +213,15 @@ class TestExperimentCommand:
         cfg["run"]["horizon"] = 4.0
         cfg_path = write_config(tmp_path, cfg)
         assert run_cli(tmp_path, "run", cfg_path) == 3
+
+    def test_nonfinite_rate_exit_3(self, tmp_path, capsys, monkeypatch):
+        # JSON cannot express a custom law, so the model is swapped in
+        monkeypatch.setattr("hemaflow.cli.build_params", lambda cfg: nan_band_params())
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["run"]["history"] = {"kind": "constant", "value": 0.65}
+        cfg["run"]["horizon"] = 4.0
+        assert run_cli(tmp_path, "run", write_config(tmp_path, cfg)) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_resolvent_command(self, tmp_path):
         cfg = copy.deepcopy(BASE_CONFIG)

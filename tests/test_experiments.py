@@ -99,12 +99,15 @@ class TestUniqueness:
         with pytest.raises(PreconditionError):
             exp_uniqueness(solver_coarse, smooth_history, phi2, 0.2)
 
-    def test_threaded_matches_sequential(self, solver_coarse):
+    def test_pair_matches_independent_solves(self, solver_coarse):
         bump = smooth_bump(0.35, 0.09, 0.4)
         phi2 = lambda t, m: smooth_history(t, m) + bump(m) + 0.0 * t
-        rep1 = exp_uniqueness(solver_coarse, smooth_history, phi2, 0.2, threads=1)
-        rep2 = exp_uniqueness(solver_coarse, smooth_history, phi2, 0.2, threads=2)
-        assert np.array_equal(rep1.divergence, rep2.divergence)
+        rep = exp_uniqueness(solver_coarse, smooth_history, phi2, 0.2)
+        T = rep.t_bar + 2.0 * TAU_U
+        f1, f2 = (solver_coarse.solve(
+            InitialHistory.from_callable(phi, solver_coarse.grid), T)
+            for phi in (smooth_history, phi2))
+        assert np.array_equal(rep.divergence, np.max(np.abs(f1.N - f2.N), axis=1))
 
     def test_randomized_pair_suite(self, solver_coarse):
         # ten seeded history pairs differing only above b: every pair must

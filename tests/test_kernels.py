@@ -188,6 +188,12 @@ class TestLipschitz:
                                  lipschitz_bound=0.4))
         assert Kernels(par).lipschitz_l() == 0.4
 
+    def test_nonfinite_at_probe_level_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            self._with_custom_law(CustomReintroduction(
+                fn=lambda m, x: np.where(x == 1.0, np.nan, 0.3) + 0.0 * m,
+                lipschitz_bound=0.3))
+
 
 class TestInvarianceMargin:
     def test_no_reintroduction_always_satisfied(self):

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hemaflow import (ConfigurationError, ConvergenceError, Grid,
+from hemaflow import (ConfigurationError, ConvergenceError, DomainError, Grid,
                       HistoryField, HistoryWindowError, InitialHistory,
                       Kernels, SolutionField, Solver)
 
-from refcase import reference_params, smooth_history
+from refcase import nan_band_params, reference_params, smooth_history
 
 TAU = 2.0  # history depth of the reference model
 
@@ -124,6 +124,14 @@ class TestSolveBasics:
             solver.solve(hist, T=4.0, n_max=50)
         assert err.value.window_index == 0
         assert err.value.last_delta is not None
+
+    def test_nonfinite_rate_signalled(self):
+        solver = Solver(nan_band_params(), m_nodes=64, dt_divisor=8)
+        hist = InitialHistory.from_callable(lambda t, m: 0.65 + 0.0 * (t + m),
+                                            solver.grid)
+        with pytest.raises(ConvergenceError, match="non-finite") as err:
+            solver.solve(hist, T=4.0)
+        assert err.value.window_index == 0
 
 
 class TestPicardBookkeeping:
@@ -291,6 +299,24 @@ class TestSerialization:
         assert np.array_equal(back.N, field_ref.N)
         assert np.array_equal(back.times, field_ref.times)
         assert np.array_equal(back.m, field_ref.m)
+
+    def test_csv_field_refuses_flow_lookup(self, tmp_path):
+        # alpha = 2 makes h(m) = sqrt(m) != m, so the CSV's maturities do
+        # not give the flow coordinates back
+        solver = Solver(reference_params(alpha=2.0), m_nodes=64, dt_divisor=8)
+        field = solver.solve(
+            InitialHistory.from_callable(smooth_history, solver.grid), T=3.0)
+        xq = field.x[5:9]
+        field.to_csv(tmp_path / "field.csv")
+        back = SolutionField.from_csv(tmp_path / "field.csv")
+        assert np.array_equal(back.N, field.N)
+        with pytest.raises(DomainError, match="SolutionField.load"):
+            back.lookup(2.5, xq)
+        field.save(tmp_path / "field")
+        loaded = SolutionField.load(tmp_path / "field")
+        assert np.array_equal(loaded.lookup(2.5, xq), field.lookup(2.5, xq))
+        back.save(tmp_path / "from_csv")
+        assert SolutionField.load(tmp_path / "from_csv").x is None
 
     def test_binary_round_trip(self, field_ref, tmp_path):
         prefix = tmp_path / "field"

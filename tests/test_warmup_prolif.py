@@ -74,6 +74,12 @@ class TestWarmup:
         hist = solver.warmup(data)
         assert np.all(hist.values[0] == -1.0)
 
+    def test_nonfinite_n0_rejected(self):
+        solver = Solver(reference_params(), m_nodes=96, dt_divisor=16)
+        data = WarmupData(Gamma=zero_gamma, N0=lambda m: np.where(m > 0.3, np.nan, 1.0))
+        with pytest.raises(ConfigurationError, match="N0"):
+            solver.warmup(data)
+
 
 class TestProliferating:
     def test_zero_sources_give_zero(self):

@@ -16,8 +16,7 @@ from .params import (ConstantReintroduction, CustomDivisionKernel,
 from .flow import FlowMap
 from .kernels import CumulativeDecay, InvarianceMargin, Kernels
 from .solver import (Grid, HistoryField, InitialHistory, SolutionField,
-                     Solver, WarmupData, solve, solve_proliferating,
-                     solve_warmup)
+                     Solver, WarmupData)
 
 __version__ = "0.1.0"
 
@@ -30,6 +29,6 @@ __all__ = [
     "SeparableUniformKernel", "SeparableKernel", "CustomDivisionKernel",
     "ModelParams", "FlowMap", "Kernels", "CumulativeDecay", "InvarianceMargin",
     "Grid", "InitialHistory", "HistoryField", "SolutionField", "WarmupData",
-    "Solver", "solve", "solve_warmup", "solve_proliferating",
+    "Solver",
     "__version__",
 ]

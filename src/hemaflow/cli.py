@@ -32,7 +32,7 @@ from .kernels import Kernels
 from .params import (ConstantReintroduction, CustomMaturityMap,
                      CustomVelocity, HillReintroduction, LinearMaturityMap,
                      ModelParams, PowerLawVelocity, RateFunctions,
-                     SeparableKernel, SeparableUniformKernel)
+                     SeparableKernel, SeparableUniformKernel, as_field)
 from .solver import InitialHistory, Solver, WarmupData
 
 EXIT_OK = 0
@@ -48,14 +48,20 @@ EXPERIMENT_KINDS = ("uniqueness", "extinction", "invariance", "positivity",
 # strict config validation
 # ---------------------------------------------------------------------------
 
+def _object(obj, path: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{path}: expected an object, got {obj!r}")
+    return obj
+
+
 def _reject_unknown(obj: dict, allowed, path: str) -> None:
-    for key in obj:
+    for key in _object(obj, path):
         if key not in allowed:
             raise ConfigurationError(f"{path}.{key}: unknown key")
 
 
 def _need(obj: dict, key: str, path: str):
-    if key not in obj:
+    if key not in _object(obj, path):
         raise ConfigurationError(f"{path}.{key}: required key missing")
     return obj[key]
 
@@ -76,11 +82,17 @@ def _integer(val, path: str, minimum: int) -> int:
     return int(val)
 
 
+def _numbers(val, path: str) -> np.ndarray:
+    """A nonempty list of finite numbers."""
+    if not (isinstance(val, list) and val and
+            all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                and math.isfinite(c) for c in val)):
+        raise ConfigurationError(f"{path}: expected a list of numbers, got {val!r}")
+    return np.asarray(val, dtype=float)
+
+
 def _poly(coeffs, path: str):
-    if not (isinstance(coeffs, list) and coeffs and
-            all(isinstance(c, (int, float)) and math.isfinite(c) for c in coeffs)):
-        raise ConfigurationError(f"{path}: expected a list of coefficients")
-    arr = np.asarray(coeffs, dtype=float)
+    arr = _numbers(coeffs, path)
 
     def f(m):
         m = np.asarray(m, dtype=float)
@@ -106,17 +118,29 @@ def _scalar_field(spec, path: str):
     raise ConfigurationError(f"{path}: expected a number, {{const}}, or {{poly}}")
 
 
+def _table(spec, columns, path: str):
+    """Columns of a tabulated law: equal-length number lists, at least 4 rows."""
+    _reject_unknown(spec, set(columns), path)
+    cols = [_numbers(_need(spec, c, path), f"{path}.{c}") for c in columns]
+    if any(c.size != cols[0].size for c in cols) or cols[0].size < 4:
+        raise ConfigurationError(
+            f"{path}: {' and '.join(columns)} must match, length >= 4")
+    return cols
+
+
+def _pchip(x, y, path: str):
+    from scipy.interpolate import PchipInterpolator
+    try:
+        return PchipInterpolator(x, y)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: {exc}")
+
+
 def _build_velocity(spec: dict, path: str):
     _reject_unknown(spec, {"alpha", "p", "table"}, path)
     if "table" in spec:
-        tab = spec["table"]
-        _reject_unknown(tab, {"m", "V"}, f"{path}.table")
-        m = np.asarray(_need(tab, "m", f"{path}.table"), dtype=float)
-        v = np.asarray(_need(tab, "V", f"{path}.table"), dtype=float)
-        if m.size != v.size or m.size < 4:
-            raise ConfigurationError(f"{path}.table: m and V must match, length >= 4")
-        from scipy.interpolate import PchipInterpolator
-        interp = PchipInterpolator(m, v)
+        m, v = _table(spec["table"], ("m", "V"), f"{path}.table")
+        interp = _pchip(m, v, f"{path}.table")
         return CustomVelocity(V=interp, V_prime=interp.derivative(), name="table")
     alpha = _number(_need(spec, "alpha", path), f"{path}.alpha")
     p = _number(spec.get("p", 1.0), f"{path}.p")
@@ -126,16 +150,9 @@ def _build_velocity(spec: dict, path: str):
 def _build_maturity(spec: dict, path: str):
     _reject_unknown(spec, {"c", "table"}, path)
     if "table" in spec:
-        tab = spec["table"]
-        _reject_unknown(tab, {"m", "g"}, f"{path}.table")
-        m = np.asarray(_need(tab, "m", f"{path}.table"), dtype=float)
-        gv = np.asarray(_need(tab, "g", f"{path}.table"), dtype=float)
-        if m.size != gv.size or m.size < 4:
-            raise ConfigurationError(f"{path}.table: m and g must match, length >= 4")
-        from scipy.interpolate import PchipInterpolator
-        fwd = PchipInterpolator(m, gv)
-        inv = PchipInterpolator(gv, m)
-        return CustomMaturityMap(g=fwd, g_inv=inv, name="table")
+        m, gv = _table(spec["table"], ("m", "g"), f"{path}.table")
+        return CustomMaturityMap(g=_pchip(m, gv, f"{path}.table"),
+                                 g_inv=_pchip(gv, m, f"{path}.table"), name="table")
     return LinearMaturityMap(c=_number(_need(spec, "c", path), f"{path}.c"))
 
 
@@ -233,17 +250,26 @@ def _history_profile(spec: dict, path: str):
             _number(_need(spec, "amplitude", path), f"{path}.amplitude"))
     if kind == "sum":
         _reject_unknown(spec, {"kind", "terms"}, path)
+        terms = _need(spec, "terms", path)
+        if not isinstance(terms, list):
+            raise ConfigurationError(f"{path}.terms: expected a list of terms")
         terms = [_history_profile(t, f"{path}.terms[{i}]")
-                 for i, t in enumerate(_need(spec, "terms", path))]
+                 for i, t in enumerate(terms)]
         return lambda m: sum(f(m) for f in terms)
     raise ConfigurationError(f"{path}.kind: unknown history kind {kind!r}")
 
 
+def _warmup_data(spec, path: str) -> WarmupData:
+    """Constant-or-polynomial age data (Gamma, N0), each defaulting to 0."""
+    _reject_unknown(spec, {"Gamma", "N0"}, path)
+    gamma = as_field(_scalar_field(spec.get("Gamma", 0.0), f"{path}.Gamma"))
+    n0 = as_field(_scalar_field(spec.get("N0", 0.0), f"{path}.N0"))
+    return WarmupData(Gamma=lambda m, a: gamma(m) + 0.0 * np.asarray(a), N0=n0)
+
+
 def build_history(spec: dict, solver: Solver, seed: int, path: str = "run.history"):
-    if not isinstance(spec, dict):
-        raise ConfigurationError(f"{path}: expected an object")
     kind = _need(spec, "kind", path)
-    if kind not in _HISTORY_KINDS:
+    if not isinstance(kind, str) or kind not in _HISTORY_KINDS:
         raise ConfigurationError(f"{path}.kind: unknown history kind {kind!r}")
     if kind == "random":
         _reject_unknown(spec, {"kind", "level"}, path)
@@ -251,14 +277,8 @@ def build_history(spec: dict, solver: Solver, seed: int, path: str = "run.histor
             seed, level=_number(spec.get("level", 0.05), f"{path}.level"))
         return InitialHistory.from_callable(phi, solver.grid)
     if kind == "warmup":
-        _reject_unknown(spec, {"kind", "Gamma", "N0"}, path)
-        gamma0 = _scalar_field(spec.get("Gamma", 0.0), f"{path}.Gamma")
-        n0 = _scalar_field(spec.get("N0", 0.0), f"{path}.N0")
-        gamma_fn = gamma0 if callable(gamma0) else (lambda m: np.full(np.shape(m), gamma0))
-        n0_fn = n0 if callable(n0) else (lambda m: np.full(np.shape(m), n0))
-        data = WarmupData(Gamma=lambda m, a: gamma_fn(m) + 0.0 * np.asarray(a),
-                          N0=n0_fn)
-        return solver.warmup(data)
+        return solver.warmup(_warmup_data(
+            {k: v for k, v in spec.items() if k != "kind"}, path))
     allowed = {"kind", "value", "coeffs", "center", "width", "amplitude",
                "terms", "time_factor"}
     _reject_unknown(spec, allowed, path)
@@ -319,21 +339,17 @@ def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
     horizon = _number(run.get("horizon", 5.0 * solver.grid.tau_upper), "run.horizon")
     seed = _run_seed(run, seed_override)
     emit = run.get("emit", ["N"])
-    if not isinstance(emit, list) or not set(emit) <= {"N", "P", "residuals"}:
+    if not (isinstance(emit, list) and
+            all(e in ("N", "P", "residuals") for e in emit)):
         raise ConfigurationError("run.emit: expected a list drawn from [N, P, residuals]")
+    warmup = _warmup_data(run.get("warmup", {}), "run.warmup")
     hist_spec = run.get("history", {"kind": "zero"})
     history = build_history(hist_spec, solver, seed)
 
     t0 = time.perf_counter()
     field = solver.solve(history, horizon)
     if "P" in emit:
-        wu = run.get("warmup", {})
-        gamma0 = _scalar_field(wu.get("Gamma", 0.0), "run.warmup.Gamma") if wu else 0.0
-        g_fn = gamma0 if callable(gamma0) else (lambda m: np.full(np.shape(m), gamma0))
-        data = WarmupData(Gamma=lambda m, a: g_fn(m) + 0.0 * np.asarray(a),
-                          N0=lambda m: history.values[0][np.searchsorted(
-                              solver.grid.m_nodes, np.asarray(m)).clip(0, solver.grid.m_nodes.size - 1)])
-        field = solver.proliferating(field, data)
+        field = solver.proliferating(field, warmup)
     wall = time.perf_counter() - t0
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -376,7 +392,7 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> i
 
     if kind == "resolvent":
         solver = _make_solver(cfg)
-        lambdas = exp.get("lambdas", [0.1, 1.0, 10.0])
+        lambdas = _numbers(exp.get("lambdas", [0.1, 1.0, 10.0]), "experiment.lambdas")
         n_w = _integer(exp.get("n_w", 100), "experiment.n_w", 1)
         rng = np.random.default_rng(seed)
         reports = []
@@ -387,10 +403,10 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> i
             w = (lambda c, k: lambda m: c[0] + c[1] * np.asarray(m)
                  + c[2] * np.asarray(m) ** 2 + c[3] * np.sin(k * np.asarray(m)))(c, k)
             for lam in lambdas:
-                rep = xp.resolvent_check(solver.flow, w, float(lam))
+                rep = xp.resolvent_check(solver.flow, w, lam)
                 verdict = verdict and rep.verdict
                 reports.append(rep.to_dict())
-        payload = {"kind": "resolvent", "n_w": n_w, "lambdas": lambdas,
+        payload = {"kind": "resolvent", "n_w": n_w, "lambdas": lambdas.tolist(),
                    "verdict": bool(verdict), "checks": len(reports)}
         with open(out_dir / "report.json", "w") as fh:
             json.dump(payload, fh, indent=2)

@@ -54,10 +54,11 @@ def smooth_bump(center: float, width: float, amplitude: float) -> Callable:
     return bump
 
 
-def random_nonneg_history(seed: int, *, n_bumps: int = 4,
-                          level: float = 0.05) -> Callable:
-    """Seeded, smooth, strictly nonnegative history callable phi(t, m)."""
+def random_nonneg_history(seed: int, *, level: float = 0.05) -> Callable:
+    """Seeded, smooth, strictly nonnegative history callable phi(t, m):
+    ``level`` plus four time-modulated Gaussian bumps."""
     rng = np.random.default_rng(seed)
+    n_bumps = 4
     amps = rng.uniform(0.2, 1.0, n_bumps)
     mus = rng.uniform(0.0, 0.5, n_bumps)
     sigmas = rng.uniform(0.05, 0.25, n_bumps)
@@ -325,12 +326,11 @@ class PicardRateReport:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _run_pair(solver: Solver, histories, T, tol_picard, n_max):
+def _run_pair(solver: Solver, histories, T):
     # one decay table deep enough for the whole pair: the table's depth is
     # quantized, so building it up front keeps every member on the same one
     solver._ensure_tables(T - solver.grid.tau_upper + 2.0 * solver.grid.tau_upper)
-    return [solver.solve(h, T, tol_picard=tol_picard, n_max=n_max)
-            for h in histories]
+    return [solver.solve(h, T) for h in histories]
 
 
 def _agreement_nodes(grid, b):
@@ -339,8 +339,7 @@ def _agreement_nodes(grid, b):
 
 def exp_uniqueness(solver: Solver, phi1, phi2, b: float, *,
                    tol_match: float = DEFAULT_TOL_MATCH,
-                   horizon: Optional[float] = None,
-                   tol_picard: float = 1e-10, n_max: int = 50) -> UniquenessReport:
+                   horizon: Optional[float] = None) -> UniquenessReport:
     """Run two solves whose histories agree on [0, b] and compare them."""
     grid = solver.grid
     h1 = _as_history(phi1, grid)
@@ -354,7 +353,7 @@ def exp_uniqueness(solver: Solver, phi1, phi2, b: float, *,
             "experiment requires exact agreement below b")
     tb = compute_tbar(solver.kern, b)
     T = horizon if horizon is not None else tb.t_bar + 2.0 * grid.tau_upper
-    f1, f2 = _run_pair(solver, [h1, h2], T, tol_picard, n_max)
+    f1, f2 = _run_pair(solver, [h1, h2], T)
     divergence = np.max(np.abs(f1.N - f2.N), axis=1)
     times = f1.times
     tail_ok = divergence <= tol_match * scale
@@ -374,8 +373,7 @@ def exp_uniqueness(solver: Solver, phi1, phi2, b: float, *,
 
 def exp_extinction(solver: Solver, phi, b: float, *, control_phi=None,
                    tol_match: float = DEFAULT_TOL_MATCH,
-                   horizon: Optional[float] = None,
-                   tol_picard: float = 1e-10, n_max: int = 50) -> ExtinctionReport:
+                   horizon: Optional[float] = None) -> ExtinctionReport:
     """No stem cells below b: the population must vanish past the horizon."""
     grid = solver.grid
     hist = _as_history(phi, grid)
@@ -391,7 +389,7 @@ def exp_extinction(solver: Solver, phi, b: float, *, control_phi=None,
     runs = [hist]
     if control_phi is not None:
         runs.append(_as_history(control_phi, grid))
-    fields = _run_pair(solver, runs, T, tol_picard, n_max)
+    fields = _run_pair(solver, runs, T)
     f = fields[0]
     sup_profile = np.max(np.abs(f.N), axis=1)
     times = f.times
@@ -409,8 +407,7 @@ def exp_extinction(solver: Solver, phi, b: float, *, control_phi=None,
 
 def exp_invariance(solver: Solver, phi, b: float, *,
                    tol: float = DEFAULT_TOL_MATCH,
-                   horizon: Optional[float] = None,
-                   tol_picard: float = 1e-10, n_max: int = 50) -> InvarianceReport:
+                   horizon: Optional[float] = None) -> InvarianceReport:
     """Long-run domination by the small-maturity history norm.
 
     Makes a claim only when the margin condition holds; otherwise the
@@ -423,7 +420,7 @@ def exp_invariance(solver: Solver, phi, b: float, *,
     hist = _as_history(phi, grid)
     tb = compute_tbar(solver.kern, b)
     T = horizon if horizon is not None else tb.t_bar + 2.0 * grid.tau_upper
-    field = solver.solve(hist, T, tol_picard=tol_picard, n_max=n_max)
+    field = solver.solve(hist, T)
     sel = _agreement_nodes(grid, b)
     phi_norm = float(np.max(np.abs(hist.values[:, sel])))
     times = field.times
@@ -441,8 +438,7 @@ def exp_invariance(solver: Solver, phi, b: float, *,
 
 def exp_positivity(solver: Solver, *, n_runs: int = 20, seed: int = 0,
                    horizon: Optional[float] = None, histories=None,
-                   floor: float = 1e-8, tol_picard: float = 1e-10,
-                   n_max: int = 50) -> PositivityReport:
+                   floor: float = 1e-8) -> PositivityReport:
     """Nonnegative seeded histories must produce nonnegative populations."""
     grid = solver.grid
     probe = np.linspace(0.0, solver.flow.g1, 1025)
@@ -460,7 +456,7 @@ def exp_positivity(solver: Solver, *, n_runs: int = 20, seed: int = 0,
             raise PreconditionError(
                 f"history {i} takes negative values; positivity makes no "
                 "claim for signed data")
-        f = solver.solve(hist, T, tol_picard=tol_picard, n_max=n_max)
+        f = solver.solve(hist, T)
         lo = float(np.min(f.N))
         hi = float(np.max(np.abs(f.N)))
         rel = lo / max(hi, 1e-300)
@@ -476,7 +472,6 @@ def exp_positivity(solver: Solver, *, n_runs: int = 20, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def resolvent_check(flow: FlowMap, w: Callable, lam: float, *,
-                    n_grid: int = 512, n_quad: int = 48,
                     bound_tol: float = 1e-10,
                     residual_tol: float = 1e-6) -> ResolventReport:
     """Verify the transport resolvent solution and its sup-norm contraction.
@@ -484,16 +479,17 @@ def resolvent_check(flow: FlowMap, w: Callable, lam: float, *,
     In flow coordinates the resolvent solution reduces to a weighted average
     of w with a Gauss-Jacobi rule matched to the x^(1/lambda - 1) weight:
     positive weights summing to one make the contraction structural, and the
-    quadrature is spectrally accurate in the smoothness of w.
+    quadrature (48 nodes, on 512 points uniform in x) is spectrally accurate
+    in the smoothness of w.
     """
     if lam <= 0.0:
         raise DomainError("resolvent parameter lambda must be positive")
     g1 = flow.g1
     top = float(flow.h(g1))
-    xs = np.linspace(0.0, top, n_grid)
+    xs = np.linspace(0.0, top, 512)
     ms = np.asarray(flow.h_inv(xs))
     beta_exp = 1.0 / lam - 1.0
-    z, wq = roots_jacobi(n_quad, 0.0, beta_exp)
+    z, wq = roots_jacobi(48, 0.0, beta_exp)
     xi_nodes = 0.5 * (z + 1.0)
     weights = wq * 0.5 ** (beta_exp + 1.0) / lam
     weights = weights / np.sum(weights)          # analytically one; clean round-off

@@ -154,8 +154,8 @@ class _TabulatedCoords:
 class FlowMap:
     """Flow coordinates bound to one velocity model and division map.
 
-    All operations are pure and safe for concurrent read-only use; for a
-    custom velocity the lookup table is built once here.
+    All operations are pure; for a custom velocity the lookup table is built
+    once here.
     """
 
     def __init__(self, velocity: VelocityModel, maturity: MaturityMap):
@@ -238,16 +238,17 @@ class FlowMap:
         out = self.log_h(self.maturity.inverse(m_arr)) - self.log_h(m_arr)
         return _maybe_scalar(out, m)
 
-    def tau0(self, *, cap: float = 100.0, n_scan: int = 512) -> float:
+    def tau0(self) -> float:
         """Supremum over (0, g(1)] of the crossing time.
 
-        Scans log-spaced maturities and polishes the best bracket by
-        golden-section search. Values beyond ``cap`` are treated as a
-        diverging supremum and rejected: the stem-cell uniqueness results
-        need this supremum finite.
+        Scans 512 log-spaced maturities and polishes the best bracket by
+        golden-section search. Values beyond 100 are treated as a diverging
+        supremum and rejected: the stem-cell uniqueness results need this
+        supremum finite.
         """
         if self._tau0 is not None:
             return self._tau0
+        cap, n_scan = 100.0, 512
         m_lo = self.g1 * 1e-12
         grid = np.logspace(math.log10(m_lo), math.log10(self.g1), n_scan)
         vals = np.asarray(self.crossing_time(grid))

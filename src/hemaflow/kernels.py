@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -33,9 +33,8 @@ class CumulativeDecay:
     so the Hermite interpolant is fourth order in the node spacing.
     """
 
-    def __init__(self, psi_of_x: Callable, psi_at_zero: float, u_min: float,
-                 *, du: float = 1.0 / 512.0):
-        n = int(math.ceil(-u_min / du)) + 1
+    def __init__(self, psi_of_x: Callable, psi_at_zero: float, u_min: float):
+        n = int(math.ceil(-u_min * 512.0)) + 1          # node spacing 1/512 in u
         u = np.linspace(u_min, 0.0, n)
         z, w = gauss_legendre(8)
         half = 0.5 * (u[1:] - u[:-1])
@@ -92,11 +91,11 @@ class InvarianceMargin:
 
 
 class Kernels:
-    """Rate kernels bound to one model; pure and thread-safe after init."""
+    """Rate kernels bound to one model; pure after init."""
 
-    def __init__(self, params: ModelParams, flow: Optional[FlowMap] = None):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.flow = flow if flow is not None else FlowMap(params.velocity, params.maturity)
+        self.flow = FlowMap(params.velocity, params.maturity)
         self._delta = params.rates.delta_fn()
         self._gamma = params.rates.gamma_fn()
         self._decay_cache: dict = {}
@@ -219,7 +218,7 @@ class Kernels:
         """Lipschitz constant of x -> x*beta(m, x), uniform over m in [0, g(1)]."""
         return self.params.reintroduction.lipschitz(self.flow.g1)
 
-    def invariance_margin(self, *, n_m: int = 257, n_a: int = 65) -> InvarianceMargin:
+    def invariance_margin(self) -> InvarianceMargin:
         """Evaluate the pieces of the invariance condition.
 
         I is the infimum of delta + V' on [0, g(1)] (scan plus golden-section
@@ -228,6 +227,7 @@ class Kernels:
         """
         g1 = self.flow.g1
         lo, hi = self.params.tau_lower, self.params.tau_upper
+        n_m, n_a = 257, 65
 
         m = np.linspace(0.0, g1, n_m)
         vals = self.psi_resting(m)
@@ -240,11 +240,7 @@ class Kernels:
         I = min(float(np.min(vals)), polished)
 
         def zeta_grid(ms, ages):
-            out = np.empty((ms.size, ages.size))
-            mothers = self.flow.maturity.inverse(ms)
-            for col, age in enumerate(ages):
-                out[:, col] = self.k(ms, age) * self.xi(mothers, float(age))
-            return np.abs(out)
+            return np.abs(self.zeta(ms[:, None], ages[None, :]))
 
         ages = np.linspace(lo, hi, n_a)
         grid = zeta_grid(m, ages)

@@ -377,27 +377,15 @@ def _check_delays(tau_lower, tau_upper):
             f"(got {tau_lower}, {tau_upper})")
 
 
-@dataclass(frozen=True)
-class SeparableUniformKernel:
-    """k(m, a) = kappa(m) / (tau_upper - tau_lower), age-uniform.
-
-    kappa is cut to zero at g(1) with a C1 taper over the trailing
-    ``taper`` fraction of [0, g(1)] so that k stays continuous.
-    """
-
-    tau_lower: float
-    tau_upper: float
-    kappa: ScalarField = 1.0
-    taper: float = 0.02
+class _TaperedSeparable:
+    """k(m, a) = kappa(m) * age_weight(a), with kappa cut to zero at g(1) by a
+    C1 taper over the trailing ``taper`` fraction of [0, g(1)] so that k
+    stays continuous."""
 
     def __post_init__(self):
         _check_delays(self.tau_lower, self.tau_upper)
         if not (0.0 < self.taper < 1.0):
             raise ConfigurationError("kernel taper fraction must lie in (0, 1)")
-
-    def age_weight(self, a):
-        a = np.asarray(a, dtype=float)
-        return np.full(a.shape, 1.0 / (self.tau_upper - self.tau_lower))
 
     def maturity_weight(self, m, g1: float):
         m = np.asarray(m, dtype=float)
@@ -407,9 +395,21 @@ class SeparableUniformKernel:
         return np.where(m >= g1, 0.0, raw * fade)
 
     def k(self, m, a, g1: float):
-        m = np.asarray(m, dtype=float)
-        a = np.asarray(a, dtype=float)
         return self.maturity_weight(m, g1) * self.age_weight(a)
+
+
+@dataclass(frozen=True)
+class SeparableUniformKernel(_TaperedSeparable):
+    """k(m, a) = kappa(m) / (tau_upper - tau_lower), age-uniform."""
+
+    tau_lower: float
+    tau_upper: float
+    kappa: ScalarField = 1.0
+    taper: float = 0.02
+
+    def age_weight(self, a):
+        a = np.asarray(a, dtype=float)
+        return np.full(a.shape, 1.0 / (self.tau_upper - self.tau_lower))
 
     def describe(self):
         return {"kind": "separable_uniform", "kappa": _describe_field(self.kappa),
@@ -418,7 +418,7 @@ class SeparableUniformKernel:
 
 
 @dataclass(frozen=True)
-class SeparableKernel:
+class SeparableKernel(_TaperedSeparable):
     """k(m, a) = kappa(m) * rho(a) with a caller-chosen age density rho."""
 
     tau_lower: float
@@ -427,25 +427,10 @@ class SeparableKernel:
     age_density: Callable
     taper: float = 0.02
 
-    def __post_init__(self):
-        _check_delays(self.tau_lower, self.tau_upper)
-        if not (0.0 < self.taper < 1.0):
-            raise ConfigurationError("kernel taper fraction must lie in (0, 1)")
-
     def age_weight(self, a):
         a = np.asarray(a, dtype=float)
         out = np.asarray(self.age_density(a), dtype=float)
         return np.broadcast_to(out, a.shape).copy() if out.shape != a.shape else out
-
-    def maturity_weight(self, m, g1: float):
-        m = np.asarray(m, dtype=float)
-        raw = as_field(self.kappa)(m)
-        m0 = g1 * (1.0 - self.taper)
-        fade = 1.0 - _smoothstep((m - m0) / (g1 - m0))
-        return np.where(m >= g1, 0.0, raw * fade)
-
-    def k(self, m, a, g1: float):
-        return self.maturity_weight(m, g1) * self.age_weight(a)
 
     def describe(self):
         return {"kind": "separable", "kappa": _describe_field(self.kappa),

@@ -40,6 +40,8 @@ from .params import ModelParams
 from .quadrature import gauss_legendre, mapped_rule
 
 _TIME_SNAP = 1e-9
+_TOL_PICARD = 1e-10       # relative Picard stopping tolerance per window
+_N_MAX = 50               # Picard iterations allowed per window
 
 
 def _eval_two_arg(fn: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,6 +109,11 @@ class Grid:
               m_nodes: int = 512, dt_divisor: int = 64) -> "Grid":
         if not (0.0 < tau_lower < tau_upper):
             raise ConfigurationError("delays must satisfy 0 < tau_lower < tau_upper")
+        for name, value, least in (("m_nodes", m_nodes, 8), ("dt_divisor", dt_divisor, 1)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or value < least:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         top = float(flow.h(flow.g1))
         xs = np.linspace(0.0, top, m_nodes)
         ms = np.asarray(flow.h_inv(xs))
@@ -257,19 +264,15 @@ class InitialHistory:
         times = np.arange(grid.n_history + 1) * grid.dt
         tt = times[:, None]
         vals = _eval_two_arg(phi, tt, grid.m_nodes[None, :])
-        if not np.all(np.isfinite(vals)):
-            raise ConfigurationError("history values must be finite")
         up = None
         if upper is not None:
             up = _eval_two_arg(upper, tt, grid.band_m[None, :])
         return cls(times=times, values=vals, upper=up)
 
     @classmethod
-    def zeros(cls, grid: Grid, *, with_upper: bool = False) -> "InitialHistory":
+    def zeros(cls, grid: Grid) -> "InitialHistory":
         times = np.arange(grid.n_history + 1) * grid.dt
-        up = np.zeros((times.size, grid.band_m.size)) if with_upper else None
-        return cls(times=times, values=np.zeros((times.size, grid.m_nodes.size)),
-                   upper=up)
+        return cls(times=times, values=np.zeros((times.size, grid.m_nodes.size)))
 
 
 @dataclass
@@ -278,13 +281,11 @@ class WarmupData:
 
     ``N0`` is the age-integral of the resting-phase density at t = 0,
     supplied directly (the decay of the age tail is not constructively
-    integrable). ``Upsilon`` may be carried for the record but is never
-    evaluated. ``Gamma`` must be continuous on [0, 1] x [0, tau_upper].
+    integrable). ``Gamma`` must be continuous on [0, 1] x [0, tau_upper].
     """
 
     Gamma: Callable
     N0: Callable
-    Upsilon: Optional[Callable] = None
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +438,6 @@ class _RunState:
         self.alpha_bar = 1.0      # sup of K over one window span
         self.windows: list = []
         self.window_index = 0
-        self.tol_picard = 1e-10
-        self.n_max = 50
 
 
 class Solver:
@@ -448,16 +447,13 @@ class Solver:
     solves from one Solver are independent of each other.
     """
 
-    def __init__(self, params: ModelParams, grid: Optional[Grid] = None, *,
-                 kernels: Optional[Kernels] = None, m_nodes: int = 512,
+    def __init__(self, params: ModelParams, *, m_nodes: int = 512,
                  dt_divisor: int = 64):
         self.params = params
-        self.kern = kernels if kernels is not None else Kernels(params)
+        self.kern = Kernels(params)
         self.flow = self.kern.flow
-        if grid is None:
-            grid = Grid.build(self.flow, params.tau_lower, params.tau_upper,
-                              m_nodes=m_nodes, dt_divisor=dt_divisor)
-        self.grid = grid
+        self.grid = grid = Grid.build(self.flow, params.tau_lower, params.tau_upper,
+                                      m_nodes=m_nodes, dt_divisor=dt_divisor)
         # the contraction bookkeeping needs the Lipschitz constant up front
         self.lipschitz = self.kern.lipschitz_l()
 
@@ -575,8 +571,7 @@ class Solver:
 
     # -- windowed solve ----------------------------------------------------------
 
-    def start(self, history: InitialHistory, T: float, *,
-              tol_picard: float = 1e-10, n_max: int = 50) -> _RunState:
+    def start(self, history: InitialHistory, T: float) -> _RunState:
         grid = self.grid
         nh = grid.n_history
         if T < grid.tau_upper - 1e-12:
@@ -590,6 +585,9 @@ class Solver:
             raise ConfigurationError(
                 f"upper-band history shape {history.upper.shape} does not "
                 f"match the grid ({nh + 1} slices x {grid.band_m.size} nodes)")
+        if not (np.all(np.isfinite(history.values)) and
+                (history.upper is None or np.all(np.isfinite(history.upper)))):
+            raise ConfigurationError("history values must be finite")
         n_steps = max(0, math.ceil((T - grid.tau_upper) / grid.dt - 1e-9))
 
         use_band = history.upper is not None
@@ -600,8 +598,6 @@ class Solver:
                 "crossing time at g(1)); supply history on the upper band")
 
         st = _RunState()
-        st.tol_picard = tol_picard
-        st.n_max = n_max
         st.n_slices = nh + n_steps + 1
         st.N = np.empty((st.n_slices, grid.m_nodes.size))
         st.N[:nh + 1] = history.values
@@ -704,19 +700,19 @@ class Solver:
         M_sup = float(np.max(np.abs(base)))
         deltas = []
         converged = False
-        for _ in range(st.n_max):
+        for _ in range(_N_MAX):
             J = self._j_sweep(st, N_win, steps)
             new_rows = base[1:] - J[1:]
             delta = float(np.max(np.abs(new_rows - N_win[1:])))
             deltas.append(delta)
             N_win[1:] = new_rows
             scale = max(M_sup, float(np.max(np.abs(new_rows))), 1e-300)
-            if delta <= st.tol_picard * scale:
+            if delta <= _TOL_PICARD * scale:
                 converged = True
                 break
         if not converged:
             raise ConvergenceError(
-                f"window {st.window_index} did not converge in {st.n_max} "
+                f"window {st.window_index} did not converge in {_N_MAX} "
                 f"Picard iterations (last delta {deltas[-1]:.3e}); "
                 "reduce dt or weaken the reintroduction law",
                 window_index=st.window_index, last_delta=deltas[-1])
@@ -763,10 +759,9 @@ class Solver:
             u0 = self._shift_band(self._active_row(st, i0 + r - 1), st.window_index)
             st.band[i0 + r] = _rk4_step(u0, self.grid.dt, rhs)
 
-    def solve(self, history: InitialHistory, T: float, *,
-              tol_picard: float = 1e-10, n_max: int = 50) -> SolutionField:
+    def solve(self, history: InitialHistory, T: float) -> SolutionField:
         """Run the method of steps to horizon T and assemble the record."""
-        st = self.start(history, T, tol_picard=tol_picard, n_max=n_max)
+        st = self.start(history, T)
         while st.i < st.n_slices - 1:
             self.solve_window(st)
         times = np.arange(st.n_slices) * self.grid.dt
@@ -778,8 +773,8 @@ class Solver:
             "model_digest": self.params.digest(),
             "grid": self.grid.describe(),
             "horizon": float(times[-1]),
-            "tol_picard": tol_picard,
-            "n_max": n_max,
+            "tol_picard": _TOL_PICARD,
+            "n_max": _N_MAX,
             "lipschitz_l": self.lipschitz,
             "alpha_bar": st.alpha_bar,
             "window_length": self.grid.tau_lower,
@@ -1015,42 +1010,17 @@ class Solver:
     def _delta_at(self, m: float) -> float:
         return float(self.params.rates.delta_fn()(np.asarray([m]))[0])
 
-    def residual_stats(self, field: SolutionField, *, n_times: int = 12,
-                       n_nodes: int = 24, seed: int = 0) -> dict:
-        """Residual magnitudes over a deterministic interior sample."""
+    def residual_stats(self, field: SolutionField) -> dict:
+        """Residual magnitudes over a deterministic interior sample: 12 slice
+        times and up to 24 seeded interior nodes."""
         grid = self.grid
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         lo_i = grid.n_history + 1
         hi_i = field.times.size - 2
-        t_idx = np.unique(np.linspace(lo_i, hi_i, n_times, dtype=int))
-        j_idx = np.unique(rng.integers(1, grid.m_nodes.size - 1, size=n_nodes))
+        t_idx = np.unique(np.linspace(lo_i, hi_i, 12, dtype=int))
+        j_idx = np.unique(rng.integers(1, grid.m_nodes.size - 1, size=24))
         vals = [abs(self.residual(field, field.times[i], grid.m_nodes[j]))
                 for i in t_idx for j in j_idx]
         vals = np.asarray(vals)
         return {"max": float(vals.max()), "median": float(np.median(vals)),
                 "n_samples": int(vals.size)}
-
-
-# ---------------------------------------------------------------------------
-# module-level conveniences
-# ---------------------------------------------------------------------------
-
-def solve(params: ModelParams, history: InitialHistory, T: float, *,
-          grid: Optional[Grid] = None, m_nodes: int = 512, dt_divisor: int = 64,
-          tol_picard: float = 1e-10, n_max: int = 50) -> SolutionField:
-    solver = Solver(params, grid, m_nodes=m_nodes, dt_divisor=dt_divisor)
-    return solver.solve(history, T, tol_picard=tol_picard, n_max=n_max)
-
-
-def solve_warmup(params: ModelParams, data: WarmupData, *,
-                 grid: Optional[Grid] = None, m_nodes: int = 512,
-                 dt_divisor: int = 64, check_positive: bool = False) -> InitialHistory:
-    solver = Solver(params, grid, m_nodes=m_nodes, dt_divisor=dt_divisor)
-    return solver.warmup(data, check_positive=check_positive)
-
-
-def solve_proliferating(params: ModelParams, field: SolutionField,
-                        data: WarmupData, *, grid: Optional[Grid] = None,
-                        m_nodes: int = 512, dt_divisor: int = 64) -> SolutionField:
-    solver = Solver(params, grid, m_nodes=m_nodes, dt_divisor=dt_divisor)
-    return solver.proliferating(field, data)

@@ -126,6 +126,42 @@ class TestConfigRejection:
         assert run_cli(tmp_path, "check", write_config(tmp_path, cfg)) == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys, value, path, command", [
+        (["run"], 5, "run", "run"),
+        (["grid"], 5, "grid", "run"),
+        (["model"], 5, "model", "check"),
+        (["experiment"], 5, "experiment", "positivity"),
+        (["model", "velocity"], 5, "model.velocity", "check"),
+        (["model", "k"], 5, "model.k", "check"),
+        (["model", "beta"], 5, "model.beta", "check"),
+        (["model", "velocity"], {"table": 5}, "model.velocity.table", "check"),
+        (["model", "velocity"],
+         {"table": {"m": [0.0, 0.25, 0.5, 1.0], "V": [0.0, "a", 0.5, 1.0]}},
+         "model.velocity.table.V", "check"),
+        (["model", "g"],
+         {"table": {"m": [0.0, 0.25, 0.5, 1.0], "g": [0.0, 0.3, 0.2, 0.5]}},
+         "model.g.table", "check"),
+        (["run", "history"], {"kind": "constant", "value": 0.4, "time_factor": 5},
+         "run.history.time_factor", "run"),
+        (["run", "history"], {"kind": "sum", "terms": 5}, "run.history.terms", "run"),
+        (["run", "history"], {"kind": ["zero"]}, "run.history.kind", "run"),
+        (["run", "emit"], [["N"]], "run.emit", "run"),
+        (["run", "warmup"], 5, "run.warmup", "run"),
+        (["run", "warmup"], {"Gama": 0.1}, "run.warmup.Gama", "run"),
+        (["experiment"], {"kind": "resolvent", "lambdas": [0.5, "a"]},
+         "experiment.lambdas", "resolvent"),
+    ])
+    def test_malformed_section_names_path(self, tmp_path, capsys, keys, value,
+                                          path, command):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        args = [command] if command in ("run", "check") else ["experiment", command]
+        assert run_cli(tmp_path, *args, write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}")
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli(tmp_path, "check", str(tmp_path / "nope.json")) == 2
 

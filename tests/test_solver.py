@@ -43,6 +43,15 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid.build(flow, par.tau_lower, par.tau_upper, dt_divisor=16)
 
+    @pytest.mark.parametrize("key, value", [
+        ("m_nodes", 0), ("m_nodes", 1), ("m_nodes", 7), ("m_nodes", -3),
+        ("m_nodes", 8.5), ("dt_divisor", 0), ("dt_divisor", -2),
+        ("dt_divisor", 2.5), ("dt_divisor", True),
+    ])
+    def test_bad_grid_sizes_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            Solver(reference_params(), **{key: value})
+
     def test_degenerate_delays_rejected(self):
         with pytest.raises(ConfigurationError):
             reference_params(tau_lower=2.0, tau_upper=2.0)
@@ -116,12 +125,30 @@ class TestSolveBasics:
         with pytest.raises(ConfigurationError):
             solver_ref.solve(hist, T=6.0)
 
+    def test_nonfinite_history_rejected(self, solver_ref):
+        hist = InitialHistory.zeros(solver_ref.grid)
+        hist.values[3, 10] = np.nan
+        with pytest.raises(ConfigurationError, match="finite"):
+            solver_ref.solve(hist, T=6.0)
+
+    def test_nonfinite_last_history_slice_rejected(self, solver_ref):
+        hist = InitialHistory.zeros(solver_ref.grid)
+        hist.values[-1, 10] = np.nan
+        with pytest.raises(ConfigurationError, match="finite"):
+            solver_ref.solve(hist, T=6.0)
+
+    def test_nonfinite_upper_band_rejected(self, solver_ref):
+        hist = InitialHistory.from_callable(
+            smooth_history, solver_ref.grid, upper=lambda t, m: np.nan + 0.0 * (t + m))
+        with pytest.raises(ConfigurationError, match="finite"):
+            solver_ref.solve(hist, T=6.0)
+
     def test_nonconvergence_signalled(self):
         # l * window length = 60: the contraction only wins past n = 50
         solver = Solver(reference_params(beta0=60.0), m_nodes=64, dt_divisor=16)
         hist = InitialHistory.from_callable(smooth_history, solver.grid)
         with pytest.raises(ConvergenceError) as err:
-            solver.solve(hist, T=4.0, n_max=50)
+            solver.solve(hist, T=4.0)
         assert err.value.window_index == 0
         assert err.value.last_delta is not None
 

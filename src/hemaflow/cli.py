@@ -33,12 +33,15 @@ from .params import (ConstantReintroduction, CustomMaturityMap,
                      CustomVelocity, HillReintroduction, LinearMaturityMap,
                      ModelParams, PowerLawVelocity, RateFunctions,
                      SeparableKernel, SeparableUniformKernel, as_field)
-from .solver import InitialHistory, Solver, WarmupData
+from .solver import InitialHistory, Solver, WarmupData, check_slice_bytes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERDICT = 4
+
+MAX_RUNS = 1000           # experiment.n_runs: one full solve per run
+MAX_W = 10000             # experiment.n_w: one resolvent check per lambda each
 
 EXPERIMENT_KINDS = ("uniqueness", "extinction", "invariance", "positivity",
                     "resolvent", "picard-rate")
@@ -73,13 +76,29 @@ def _number(val, path: str) -> float:
     return float(val)
 
 
-def _integer(val, path: str, minimum: int) -> int:
+def _integer(val, path: str, minimum: int, maximum: float = math.inf) -> int:
     if isinstance(val, bool) or not (
             isinstance(val, int) or (isinstance(val, float) and val.is_integer())):
         raise ConfigurationError(f"{path}: expected an integer, got {val!r}")
     if val < minimum:
         raise ConfigurationError(f"{path}: must be at least {minimum}, got {val!r}")
+    if val > maximum:
+        raise ConfigurationError(f"{path}: must be at most {maximum}, got {val!r}")
     return int(val)
+
+
+def _fits(path: str, *size) -> None:
+    """check_slice_bytes(*size), naming ``path`` when it refuses."""
+    try:
+        check_slice_bytes(*size)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}")
+
+
+def _horizon(val, solver: Solver, path: str) -> float:
+    T, grid = _number(val, path), solver.grid
+    _fits(path, grid.m_nodes.size, grid.n_window, grid.tau_lower, T)
+    return T
 
 
 def _numbers(val, path: str) -> np.ndarray:
@@ -215,11 +234,16 @@ def build_params(cfg: dict) -> ModelParams:
         division=_build_kernel(model.get("k", {}), tau_lower, tau_upper, "model.k"))
 
 
-def build_grid(cfg: dict, solver_args: dict) -> None:
+def build_grid(cfg: dict, params: ModelParams) -> dict:
+    """Solver size arguments whose history fits the slice cap (m_nodes is
+    checked at the coarsest step, dt_divisor at the given m_nodes)."""
     grid = cfg.get("grid", {})
     _reject_unknown(grid, {"m_nodes", "dt_divisor"}, "grid")
-    solver_args["m_nodes"] = _integer(grid.get("m_nodes", 512), "grid.m_nodes", 8)
-    solver_args["dt_divisor"] = _integer(grid.get("dt_divisor", 64), "grid.dt_divisor", 1)
+    m_nodes = _integer(grid.get("m_nodes", 512), "grid.m_nodes", 8)
+    dt_divisor = _integer(grid.get("dt_divisor", 64), "grid.dt_divisor", 1)
+    _fits("grid.m_nodes", m_nodes, 1, params.tau_lower, params.tau_upper)
+    _fits("grid.dt_divisor", m_nodes, dt_divisor, params.tau_lower, params.tau_upper)
+    return {"m_nodes": m_nodes, "dt_divisor": dt_divisor}
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +340,7 @@ def _load_config(path: str) -> dict:
 
 def _make_solver(cfg: dict) -> Solver:
     params = build_params(cfg)
-    solver_args: dict = {}
-    build_grid(cfg, solver_args)
-    return Solver(params, **solver_args)
+    return Solver(params, **build_grid(cfg, params))
 
 
 def _run_section(cfg: dict) -> dict:
@@ -336,7 +358,8 @@ def _run_seed(run: dict, seed_override) -> int:
 def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
     solver = _make_solver(cfg)
     run = _run_section(cfg)
-    horizon = _number(run.get("horizon", 5.0 * solver.grid.tau_upper), "run.horizon")
+    horizon = _horizon(run.get("horizon", 5.0 * solver.grid.tau_upper), solver,
+                       "run.horizon")
     seed = _run_seed(run, seed_override)
     emit = run.get("emit", ["N"])
     if not (isinstance(emit, list) and
@@ -344,6 +367,16 @@ def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
         raise ConfigurationError("run.emit: expected a list drawn from [N, P, residuals]")
     warmup = _warmup_data(run.get("warmup", {}), "run.warmup")
     hist_spec = run.get("history", {"kind": "zero"})
+    if isinstance(hist_spec, dict) and hist_spec.get("kind") == "warmup":
+        # P is rebuilt with the Gamma that made the history
+        given = {k: v for k, v in hist_spec.items() if k != "kind"}
+        const = lambda g: g.get("const", g) if isinstance(g, dict) else g
+        gamma = run.get("warmup", {}).get("Gamma")
+        if gamma is not None and const(gamma) != const(given.get("Gamma", 0.0)):
+            raise ConfigurationError(
+                "run.warmup.Gamma: differs from run.history.Gamma, the Gamma that "
+                "made the warmup history; give it once, in run.history")
+        warmup = _warmup_data(given, "run.history")
     history = build_history(hist_spec, solver, seed)
 
     t0 = time.perf_counter()
@@ -393,7 +426,7 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> i
     if kind == "resolvent":
         solver = _make_solver(cfg)
         lambdas = _numbers(exp.get("lambdas", [0.1, 1.0, 10.0]), "experiment.lambdas")
-        n_w = _integer(exp.get("n_w", 100), "experiment.n_w", 1)
+        n_w = _integer(exp.get("n_w", 100), "experiment.n_w", 1, MAX_W)
         rng = np.random.default_rng(seed)
         reports = []
         verdict = True
@@ -417,7 +450,7 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> i
     solver = _make_solver(cfg)
     hist_spec = run.get("history", {"kind": "zero"})
     horizon = exp.get("horizon")
-    horizon = None if horizon is None else _number(horizon, "experiment.horizon")
+    horizon = None if horizon is None else _horizon(horizon, solver, "experiment.horizon")
 
     if kind == "picard-rate":
         history = build_history(hist_spec, solver, seed)
@@ -425,7 +458,7 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> i
         field = solver.solve(history, T)
         report = xp.picard_rate_check(field)
     elif kind == "positivity":
-        n_runs = _integer(exp.get("n_runs", 20), "experiment.n_runs", 1)
+        n_runs = _integer(exp.get("n_runs", 20), "experiment.n_runs", 1, MAX_RUNS)
         report = xp.exp_positivity(solver, n_runs=n_runs, seed=seed,
                                    horizon=horizon)
     else:

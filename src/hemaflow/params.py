@@ -20,15 +20,19 @@ from .errors import ConfigurationError
 ScalarField = Union[float, Callable]
 
 
+def fit_shape(values, shape) -> np.ndarray:
+    """``values`` as floats of exactly ``shape``: broadcast (into a fresh
+    array) only when a callable returned a smaller shape, such as a scalar."""
+    out = np.asarray(values, dtype=float)
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+
+
 def as_field(f: ScalarField) -> Callable:
     """Normalize a constant or callable into a vectorized callable."""
     if callable(f):
         def wrapped(m):
             m = np.asarray(m, dtype=float)
-            out = np.asarray(f(m), dtype=float)
-            if out.shape != m.shape:
-                out = np.broadcast_to(out, m.shape).copy()
-            return out
+            return fit_shape(f(m), m.shape)
         wrapped.base = f
         return wrapped
     value = float(f)
@@ -101,13 +105,11 @@ class CustomVelocity:
 
     def __call__(self, m):
         m = np.asarray(m, dtype=float)
-        out = np.asarray(self.V(m), dtype=float)
-        return np.broadcast_to(out, m.shape).copy() if out.shape != m.shape else out
+        return fit_shape(self.V(m), m.shape)
 
     def derivative(self, m):
         m = np.asarray(m, dtype=float)
-        out = np.asarray(self.V_prime(m), dtype=float)
-        return np.broadcast_to(out, m.shape).copy() if out.shape != m.shape else out
+        return fit_shape(self.V_prime(m), m.shape)
 
     def describe(self):
         return {"kind": "custom", "name": self.name}
@@ -168,14 +170,12 @@ class CustomMaturityMap:
 
     def __call__(self, m):
         m = np.asarray(m, dtype=float)
-        out = np.asarray(self.g(m), dtype=float)
-        return np.broadcast_to(out, m.shape).copy() if out.shape != m.shape else out
+        return fit_shape(self.g(m), m.shape)
 
     def inverse(self, y):
         y = np.asarray(y, dtype=float)
         g1 = self.g1
-        inner = np.asarray(self.g_inv(np.minimum(y, g1)), dtype=float)
-        inner = np.broadcast_to(inner, y.shape).copy() if inner.shape != y.shape else inner
+        inner = fit_shape(self.g_inv(np.minimum(y, g1)), y.shape)
         return np.where(y > g1, 1.0, np.minimum(inner, 1.0))
 
     def describe(self):
@@ -348,9 +348,7 @@ class CustomReintroduction(_LawBase):
     def rate(self, m, x):
         m = np.asarray(m, dtype=float)
         x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        out = np.asarray(self.fn(m, x), dtype=float)
-        shape = np.broadcast_shapes(m.shape, x.shape)
-        return np.broadcast_to(out, shape).copy() if out.shape != shape else out
+        return fit_shape(self.fn(m, x), np.broadcast_shapes(m.shape, x.shape))
 
     def lipschitz(self, g1: float) -> float:
         if self.lipschitz_bound is None:
@@ -429,8 +427,7 @@ class SeparableKernel(_TaperedSeparable):
 
     def age_weight(self, a):
         a = np.asarray(a, dtype=float)
-        out = np.asarray(self.age_density(a), dtype=float)
-        return np.broadcast_to(out, a.shape).copy() if out.shape != a.shape else out
+        return fit_shape(self.age_density(a), a.shape)
 
     def describe(self):
         return {"kind": "separable", "kappa": _describe_field(self.kappa),
@@ -455,9 +452,8 @@ class CustomDivisionKernel:
     def k(self, m, a, g1: float):
         m = np.asarray(m, dtype=float)
         a = np.asarray(a, dtype=float)
-        out = np.asarray(self.fn(m, a), dtype=float)
         shape = np.broadcast_shapes(m.shape, a.shape)
-        out = np.broadcast_to(out, shape).copy() if out.shape != shape else out
+        out = fit_shape(self.fn(m, a), shape)
         return np.where(np.broadcast_to(m, shape) >= g1, 0.0, out)
 
     def describe(self):

@@ -19,8 +19,10 @@ feet x * exp(-dt). ``Solver._accumulate`` carries the running integrals G and
 J with it plus a trapezoid increment (the attenuation tables make the flow
 factorization of K exact), and ``_rk4_step`` integrates the band, warmup and
 proliferating equations along characteristics. Direct evaluators ``eval_G``
-and ``eval_J`` are kept as the slow reference form. Other lookups
-interpolate monotone-cubically in x and linearly in t.
+and ``eval_J`` are kept as the slow reference form. Every read at (t, x) --
+the solve's ring, phi(tau_upper, .), the warmup record, ``SolutionField.lookup``
+-- goes through one store, ``HistoryField``, which wraps the solver's own
+slice arrays and reads them monotone-cubically in x and linearly in t.
 """
 
 from __future__ import annotations
@@ -36,22 +38,28 @@ from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      HistoryWindowError)
 from .flow import FlowMap
 from .kernels import Kernels
-from .params import ModelParams
+from .params import ModelParams, fit_shape
 from .quadrature import gauss_legendre, mapped_rule
 
 _TIME_SNAP = 1e-9
 _TOL_PICARD = 1e-10       # relative Picard stopping tolerance per window
 _N_MAX = 50               # Picard iterations allowed per window
+MAX_SLICE_BYTES = 2 ** 30  # float64 slices one solve may hold (1 GiB)
+
+
+def check_slice_bytes(m_nodes, dt_divisor, tau_lower: float, T: float) -> None:
+    """Refuse, before allocating, a solve to horizon T whose float64 slices
+    (m_nodes wide, dt = tau_lower / dt_divisor; counts clip at 1e300) pass the cap."""
+    need = 8.0 * min(m_nodes, 1e300) * (T / tau_lower * min(dt_divisor, 1e300) + 1.0)
+    if not need <= MAX_SLICE_BYTES:
+        raise ConfigurationError(f"the solve would hold {need:.3g} bytes of slices, "
+                                 f"above the cap of {MAX_SLICE_BYTES}")
 
 
 def _eval_two_arg(fn: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Evaluate fn on broadcast arrays, falling back to np.vectorize."""
-    shape = np.broadcast_shapes(a.shape, b.shape)
     try:
-        out = np.asarray(fn(a, b), dtype=float)
-        if out.shape == shape:
-            return out
-        return np.broadcast_to(out, shape).copy()
+        return fit_shape(fn(a, b), np.broadcast_shapes(a.shape, b.shape))
     except (ValueError, TypeError):
         return np.vectorize(fn, otypes=[float])(a, b)
 
@@ -137,6 +145,21 @@ class Grid:
 # one characteristic step
 # ---------------------------------------------------------------------------
 
+def _pchip(x: np.ndarray, values: np.ndarray, window_index: Optional[int] = None):
+    """Monotone-cubic (Fritsch-Carlson) interpolant of one slice, no extrapolation."""
+    try:
+        return PchipInterpolator(x, values, extrapolate=False)
+    except ValueError:
+        # the interpolant refuses non-finite data: the first place a
+        # NaN-producing rate law shows up in a solve
+        if np.all(np.isfinite(values)):
+            raise
+        where = "" if window_index is None else f" in window {window_index}"
+        raise ConvergenceError(
+            f"non-finite values in the transported field{where}; "
+            "check the rate laws for NaN or inf", window_index=window_index)
+
+
 class _Shift:
     """One step dt of transport: values on the nodes ``x``, re-interpolated
     monotone-cubically at the fixed feet ``x_out * exp(-dt)``."""
@@ -146,17 +169,7 @@ class _Shift:
         self.feet = x_out * math.exp(-dt)
 
     def __call__(self, values: np.ndarray, window_index: Optional[int] = None) -> np.ndarray:
-        try:
-            return PchipInterpolator(self.x, values, extrapolate=False)(self.feet)
-        except ValueError:
-            # the interpolant refuses non-finite data: the first place a
-            # NaN-producing rate law shows up in a solve
-            if np.all(np.isfinite(values)):
-                raise
-            where = "" if window_index is None else f" in window {window_index}"
-            raise ConvergenceError(
-                f"non-finite values in the transported field{where}; "
-                "check the rate laws for NaN or inf", window_index=window_index)
+        return _pchip(self.x, values, window_index)(self.feet)
 
 
 def _rk4_step(u0: np.ndarray, dt: float, rhs: Callable) -> np.ndarray:
@@ -173,7 +186,7 @@ def _rk4_step(u0: np.ndarray, dt: float, rhs: Callable) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# time-indexed slice stacks
+# the slice store
 # ---------------------------------------------------------------------------
 
 def _time_bracket(t: float, dt: float):
@@ -187,48 +200,47 @@ def _time_bracket(t: float, dt: float):
 
 
 class HistoryField:
-    """Sliding ring of recent slices feeding the delayed lookups.
+    """Slices of a field at times i*dt on a fixed x-grid, read monotone-cubically
+    in x and linearly in t.
 
-    Slices live on a fixed x-grid at uniform times i*dt, with cached
-    interpolants. Capacity defaults to ceil(2 * tau_upper / dt) + 2 slices
-    in the solver, enough to serve every (s - a) reach of the division
-    integral.
+    Wraps an existing ``(n_slices, M)`` array without copying; with an ``upper``
+    band array, row i is ``values[i]`` followed by ``upper[i][1:]`` and ``x``
+    spans both. Slices ``0 .. filled - 1`` are readable, and the owner raises
+    ``filled`` as it finalizes slices. At most ``keep`` interpolants are cached,
+    oldest built out first; an evicted slice is rebuilt when read again.
     """
 
-    def __init__(self, x: np.ndarray, dt: float, capacity: Optional[int] = None):
+    def __init__(self, x: np.ndarray, dt: float, values: np.ndarray, *,
+                 upper: Optional[np.ndarray] = None, filled: Optional[int] = None,
+                 keep: float = math.inf):
         self.x = x
         self.dt = dt
-        self.capacity = capacity
-        self.start_index = 0
-        self._values: list = []
-        self._interp: list = []
+        self.values = values
+        self.upper = upper
+        self.filled = len(values) if filled is None else filled
+        self.keep = keep
+        self._cache: dict = {}
 
-    @property
-    def last_index(self) -> int:
-        return self.start_index + len(self._values) - 1
+    def row(self, i: int) -> np.ndarray:
+        if self.upper is None:
+            return self.values[i]
+        return np.concatenate([self.values[i], self.upper[i][1:]])
 
-    def append(self, values: np.ndarray) -> None:
-        self._values.append(np.asarray(values, dtype=float))
-        self._interp.append(None)
-        if self.capacity is not None and len(self._values) > self.capacity:
-            self._values.pop(0)
-            self._interp.pop(0)
-            self.start_index += 1
-
-    def interpolant(self, index: int) -> PchipInterpolator:
-        k = index - self.start_index
-        if self._interp[k] is None:
-            self._interp[k] = PchipInterpolator(self.x, self._values[k], extrapolate=False)
-        return self._interp[k]
+    def interpolant(self, i: int):
+        f = self._cache.get(i)
+        if f is None:
+            f = self._cache[i] = _pchip(self.x, self.row(i))
+            if len(self._cache) > self.keep:
+                del self._cache[next(iter(self._cache))]
+        return f
 
     def lookup(self, t: float, xq: np.ndarray) -> np.ndarray:
         """Field value at time t (linear between slices) and coordinates xq."""
         i, theta = _time_bracket(t, self.dt)
-        lo, hi = self.start_index, self.last_index
-        if i < lo or i > hi or (theta > 0.0 and i + 1 > hi):
+        if i < 0 or i + (theta > 0.0) >= self.filled:
             raise HistoryWindowError(
-                f"lookup at t = {t:.9g} falls outside stored slices "
-                f"[{lo * self.dt:.9g}, {hi * self.dt:.9g}]")
+                f"lookup at t = {t:.9g} falls outside the stored slices "
+                f"[0, {(self.filled - 1) * self.dt:.9g}]")
         base = self.interpolant(i)(xq)
         if theta == 0.0:
             return base
@@ -317,7 +329,7 @@ class SolutionField:
         self.P = None if P is None else np.asarray(P, dtype=float)
         self.upper = upper
         self.metadata = metadata or {}
-        self._interp_cache: dict = {}
+        self._stores: dict = {}           # combined -> HistoryField, built on first lookup
 
     @property
     def dt(self) -> float:
@@ -326,34 +338,18 @@ class SolutionField:
     def sup(self) -> float:
         return float(np.max(np.abs(self.N)))
 
-    def _index(self, t: float):
-        i, theta = _time_bracket(t, self.dt)
-        if i < 0 or i + (1 if theta > 0.0 else 0) >= self.times.size:
-            raise HistoryWindowError(f"time {t:.9g} outside the recorded range")
-        return i, theta
-
-    def _interp(self, i: int, combined: bool) -> PchipInterpolator:
-        f = self._interp_cache.get((i, combined))
-        if f is None:
-            xf, vf = self.x, self.N[i]
-            if combined:
-                xf = np.concatenate([xf, self.upper.x[1:]])
-                vf = np.concatenate([vf, self.upper.N[i][1:]])
-            f = self._interp_cache[i, combined] = PchipInterpolator(xf, vf, extrapolate=False)
-        return f
-
     def lookup(self, t: float, xq, *, combined: bool = False) -> np.ndarray:
         """N at time t (linear between slices) and flow coordinates xq."""
         if self.x is None:
             raise DomainError(
                 "this field carries no flow coordinates (CSV stores maturities "
                 "only); reload it with SolutionField.load to look it up")
-        i, theta = self._index(t)
         combined = combined and self.upper is not None
-        base = self._interp(i, combined)(xq)
-        if theta == 0.0:
-            return base
-        return (1.0 - theta) * base + theta * self._interp(i + 1, combined)(xq)
+        if combined not in self._stores:
+            x, upper = ((np.concatenate([self.x, self.upper.x[1:]]), self.upper.N)
+                        if combined else (self.x, None))
+            self._stores[combined] = HistoryField(x, self.dt, self.N, upper=upper)
+        return self._stores[combined].lookup(t, xq)
 
     # -- serialization -------------------------------------------------------
 
@@ -425,12 +421,11 @@ class _RunState:
     def __init__(self):
         self.N = None             # (n_slices, M) main field, filled as we go
         self.band = None          # (n_slices, NB) or None
-        self.ring = None          # HistoryField over the active x grid
-        self.i = 0                # last finalized slice index
+        self.ring = None          # HistoryField over N (and band); filled = finalized slices
+        self.history = None       # HistoryField over the history slices of N
         self.n_slices = 0
-        self.phi_tau = None       # interpolant of phi(tau_upper, .)
-        self.G_carry = None       # accumulated influx integral at slice i
-        self.J_carry = None       # accumulated outflux integral at slice i
+        self.G_carry = None       # running influx integral at the last finalized slice
+        self.J_carry = None       # running outflux integral at the last finalized slice
         self.dec_r = None         # resting-phase decay table
         self.dec_g = None         # proliferating-phase decay table
         self.zeta_qa = None       # division weights on the age Gauss nodes
@@ -508,22 +503,25 @@ class Solver:
             raise DomainError(f"t = {t:.9g} must align with the slice times")
         return i
 
+    def _past_slices(self, t: float, name: str):
+        """Slice times s in [tau_upper, t] with trapezoid weights, for the
+        direct forms; a single slice means t = tau_upper, where both vanish."""
+        it = self._aligned_index(t)
+        if it < self.grid.n_history:
+            raise DomainError(f"{name} needs t >= tau_upper")
+        svals = np.arange(self.grid.n_history, it + 1) * self.grid.dt
+        w_s = np.full(svals.size, self.grid.dt)
+        w_s[0] = w_s[-1] = 0.5 * self.grid.dt
+        return svals, w_s
+
     def eval_G(self, record, t: float, m: float) -> float:
         """Division influx integral at (t, m), trapezoid in s and 16-node
         Gauss-Legendre in division age, evaluated from scratch."""
-        grid = self.grid
-        nh = grid.n_history
-        it = self._aligned_index(t)
-        if it < nh:
-            raise DomainError("eval_G needs t >= tau_upper")
-        if it == nh:
+        svals, w_s = self._past_slices(t, "eval_G")
+        if svals.size == 1:
             return 0.0
-        dec_r, dec_g = self._ensure_tables(t + grid.tau_upper)
+        dec_r, dec_g = self._ensure_tables(t + self.grid.tau_upper)
         log_x = float(self.flow.log_h(m))
-        s_idx = np.arange(nh, it + 1)
-        svals = s_idx * grid.dt
-        w_s = np.full(svals.size, grid.dt)
-        w_s[0] = w_s[-1] = 0.5 * grid.dt
         x_m = math.exp(log_x) if np.isfinite(log_x) else 0.0
         total = 0.0
         for sv, ws in zip(svals, w_s):
@@ -545,20 +543,12 @@ class Solver:
 
     def eval_J(self, record, t: float, m: float) -> float:
         """Reintroduction outflux integral at (t, m), trapezoid on slice times."""
-        grid = self.grid
-        nh = grid.n_history
-        it = self._aligned_index(t)
-        if it < nh:
-            raise DomainError("eval_J needs t >= tau_upper")
-        if it == nh:
+        svals, w_s = self._past_slices(t, "eval_J")
+        if svals.size == 1:
             return 0.0
         dec_r, _ = self._ensure_tables(t)
         log_x = float(self.flow.log_h(m))
         x_m = math.exp(log_x) if np.isfinite(log_x) else 0.0
-        s_idx = np.arange(nh, it + 1)
-        svals = s_idx * grid.dt
-        w_s = np.full(svals.size, grid.dt)
-        w_s[0] = w_s[-1] = 0.5 * grid.dt
         total = 0.0
         for sv, ws in zip(svals, w_s):
             ly = log_x - (t - sv)
@@ -576,15 +566,12 @@ class Solver:
         nh = grid.n_history
         if T < grid.tau_upper - 1e-12:
             raise ConfigurationError("horizon T must be at least tau_upper")
-        if history.values.shape != (nh + 1, grid.m_nodes.size):
-            raise ConfigurationError(
-                f"history shape {history.values.shape} does not match the grid "
-                f"({nh + 1} slices x {grid.m_nodes.size} nodes)")
-        if history.upper is not None and \
-                history.upper.shape != (nh + 1, grid.band_m.size):
-            raise ConfigurationError(
-                f"upper-band history shape {history.upper.shape} does not "
-                f"match the grid ({nh + 1} slices x {grid.band_m.size} nodes)")
+        check_slice_bytes(grid.m_nodes.size, grid.n_window, grid.tau_lower, T)
+        for name, arr, nodes in (("history", history.values, grid.m_nodes.size),
+                                 ("upper-band history", history.upper, grid.band_m.size)):
+            if arr is not None and arr.shape != (nh + 1, nodes):
+                raise ConfigurationError(f"{name} shape {arr.shape} does not match "
+                                         f"the grid ({nh + 1} slices x {nodes} nodes)")
         if not (np.all(np.isfinite(history.values)) and
                 (history.upper is None or np.all(np.isfinite(history.upper)))):
             raise ConfigurationError("history values must be finite")
@@ -605,16 +592,14 @@ class Solver:
             st.band = np.empty((st.n_slices, grid.band_m.size))
             st.band[:nh + 1] = history.upper
         x_active = grid.x_full if use_band else grid.x_nodes
-        st.ring = HistoryField(x_active, grid.dt,
-                               capacity=math.ceil(2.0 * grid.tau_upper / grid.dt) + 2)
-        for i in range(nh + 1):
-            st.ring.append(self._active_row(st, i))
-        st.phi_tau = PchipInterpolator(grid.x_nodes, history.values[nh],
-                                       extrapolate=False)
+        # every (s - a) reach of the division integral lies within the
+        # last ceil(2 * tau_upper / dt) + 2 slices
+        st.ring = HistoryField(x_active, grid.dt, st.N, upper=st.band, filled=nh + 1,
+                               keep=math.ceil(2.0 * grid.tau_upper / grid.dt) + 2)
+        st.history = HistoryField(grid.x_nodes, grid.dt, st.N, filled=nh + 1)
         M = grid.m_nodes.size
         st.G_carry = np.zeros(M)
         st.J_carry = np.zeros(M)
-        st.i = nh
 
         depth = n_steps * grid.dt + grid.tau_upper
         dec_r, dec_g = self._ensure_tables(depth)
@@ -625,11 +610,6 @@ class Solver:
         st.alpha_bar = max(float(np.max(dec_r.survival(grid.x_nodes, u)))
                            for u in u_probe)
         return st
-
-    def _active_row(self, st: _RunState, i: int) -> np.ndarray:
-        if st.band is None:
-            return st.N[i]
-        return np.concatenate([st.N[i], st.band[i][1:]])
 
     def _q_slice(self, st: _RunState, index: int) -> np.ndarray:
         """Inner division integral (age quadrature) at slice ``index``."""
@@ -670,7 +650,7 @@ class Solver:
         """Advance one method-of-steps window; returns its iteration record."""
         grid = self.grid
         nh, nw = grid.n_history, grid.n_window
-        i0 = st.i
+        i0 = st.ring.filled - 1
         steps = min(nw, st.n_slices - 1 - i0)
         if steps <= 0:
             raise ConfigurationError("no slices left to solve")
@@ -691,7 +671,7 @@ class Solver:
         base = np.empty((steps + 1, M))
         for r in range(steps + 1):
             back = (i0 + r - nh) * grid.dt
-            pulled = st.phi_tau(grid.x_nodes * math.exp(-back))
+            pulled = st.history.lookup(nh * grid.dt, grid.x_nodes * math.exp(-back))
             base[r] = pulled * st.dec_r.survival(grid.x_nodes, back) + G[r] - J_past[r]
 
         N_win = np.empty((steps + 1, M))
@@ -725,11 +705,9 @@ class Solver:
         st.N[i0 + 1:i0 + steps + 1] = N_win[1:]
         if st.band is not None:
             self._advance_band(st, i0, steps)
-        for r in range(1, steps + 1):
-            st.ring.append(self._active_row(st, i0 + r))
         st.G_carry = G[steps]
         st.J_carry = J_past[steps] + J[steps]
-        st.i = i0 + steps
+        st.ring.filled = i0 + steps + 1
 
         meta = {
             "index": st.window_index,
@@ -756,13 +734,13 @@ class Solver:
             return -(stage_psi[stage] + beta(stage_m[stage], u)) * u
 
         for r in range(1, steps + 1):
-            u0 = self._shift_band(self._active_row(st, i0 + r - 1), st.window_index)
+            u0 = self._shift_band(st.ring.row(i0 + r - 1), st.window_index)
             st.band[i0 + r] = _rk4_step(u0, self.grid.dt, rhs)
 
     def solve(self, history: InitialHistory, T: float) -> SolutionField:
         """Run the method of steps to horizon T and assemble the record."""
         st = self.start(history, T)
-        while st.i < st.n_slices - 1:
+        while st.ring.filled < st.n_slices:
             self.solve_window(st)
         times = np.arange(st.n_slices) * self.grid.dt
         upper = None
@@ -854,12 +832,10 @@ class Solver:
             return out
 
         values = np.empty((nh + 1, n_full))
-        n0 = np.asarray(data.N0(m_full), dtype=float)
-        values[0] = np.broadcast_to(n0, (n_full,))
+        values[0] = data.N0(m_full)
         if not np.all(np.isfinite(values[0])):
             raise ConfigurationError("N0 must be finite")
-        record = HistoryField(x_full, dt, capacity=nh + 2)
-        record.append(values[0])
+        record = HistoryField(x_full, dt, values, filled=1)
 
         for i in range(1, nh + 1):
             t0 = (i - 1) * dt
@@ -876,7 +852,7 @@ class Solver:
                 raise ConfigurationError(
                     f"warmup produced non-finite densities at t = {i * dt:.6g}; "
                     "check Gamma and N0")
-            record.append(values[i])
+            record.filled = i + 1
 
         if check_positive and float(np.min(values)) < -1e-12 * max(1.0, float(np.max(np.abs(values)))):
             raise ConfigurationError("warmup produced negative densities")
@@ -905,7 +881,6 @@ class Solver:
         has_band = field.upper is not None
         x_act = grid.x_full if has_band else grid.x_nodes
         m_act = grid.m_full if has_band else grid.m_nodes
-        n_act = x_act.size
         M = grid.m_nodes.size
 
         stage_x = tuple(x_act * math.exp(-s) for s in (dt, 0.5 * dt, 0.0))
@@ -918,26 +893,23 @@ class Solver:
         stage_x_back = tuple(np.exp(lx - tau_up) for lx in stage_lx)
         stage_m_back = tuple(np.asarray(flow.h_inv_log(lx - tau_up)) for lx in stage_lx)
 
-        def n_at(t: float, xq: np.ndarray) -> np.ndarray:
-            return field.lookup(t, xq, combined=has_band)
-
         def sink(sigma: float, stage: int) -> np.ndarray:
             if sigma < tau_up or abs(sigma - tau_up) < _TIME_SNAP:
                 age_left = tau_up - sigma
                 mothers = flow.h_inv_log(stage_lx[stage] - sigma)
                 gam = _eval_two_arg(data.Gamma, mothers, np.asarray(age_left))
                 return gam * np.exp(dec_g.log_survival(stage_x[stage], sigma))
-            nv = n_at(sigma - tau_up, stage_x_back[stage])
+            nv = field.lookup(sigma - tau_up, stage_x_back[stage], combined=has_band)
             return stage_xi_up[stage] * beta(stage_m_back[stage], nv) * nv
 
         def influx(sigma: float, stage: int) -> np.ndarray:
-            nv = n_at(sigma, stage_x[stage])
+            nv = field.lookup(sigma, stage_x[stage], combined=has_band)
             return beta(stage_m[stage], nv) * nv
 
         # initial proliferating load: age integral of Gamma
         z, w = gauss_legendre(16)
         edges = np.linspace(0.0, tau_up, 9)
-        P0 = np.zeros(n_act)
+        P0 = np.zeros(x_act.size)
         for lo, hi in zip(edges[:-1], edges[1:]):
             half = 0.5 * (hi - lo)
             a_nodes = lo + half * (z + 1.0)
@@ -945,7 +917,7 @@ class Solver:
             P0 += half * np.einsum("q,qj->j", w, gam)
 
         n_slices = field.times.size
-        P = np.empty((n_slices, n_act))
+        P = np.empty((n_slices, x_act.size))
         P[0] = P0
         shift = self._shift_full if has_band else self._shift_main
         for i in range(1, n_slices):
@@ -995,7 +967,8 @@ class Solver:
         dflux_dm = dflux_dx * grid.x_nodes[j] / float(V(np.asarray([mj]))[0])
 
         nv_here = field.N[i, j]
-        decay = -(float(self._delta_at(mj)) + float(self.kern.beta(np.asarray(mj), np.asarray(nv_here)))) * nv_here
+        delta = float(self.params.rates.delta_fn()(np.asarray([mj]))[0])
+        decay = -(delta + float(self.kern.beta(np.asarray(mj), np.asarray(nv_here)))) * nv_here
         lgi = float(self.flow.log_h(self.params.maturity.inverse(np.asarray(mj))))
         xd = np.exp(lgi - self._a_nodes)
         md = self.flow.h_inv_log(lgi - self._a_nodes)
@@ -1006,9 +979,6 @@ class Solver:
         gain = 2.0 * float(np.sum(self._a_weights * k_q * xi_q *
                                   self.kern.beta(md, nv) * nv))
         return float(dN_dt + dflux_dm - decay - gain)
-
-    def _delta_at(self, m: float) -> float:
-        return float(self.params.rates.delta_fn()(np.asarray([m]))[0])
 
     def residual_stats(self, field: SolutionField) -> dict:
         """Residual magnitudes over a deterministic interior sample: 12 slice

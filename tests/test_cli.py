@@ -76,6 +76,22 @@ class TestRun:
         header = (tmp_path / "out" / "solution.csv").read_text().splitlines()[0]
         assert header == "t,m,N,P"
 
+    def test_warmup_history_is_the_gamma_source(self, tmp_path):
+        # P is rebuilt with the Gamma that made the history, whether or not
+        # run.warmup repeats it
+        from hemaflow import SolutionField
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["run"]["emit"] = ["N", "P"]
+        cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.1, "N0": 0.4}
+        P = []
+        for k, warmup in enumerate(({}, {"Gamma": {"const": 0.1}})):
+            cfg["run"]["warmup"] = warmup
+            out = tmp_path / f"out{k}"
+            assert main(["--out", str(out), "run",
+                         write_config(tmp_path, cfg, f"c{k}.json")]) == 0
+            P.append(SolutionField.load(out / "solution").P)
+        assert np.array_equal(P[0], P[1])
+
 
 class TestConfigRejection:
     def test_unknown_key_names_path(self, tmp_path, capsys):
@@ -161,6 +177,46 @@ class TestConfigRejection:
         args = [command] if command in ("run", "check") else ["experiment", command]
         assert run_cli(tmp_path, *args, write_config(tmp_path, cfg)) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}")
+
+    @pytest.mark.parametrize("keys, value, command", [
+        (["grid", "m_nodes"], 1e308, "run"),
+        (["grid", "m_nodes"], 10 ** 400, "run"),
+        (["grid", "dt_divisor"], 1e308, "run"),
+        (["grid", "dt_divisor"], 2 ** 22, "run"),
+        (["run", "horizon"], 1e308, "run"),
+        (["experiment", "horizon"], 1e308, "picard-rate"),
+        (["experiment", "n_runs"], 1e308, "positivity"),
+        (["experiment", "n_w"], 1e308, "resolvent"),
+    ])
+    def test_oversized_key_names_path(self, tmp_path, capsys, monkeypatch, keys,
+                                      value, command):
+        # refused while the config is read: reaching a solve, a warmup, a
+        # sweep or a resolvent check (or, for grid keys, the grid) fails here
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{'.'.join(keys)} = {value!r} was not refused")
+        targets = ["hemaflow.solver.Solver.start", "hemaflow.solver.Solver.warmup",
+                   "hemaflow.experiments.exp_positivity",
+                   "hemaflow.experiments.resolvent_check"]
+        if keys[0] == "grid":
+            targets.append("hemaflow.solver.Grid.build")
+        for target in targets:
+            monkeypatch.setattr(target, reached)
+        cfg = copy.deepcopy(BASE_CONFIG)
+        args = ["run"]
+        if command != "run":
+            cfg["experiment"] = {"kind": command}
+            args = ["experiment", command]
+        cfg[keys[0]][keys[1]] = value
+        assert run_cli(tmp_path, *args, write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {'.'.join(keys)}")
+
+    def test_conflicting_gamma_names_both_paths(self, tmp_path, capsys):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.1}
+        cfg["run"]["warmup"] = {"Gamma": 0.2}
+        assert run_cli(tmp_path, "run", write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.warmup.Gamma") and "run.history.Gamma" in err
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli(tmp_path, "check", str(tmp_path / "nope.json")) == 2

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from hemaflow import (ConfigurationError, ConvergenceError, DomainError, Grid,
                       HistoryField, HistoryWindowError, InitialHistory,
@@ -60,25 +61,50 @@ class TestGrid:
 
 
 class TestHistoryField:
+    x = np.linspace(0.0, 0.5, 9)
+
     def test_lookup_interpolates_linearly_in_time(self):
-        x = np.linspace(0.0, 0.5, 9)
-        ring = HistoryField(x, dt=0.25)
-        ring.append(np.zeros(9))
-        ring.append(np.ones(9))
-        mid = ring.lookup(0.125, x)
-        assert np.max(np.abs(mid - 0.5)) < 1e-14
+        values = np.array([self.x ** 2, np.sin(3.0 * self.x), np.ones(9)])
+        ring = HistoryField(self.x, 0.25, values)
+        assert np.max(np.abs(ring.lookup(0.125, self.x) - 0.5 * (values[0] + values[1]))) < 1e-14
+        xq = np.linspace(0.01, 0.49, 17)
+        lo, hi = ring.lookup(0.25, xq), ring.lookup(0.5, xq)
+        for theta in (0.1, 0.5, 0.75):
+            mixed = ring.lookup(0.25 * (1.0 + theta), xq)
+            assert np.max(np.abs(mixed - ((1.0 - theta) * lo + theta * hi))) < 1e-14
+
+    def test_shares_memory_with_wrapped_array(self):
+        values = np.zeros((3, 9))
+        upper = np.zeros((3, 4))
+        ring = HistoryField(np.linspace(0.0, 0.8, 12), 0.25, values, upper=upper)
+        assert ring.values is values and ring.upper is upper
+        assert np.shares_memory(HistoryField(self.x, 0.25, values).row(1), values)
+        # a slice written before its first read is read as written
+        values[2], upper[2] = 2.0, 3.0
+        assert np.array_equal(ring.row(2), np.r_[np.full(9, 2.0), np.full(3, 3.0)])
+        assert ring.lookup(0.5, np.asarray([0.7]))[0] == 3.0
 
     def test_out_of_window_raises(self):
-        x = np.linspace(0.0, 0.5, 9)
-        ring = HistoryField(x, dt=0.25, capacity=3)
+        values = np.arange(4.0)[:, None] + np.zeros((4, 9))
+        ring = HistoryField(self.x, 0.25, values, filled=2)
+        assert ring.lookup(0.25, self.x)[0] == 1.0
+        # slice 2 is not finalized: neither it nor any time past slice 1 reads
+        for t in (0.3, 0.5, 0.75, -0.1):
+            with pytest.raises(HistoryWindowError):
+                ring.lookup(t, self.x)
+        ring.filled = 3
+        assert ring.lookup(0.5, self.x)[0] == 2.0
+
+    def test_cache_bounded_by_keep_older_slices_readable(self):
+        values = np.arange(6.0)[:, None] * (1.0 + self.x)[None, :]
+        ring = HistoryField(self.x, 0.25, values, keep=2)
         for i in range(6):
-            ring.append(np.full(9, float(i)))
-        # slices 0..2 were dropped: earliest stored time is 3*0.25
-        with pytest.raises(HistoryWindowError):
-            ring.lookup(0.5, x)
-        assert ring.lookup(1.0, x)[0] == 4.0
-        with pytest.raises(HistoryWindowError):
-            ring.lookup(1.3, x)
+            assert np.array_equal(ring.lookup(0.25 * i, self.x), values[i])
+            assert len(ring._cache) <= 2
+        # slice 0 was evicted long ago; it is rebuilt, not lost
+        assert np.array_equal(ring.lookup(0.0, self.x), values[0])
+        assert np.array_equal(ring.lookup(0.125, self.x), 0.5 * (values[0] + values[1]))
+        assert len(ring._cache) == 2
 
 
 class TestSolveBasics:
@@ -118,6 +144,11 @@ class TestSolveBasics:
         hist = InitialHistory.zeros(solver_ref.grid)
         with pytest.raises(ConfigurationError):
             solver_ref.solve(hist, T=1.0)
+
+    @pytest.mark.parametrize("T", [1e308, float("inf"), float("nan")])
+    def test_oversized_horizon_rejected(self, solver_ref, T):
+        with pytest.raises(ConfigurationError, match="cap"):
+            solver_ref.solve(InitialHistory.zeros(solver_ref.grid), T=T)
 
     def test_history_shape_checked(self, solver_ref):
         hist = InitialHistory(times=np.arange(3) * solver_ref.grid.dt,
@@ -303,6 +334,19 @@ class TestUpperBand:
         closed = field.upper.m[None, :] * np.exp(-2.05 * (tt - TAU))
         err = np.max(np.abs(field.upper.N[sel] - closed)) / np.max(closed)
         assert err < 1e-6
+
+    def test_combined_lookup_reads_the_joined_row(self):
+        par = reference_params(c=0.3, tau_lower=1.0, tau_upper=2.0)
+        solver = Solver(par, m_nodes=64, dt_divisor=8)
+        field = solver.solve(InitialHistory.from_callable(
+            smooth_history, solver.grid, upper=smooth_history), T=4.0)
+        x_full = np.concatenate([field.x, field.upper.x[1:]])
+        xq = np.linspace(0.0, 0.99, 41)
+        for i in (0, 17, field.times.size - 1):
+            row = np.concatenate([field.N[i], field.upper.N[i][1:]])
+            expected = PchipInterpolator(x_full, row, extrapolate=False)(xq)
+            assert np.array_equal(field.lookup(field.times[i], xq, combined=True),
+                                  expected)
 
     def test_short_delay_requires_band_history(self):
         # tau_lower below the crossing time at g(1): ancestry reaches above

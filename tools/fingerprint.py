@@ -1,0 +1,124 @@
+"""Print sha256 digests of the solver's outputs as one JSON object.
+
+Two checkouts that print the same JSON computed the same numbers bit for
+bit. The inputs are the benchmark's own (``perfbench/workload.py``,
+imported, never copied), so the digests cover what the benchmark runs:
+
+* ``ref_solve``: the 512 x 64, T = 10 solve of ``random_nonneg_history(0)``
+  (N, per-window iterations and Picard deltas, ``residual_stats``);
+* ``positivity``: ``exp_positivity`` per-run records (beta0 = 1, 512 x 64,
+  2 runs, T = 10);
+* ``uniqueness``: the ``exp_uniqueness`` divergence profile (192 x 16);
+* ``band_solve``: a solve with c = 0.3 that needs the upper band (N and the
+  band's N);
+* ``cli_run``: every file the benchmark's seed-0 ``hemaflow run`` writes.
+
+Run from the root of a checkout; it imports that checkout's ``src``:
+
+    python3 tools/fingerprint.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import hemaflow as hf  # noqa: E402
+from hemaflow import experiments as xp  # noqa: E402
+from hemaflow.cli import main as cli_main  # noqa: E402
+from workload import REFERENCE_SEED, SIZES, cli_config, reference_params  # noqa: E402
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p.tobytes() if isinstance(p, np.ndarray)
+                 else json.dumps(p, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def ref_solve() -> dict:
+    spec = SIZES["full"]["ref_solve"]
+    solver = hf.Solver(reference_params(0.3), m_nodes=spec["m_nodes"],
+                       dt_divisor=spec["dt_divisor"])
+    hist = hf.InitialHistory.from_callable(
+        xp.random_nonneg_history(REFERENCE_SEED), solver.grid)
+    field = solver.solve(hist, spec["T"])
+    windows = field.metadata["windows"]
+    return {"N": _sha(field.N),
+            "iterations": _sha([w["iterations"] for w in windows]),
+            "deltas": _sha([[float.hex(d) for d in w["deltas"]] for w in windows]),
+            "residual_stats": _sha({k: float.hex(float(v)) for k, v in
+                                    solver.residual_stats(field).items()})}
+
+
+def positivity() -> str:
+    spec = SIZES["full"]["history_sweep"]
+    solver = hf.Solver(reference_params(1.0), m_nodes=spec["m_nodes"],
+                       dt_divisor=spec["dt_divisor"])
+    rep = xp.exp_positivity(solver, n_runs=spec["n_runs"], seed=REFERENCE_SEED,
+                            horizon=spec["T"])
+    return _sha([{k: float.hex(float(v)) for k, v in run.items()} for run in rep.per_run])
+
+
+def uniqueness() -> str:
+    solver = hf.Solver(reference_params(1.0), m_nodes=192, dt_divisor=16)
+    phi1 = xp.random_nonneg_history(REFERENCE_SEED)
+    bump = xp.smooth_bump(0.35, 0.09, 0.4)
+    rep = xp.exp_uniqueness(solver, phi1, lambda t, m: phi1(t, m) + bump(m), 0.2)
+    return _sha(rep.times, rep.divergence)
+
+
+def band_solve() -> dict:
+    params = reference_params(0.3)
+    params = dataclasses.replace(params, maturity=hf.LinearMaturityMap(c=0.3))
+    solver = hf.Solver(params, m_nodes=128, dt_divisor=16)
+    phi = xp.random_nonneg_history(REFERENCE_SEED)
+    hist = hf.InitialHistory.from_callable(phi, solver.grid, upper=phi)
+    field = solver.solve(hist, 6.0)
+    return {"N": _sha(field.N), "upper_N": _sha(field.upper.N)}
+
+
+def cli_run() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as fh:
+            json.dump(cli_config(REFERENCE_SEED, SIZES["full"]["cli_run"]), fh)
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main(["--out", out, "run", cfg])
+        digests = {"exit": rc}
+        for name in sorted(os.listdir(out)):
+            path = os.path.join(out, name)
+            if name.endswith(".npz"):
+                # the archive's bytes carry write times: digest its arrays
+                with np.load(path) as data:
+                    for key in sorted(data.files):
+                        digests[f"{name}:{key}"] = _sha(data[key])
+                continue
+            with open(path, "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def main() -> int:
+    result = {"ref_solve": ref_solve(), "positivity": positivity(),
+              "uniqueness": uniqueness(), "band_solve": band_solve(),
+              "cli_run": cli_run()}
+    print(json.dumps(result, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,10 +17,12 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .flow import FlowMap
 from .params import ModelParams, golden_section_max
 from .quadrature import gauss_legendre
+
+_PATH_POINTS_MAX = 2 ** 24   # quadrature points one _path_integral pass may hold
 
 
 class CumulativeDecay:
@@ -44,6 +46,9 @@ class CumulativeDecay:
         increments = (vals @ w) * half
         phi = np.concatenate([np.cumsum(increments[::-1])[::-1], [0.0]])
         slope = -psi_of_x(np.exp(u))
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(slope))):
+            raise ConfigurationError("the decay rates overflow along the flow: the "
+                                     "cumulative decay table is not finite")
         self._phi = CubicHermiteSpline(u, phi, slope)
         self._u_min = u_min
         self._phi_floor = phi[0]
@@ -128,6 +133,10 @@ class Kernels:
         m = np.atleast_1d(np.asarray(m, dtype=float))
         if t == 0.0:
             return np.zeros(m.shape)
+        if not max(t, 1.0) * n_cap * m.size <= _PATH_POINTS_MAX:
+            raise DomainError(f"the path integral over t = {t:.6g} at {m.size} "
+                              f"maturities needs more than {_PATH_POINTS_MAX} "
+                              "quadrature points")
         log_x = self.flow.log_h(m)
         n_panels = max(1, int(math.ceil(t)))
         edges = np.linspace(0.0, t, n_panels + 1)

@@ -299,6 +299,11 @@ class HillReintroduction(_LawBase):
             raise ConfigurationError("beta.theta must be > 0")
         if not (self.n >= 1.0):
             raise ConfigurationError("beta.n must be >= 1")
+        try:
+            self.theta ** self.n + (self.n - 1.0) ** 2
+        except OverflowError:
+            raise ConfigurationError("beta.n is too large: theta^n or the Lipschitz "
+                                     "bound (n - 1)^2 / 4n overflows")
 
     def rate(self, m, x):
         m = np.asarray(m, dtype=float)

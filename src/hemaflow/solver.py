@@ -23,6 +23,11 @@ and ``eval_J`` are kept as the slow reference form. Every read at (t, x) --
 the solve's ring, phi(tau_upper, .), the warmup record, ``SolutionField.lookup``
 -- goes through one store, ``HistoryField``, which wraps the solver's own
 slice arrays and reads them monotone-cubically in x and linearly in t.
+
+Transport and the store both read through the package's own NumPy PCHIP
+kernel, ``PchipInterpolator``, which gives scipy's bits for the same slice.
+Fixed query sets -- the transport feet and the 16 division-age points --
+are ``Located`` on their nodes once, so a read is a gather plus a cubic.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      HistoryWindowError)
@@ -126,8 +130,10 @@ class Grid:
         xs = np.linspace(0.0, top, m_nodes)
         ms = np.asarray(flow.h_inv(xs))
         ms[0], ms[-1] = 0.0, flow.g1
-        spacing = xs[1] - xs[0]
-        n_band = max(2, int(math.ceil((1.0 - top) / spacing)) + 1)
+        # the band (g(1), 1] at the main spacing: its history must fit the cap too
+        band = (1.0 - top) / float(xs[1] - xs[0]) if top > 0.0 else math.inf
+        check_slice_bytes(m_nodes + band, dt_divisor, tau_lower, tau_upper)
+        n_band = max(2, int(math.ceil(band)) + 1)
         bx = np.linspace(top, 1.0, n_band)
         bm = np.asarray(flow.h_inv(bx))
         bm[0], bm[-1] = flow.g1, 1.0
@@ -142,23 +148,116 @@ class Grid:
 
 
 # ---------------------------------------------------------------------------
-# one characteristic step
+# the monotone-cubic kernel
 # ---------------------------------------------------------------------------
 
-def _pchip(x: np.ndarray, values: np.ndarray, window_index: Optional[int] = None):
-    """Monotone-cubic (Fritsch-Carlson) interpolant of one slice, no extrapolation."""
-    try:
-        return PchipInterpolator(x, values, extrapolate=False)
-    except ValueError:
-        # the interpolant refuses non-finite data: the first place a
-        # NaN-producing rate law shows up in a solve
-        if np.all(np.isfinite(values)):
-            raise
-        where = "" if window_index is None else f" in window {window_index}"
-        raise ConvergenceError(
-            f"non-finite values in the transported field{where}; "
-            "check the rate laws for NaN or inf", window_index=window_index)
+class Located:
+    """Query points ``xq`` bracketed once on the nodes ``x``, for repeated reads.
 
+    Holds the interval index i with x[i] <= xq < x[i+1] (the last interval
+    closed on the right), the offset s = xq - x[i] with s^2 and s^3, and the
+    flat positions of the points outside [x[0], x[-1]] or NaN, which read as NaN.
+    """
+
+    __slots__ = ("x", "shape", "index", "s", "s2", "s3", "outside")
+
+    def __init__(self, x: np.ndarray, xq):
+        xq = np.asarray(xq, dtype=float)
+        flat = xq.ravel()
+        # counting the interior nodes at or below xq clips to [0, n-2] for free
+        index = np.searchsorted(x[1:-1], flat, side="right")
+        outside = np.flatnonzero(~((flat >= x[0]) & (flat <= x[-1])))
+        self.x = x
+        self.shape = xq.shape
+        self.index = index
+        self.s = flat - x.take(index)
+        self.s2 = self.s * self.s
+        self.s3 = self.s2 * self.s
+        self.outside = outside if outside.size else None
+
+
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
+
+
+def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, clipped to preserve shape (Moler,
+    *Numerical Computing with MATLAB*, 3.6)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _node_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Node slopes from the spacings h and secants m: the weighted harmonic
+    mean of the neighbouring secants, zero where they change sign or one
+    vanishes, one-sided at the ends; two nodes take the secant at both."""
+    if m.size == 1:
+        return np.concatenate([m, m])
+    sm = np.sign(m)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        harmonic = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.empty(m.size + 1)
+    # scipy's "signs differ or either is zero": no secant is NaN once y is finite
+    d[1:-1] = np.where(sm[1:] * sm[:-1] <= 0.0, 0.0, harmonic)
+    d[0] = _edge_slope(*h[:2].tolist(), *m[:2].tolist())
+    d[-1] = _edge_slope(*h[:-3:-1].tolist(), *m[:-3:-1].tolist())
+    return d
+
+
+class PchipInterpolator:
+    """Monotone-cubic (Fritsch-Carlson) interpolant of one slice, no extrapolation.
+
+    Operation for operation the arithmetic of scipy 1.17.1's
+    ``PchipInterpolator(x, y, extrapolate=False)``: node slopes as in its
+    ``_find_derivatives`` and ``_edge_case``, the ``(4, n-1)`` coefficients as
+    in ``CubicHermiteSpline``, and evaluation summed in ``PPoly``'s order, so
+    both give the same bits (``TestMonotoneCubic`` pins this). Queries outside
+    [x[0], x[-1]] and NaN queries read as NaN.
+    """
+
+    def __init__(self, x: np.ndarray, y, window_index: Optional[int] = None):
+        y = np.asarray(y, dtype=float)
+        if not np.isfinite(y).all():
+            # the first place a NaN-producing rate law shows up in a solve
+            where = "" if window_index is None else f" in window {window_index}"
+            raise ConvergenceError(
+                f"non-finite values in the transported field{where}; "
+                "check the rate laws for NaN or inf", window_index=window_index)
+        self.x = x
+        h = x[1:] - x[:-1]
+        m = (y[1:] - y[:-1]) / h
+        d = _node_slopes(h, m)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c = self.c = np.empty((4, y.size - 1))
+        np.divide(t, h, out=c[0])
+        np.subtract((m - d[:-1]) / h, t, out=c[1])
+        c[2] = d[:-1]
+        # PPoly's sum starts from 0.0, which turns a -0.0 constant term into +0.0
+        np.add(y[:-1], 0.0, out=c[3])
+
+    def at(self, q: Located) -> np.ndarray:
+        """Values at query points located on this interpolant's nodes."""
+        if q.x is not self.x:
+            raise ValueError("the query points were located on another node set")
+        c0, c1, c2, c3 = self.c.take(q.index, axis=1)
+        out = ((c3 + c2 * q.s) + c1 * q.s2) + c0 * q.s3
+        if q.outside is not None:
+            out[q.outside] = np.nan
+        return out.reshape(q.shape)
+
+    def __call__(self, xq) -> np.ndarray:
+        return self.at(Located(self.x, xq))
+
+
+# ---------------------------------------------------------------------------
+# one characteristic step
+# ---------------------------------------------------------------------------
 
 class _Shift:
     """One step dt of transport: values on the nodes ``x``, re-interpolated
@@ -166,10 +265,10 @@ class _Shift:
 
     def __init__(self, x: np.ndarray, x_out: np.ndarray, dt: float):
         self.x = x
-        self.feet = x_out * math.exp(-dt)
+        self.feet = Located(x, x_out * math.exp(-dt))
 
     def __call__(self, values: np.ndarray, window_index: Optional[int] = None) -> np.ndarray:
-        return _pchip(self.x, values, window_index)(self.feet)
+        return PchipInterpolator(self.x, values, window_index).at(self.feet)
 
 
 def _rk4_step(u0: np.ndarray, dt: float, rhs: Callable) -> np.ndarray:
@@ -190,8 +289,11 @@ def _rk4_step(u0: np.ndarray, dt: float, rhs: Callable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _time_bracket(t: float, dt: float):
-    """(i, theta) with t = (i + theta) * dt, snapping onto slices within _TIME_SNAP."""
-    pos = t / dt
+    """(i, theta) with t = (i + theta) * dt, snapping onto slices within _TIME_SNAP;
+    a non-finite t brackets to i = -1, before every slice."""
+    pos = float(t) / dt
+    if not math.isfinite(pos):
+        return -1, 0.0
     i = math.floor(pos + _TIME_SNAP)
     theta = pos - i
     if theta < _TIME_SNAP:
@@ -207,7 +309,8 @@ class HistoryField:
     band array, row i is ``values[i]`` followed by ``upper[i][1:]`` and ``x``
     spans both. Slices ``0 .. filled - 1`` are readable, and the owner raises
     ``filled`` as it finalizes slices. At most ``keep`` interpolants are cached,
-    oldest built out first; an evicted slice is rebuilt when read again.
+    oldest built out first; an evicted slice is rebuilt when read again. A
+    query set read many times can be passed ``Located`` on ``x``.
     """
 
     def __init__(self, x: np.ndarray, dt: float, values: np.ndarray, *,
@@ -229,22 +332,25 @@ class HistoryField:
     def interpolant(self, i: int):
         f = self._cache.get(i)
         if f is None:
-            f = self._cache[i] = _pchip(self.x, self.row(i))
+            f = self._cache[i] = PchipInterpolator(self.x, self.row(i))
             if len(self._cache) > self.keep:
                 del self._cache[next(iter(self._cache))]
         return f
 
-    def lookup(self, t: float, xq: np.ndarray) -> np.ndarray:
-        """Field value at time t (linear between slices) and coordinates xq."""
+    def lookup(self, t: float, xq) -> np.ndarray:
+        """Field value at time t (linear between slices) and coordinates xq,
+        raw or ``Located`` on ``x``."""
         i, theta = _time_bracket(t, self.dt)
         if i < 0 or i + (theta > 0.0) >= self.filled:
             raise HistoryWindowError(
                 f"lookup at t = {t:.9g} falls outside the stored slices "
                 f"[0, {(self.filled - 1) * self.dt:.9g}]")
-        base = self.interpolant(i)(xq)
+        if not isinstance(xq, Located):
+            xq = Located(self.x, xq)
+        base = self.interpolant(i).at(xq)
         if theta == 0.0:
             return base
-        return (1.0 - theta) * base + theta * self.interpolant(i + 1)(xq)
+        return (1.0 - theta) * base + theta * self.interpolant(i + 1).at(xq)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +529,7 @@ class _RunState:
         self.band = None          # (n_slices, NB) or None
         self.ring = None          # HistoryField over N (and band); filled = finalized slices
         self.history = None       # HistoryField over the history slices of N
+        self.age_points = ()      # the 16 age-node queries, Located on ring.x
         self.n_slices = 0
         self.G_carry = None       # running influx integral at the last finalized slice
         self.J_carry = None       # running outflux integral at the last finalized slice
@@ -497,7 +604,9 @@ class Solver:
     # -- direct-form evaluations (reference path) -------------------------------
 
     def _aligned_index(self, t: float) -> int:
-        pos = t / self.grid.dt
+        pos = float(t) / self.grid.dt
+        if not math.isfinite(pos):
+            raise DomainError(f"t = {t} does not give a finite slice position")
         i = round(pos)
         if abs(pos - i) > 1e-6:
             raise DomainError(f"t = {t:.9g} must align with the slice times")
@@ -597,6 +706,7 @@ class Solver:
         st.ring = HistoryField(x_active, grid.dt, st.N, upper=st.band, filled=nh + 1,
                                keep=math.ceil(2.0 * grid.tau_upper / grid.dt) + 2)
         st.history = HistoryField(grid.x_nodes, grid.dt, st.N, filled=nh + 1)
+        st.age_points = tuple(Located(st.ring.x, xd) for xd in self._xdelta)
         M = grid.m_nodes.size
         st.G_carry = np.zeros(M)
         st.J_carry = np.zeros(M)
@@ -616,7 +726,7 @@ class Solver:
         t = index * self.grid.dt
         acc = np.zeros(self.grid.m_nodes.size)
         for q in range(self._a_nodes.size):
-            nv = st.ring.lookup(t - self._a_nodes[q], self._xdelta[q])
+            nv = st.ring.lookup(t - self._a_nodes[q], st.age_points[q])
             acc += (self._a_weights[q] * st.zeta_qa[q]
                     * self.kern.beta(self._mdelta[q], nv) * nv)
         return acc

@@ -227,6 +227,62 @@ class TestConfigRejection:
         assert run_cli(tmp_path, "check", str(path)) == 2
 
 
+MUTATION_MODEL = {
+    "velocity": {"alpha": 1.0, "p": 1.0},
+    "g": {"c": 0.5},
+    "delta": 0.05,
+    "gamma": {"poly": [0.1, 0.05]},
+    "beta": {"form": "hill", "beta0": 0.3, "theta": 1.0, "n": 1.0},
+    "k": {"form": "uniform", "kappa": 1.0, "taper": 0.02},
+    "tau_lower": 1.0,
+    "tau_upper": 2.0,
+}
+MUTATION_BASES = (
+    ("check", {"model": MUTATION_MODEL}),
+    ("run", {"model": MUTATION_MODEL, "grid": {"m_nodes": 8, "dt_divisor": 2},
+             "run": {"horizon": 2.0, "emit": ["N", "P"], "seed": 0,
+                     "history": {"kind": "warmup", "Gamma": 0.2,
+                                 "N0": {"const": 0.5}}}}),
+)
+BAD_VALUES = (None, True, "1", [], {}, [1.0], -1, 0, 1e-300, 1e308,
+              float("nan"), float("-inf"))
+
+
+def _leaf_paths(node, path=()):
+    items = (list(node.items()) if isinstance(node, dict)
+             else list(enumerate(node)) if isinstance(node, list) else [])
+    if not items:
+        yield path
+    for key, child in items:
+        yield from _leaf_paths(child, path + (key,))
+
+
+class TestConfigMutation:
+    def test_every_mutated_leaf_exits_cleanly(self, tmp_path, capsys):
+        # each leaf of a check and a run config (8 nodes, horizon tau_upper)
+        # takes each bad value in turn: the CLI runs (0), refuses the config
+        # (2) or reports a solver failure (3), and never raises
+        for command, base in MUTATION_BASES:
+            assert run_cli(tmp_path, command, write_config(tmp_path, base)) == 0
+        escaped = []
+        for command, base in MUTATION_BASES:
+            for path in _leaf_paths(base):
+                for bad in BAD_VALUES:
+                    cfg = copy.deepcopy(base)
+                    node = cfg
+                    for key in path[:-1]:
+                        node = node[key]
+                    node[path[-1]] = bad
+                    try:
+                        code = run_cli(tmp_path, command, write_config(tmp_path, cfg))
+                    except Exception as exc:  # noqa: BLE001 - the defect under test
+                        code = repr(exc)
+                    if code not in (0, 2, 3):
+                        escaped.append((command, ".".join(map(str, path)), bad, code))
+        capsys.readouterr()
+        assert not escaped, escaped
+
+
 class TestCheck:
     def test_prints_model_constants(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, BASE_CONFIG)

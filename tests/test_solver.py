@@ -9,8 +9,12 @@ from scipy.interpolate import PchipInterpolator
 from hemaflow import (ConfigurationError, ConvergenceError, DomainError, Grid,
                       HistoryField, HistoryWindowError, InitialHistory,
                       Kernels, SolutionField, Solver)
+from hemaflow import solver as solver_module
+from hemaflow.solver import Located
 
 from refcase import nan_band_params, reference_params, smooth_history
+
+NONFINITE_TIMES = [float("nan"), float("inf"), float("-inf"), 1e308]
 
 TAU = 2.0  # history depth of the reference model
 
@@ -60,6 +64,120 @@ class TestGrid:
             reference_params(tau_lower=2.5, tau_upper=2.0)
 
 
+def _kernel_rows():
+    """Seeded rows (n >= 8) on uniform and on main-plus-band node sets:
+    uniform random, random walk, plateaus with spikes, exact zeros (both
+    signs) with sign changes; and a -0.0 node on a steepening descent, where
+    every term of the cubic is -0.0 and scipy reads +0.0."""
+    rows = [pytest.param(np.linspace(0.0, 0.5, 8),
+                         np.array([0.2, 0.1, -0.0, -1.0, -101.0, -102.0, -103.0, -104.0]),
+                         id="negative-zero")]
+    rng = np.random.default_rng(9)
+    node_sets = [np.linspace(0.0, 0.5, 8), np.linspace(0.0, 0.5, 33),
+                 np.linspace(0.0, 0.5, 512),
+                 np.concatenate([np.linspace(0.0, 0.3, 24), np.linspace(0.3, 1.0, 6)[1:]])]
+    for k, x in enumerate(node_sets):
+        n, n_spikes = x.size, max(2, x.size // 5)
+        spiked = np.full(n, 0.7)
+        spiked[rng.choice(n, n_spikes, replace=False)] = rng.uniform(1.0, 4.0, n_spikes)
+        for kind, y in (("uniform", rng.uniform(-1.0, 1.0, n)),
+                        ("walk", np.cumsum(rng.normal(size=n))),
+                        ("plateau", spiked),
+                        ("zeros", rng.choice([0.0, -0.0, 1.0, -1.0, 0.25, -2.0], n))):
+            rows.append(pytest.param(x, y, id=f"{kind}-{k}"))
+    return rows
+
+
+def _assert_same_bits(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.array_equal(got, expected, equal_nan=True)
+    # PPoly's sum starts from +0.0; a kernel that skipped that would differ
+    # from scipy only in the sign of some zeros
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestMonotoneCubic:
+    """The package's kernel gives scipy 1.17.1's PCHIP bits. If a later scipy
+    changes its arithmetic, the kernel stays the reference."""
+
+    @staticmethod
+    def queries(x):
+        rng = np.random.default_rng(11)
+        return {
+            "nodes": x,
+            "feet": x * math.exp(-1.0 / 64.0),
+            "inside": np.linspace(x[0], x[-1], 101),
+            "beyond": np.linspace(x[0] - 0.2, x[-1] + 0.2, 57),
+            "random": rng.uniform(x[0] - 0.05, x[-1] + 0.05, 200),
+            "nan": np.array([np.nan, x[3], np.nan]),
+            "scalar": 0.5 * (x[2] + x[3]),
+            "0-d": np.asarray(x[-1]),
+            "2-D": rng.uniform(x[0], x[-1], (3, 7)),
+            "empty": np.array([]),
+        }
+
+    @pytest.mark.parametrize("x, y", _kernel_rows())
+    def test_bit_equal_to_scipy(self, x, y):
+        ours = solver_module.PchipInterpolator(x, y)
+        theirs = PchipInterpolator(x, y, extrapolate=False)
+        for xq in self.queries(x).values():
+            expected = theirs(xq)
+            _assert_same_bits(ours(xq), expected)
+            _assert_same_bits(ours.at(Located(x, xq)), expected)
+
+    @pytest.mark.parametrize("x, y", [([0.0, 1.0], [2.0, -1.0]),
+                                      ([0.0, 1.0, 3.0], [2.0, -1.0, 4.0])])
+    def test_two_and_three_nodes(self, x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        xq = np.linspace(-0.5, 3.5, 17)
+        _assert_same_bits(solver_module.PchipInterpolator(x, y)(xq),
+                          PchipInterpolator(x, y, extrapolate=False)(xq))
+
+    def test_located_reads_equal_raw_reads_in_the_store(self):
+        x = np.linspace(0.0, 0.5, 12)
+        values = np.cumsum(np.random.default_rng(3).normal(size=(4, 12)), axis=1)
+        store = HistoryField(x, 0.25, values)
+        xq = np.linspace(-0.1, 0.6, 23)
+        at = Located(x, xq)
+        for t in (0.0, 0.1, 0.25, 0.6, 0.75):
+            _assert_same_bits(store.lookup(t, at), store.lookup(t, xq))
+
+    def test_points_located_on_other_nodes_refused(self):
+        x = np.linspace(0.0, 0.5, 12)
+        kernel = solver_module.PchipInterpolator(x, np.sin(x))
+        with pytest.raises(ValueError, match="node set"):
+            kernel.at(Located(x.copy(), x))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_values_raise_convergence_error(self, bad):
+        x = np.linspace(0.0, 0.5, 12)
+        y = np.sin(x)
+        y[5] = bad
+        with pytest.raises(ConvergenceError, match="non-finite.*window 7") as err:
+            solver_module.PchipInterpolator(x, y, window_index=7)
+        assert err.value.window_index == 7
+        with pytest.raises(ConvergenceError, match="non-finite") as err:
+            HistoryField(x, 0.25, y[None, :]).lookup(0.0, x)
+        assert err.value.window_index is None
+
+    def test_solve_builds_through_the_module_name(self, monkeypatch):
+        # the solver resolves the kernel by its module-level name at every
+        # build, so a subclass bound there sees every transport and ring read
+        built = []
+
+        class Counting(solver_module.PchipInterpolator):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        solver = Solver(reference_params(), m_nodes=16, dt_divisor=4)
+        hist = InitialHistory.from_callable(smooth_history, solver.grid)
+        plain = solver.solve(hist, T=3.0)
+        monkeypatch.setattr(solver_module, "PchipInterpolator", Counting)
+        assert np.array_equal(solver.solve(hist, T=3.0).N, plain.N)
+        assert len(built) > 0
+
+
 class TestHistoryField:
     x = np.linspace(0.0, 0.5, 9)
 
@@ -95,6 +213,12 @@ class TestHistoryField:
         ring.filled = 3
         assert ring.lookup(0.5, self.x)[0] == 2.0
 
+    @pytest.mark.parametrize("t", NONFINITE_TIMES)
+    def test_nonfinite_time_raises_window_error(self, t):
+        ring = HistoryField(self.x, 0.25, np.ones((4, 9)))
+        with pytest.raises(HistoryWindowError, match="outside the stored slices"):
+            ring.lookup(t, self.x)
+
     def test_cache_bounded_by_keep_older_slices_readable(self):
         values = np.arange(6.0)[:, None] * (1.0 + self.x)[None, :]
         ring = HistoryField(self.x, 0.25, values, keep=2)
@@ -105,6 +229,28 @@ class TestHistoryField:
         assert np.array_equal(ring.lookup(0.0, self.x), values[0])
         assert np.array_equal(ring.lookup(0.125, self.x), 0.5 * (values[0] + values[1]))
         assert len(ring._cache) == 2
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("t", NONFINITE_TIMES)
+    def test_field_lookup(self, field_ref, t):
+        with pytest.raises(HistoryWindowError):
+            field_ref.lookup(t, field_ref.x[:5])
+
+    @pytest.mark.parametrize("t", NONFINITE_TIMES)
+    def test_residual(self, solver_ref, field_ref, t):
+        with pytest.raises(DomainError, match="finite"):
+            solver_ref.residual(field_ref, t, solver_ref.grid.m_nodes[10])
+
+    @pytest.mark.parametrize("t", NONFINITE_TIMES)
+    def test_eval_G(self, solver_ref, field_ref, t):
+        with pytest.raises(DomainError, match="finite"):
+            solver_ref.eval_G(field_ref, t, 0.3)
+
+    @pytest.mark.parametrize("t", NONFINITE_TIMES)
+    def test_eval_J(self, solver_ref, field_ref, t):
+        with pytest.raises(DomainError, match="finite"):
+            solver_ref.eval_J(field_ref, t, 0.3)
 
 
 class TestSolveBasics:

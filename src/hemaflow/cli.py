@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments as xp
+from .cubic import HermiteCubic
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      HemaflowError, PreconditionError)
 from .kernels import Kernels
@@ -137,29 +138,25 @@ def _scalar_field(spec, path: str):
     raise ConfigurationError(f"{path}: expected a number, {{const}}, or {{poly}}")
 
 
-def _table(spec, columns, path: str):
-    """Columns of a tabulated law: equal-length number lists, at least 4 rows."""
+def _table(spec, columns, path: str, increasing) -> list:
+    """Columns of a tabulated law: equal-length number lists, at least 4 rows,
+    those named in ``increasing`` strictly increasing."""
     _reject_unknown(spec, set(columns), path)
     cols = [_numbers(_need(spec, c, path), f"{path}.{c}") for c in columns]
     if any(c.size != cols[0].size for c in cols) or cols[0].size < 4:
         raise ConfigurationError(
             f"{path}: {' and '.join(columns)} must match, length >= 4")
+    for name, col in zip(columns, cols):
+        if name in increasing and not (np.diff(col) > 0.0).all():
+            raise ConfigurationError(f"{path}.{name}: must be strictly increasing")
     return cols
-
-
-def _pchip(x, y, path: str):
-    from scipy.interpolate import PchipInterpolator
-    try:
-        return PchipInterpolator(x, y)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: {exc}")
 
 
 def _build_velocity(spec: dict, path: str):
     _reject_unknown(spec, {"alpha", "p", "table"}, path)
     if "table" in spec:
-        m, v = _table(spec["table"], ("m", "V"), f"{path}.table")
-        interp = _pchip(m, v, f"{path}.table")
+        m, v = _table(spec["table"], ("m", "V"), f"{path}.table", ("m",))
+        interp = HermiteCubic(m, v)
         return CustomVelocity(V=interp, V_prime=interp.derivative(), name="table")
     alpha = _number(_need(spec, "alpha", path), f"{path}.alpha")
     p = _number(spec.get("p", 1.0), f"{path}.p")
@@ -169,9 +166,8 @@ def _build_velocity(spec: dict, path: str):
 def _build_maturity(spec: dict, path: str):
     _reject_unknown(spec, {"c", "table"}, path)
     if "table" in spec:
-        m, gv = _table(spec["table"], ("m", "g"), f"{path}.table")
-        return CustomMaturityMap(g=_pchip(m, gv, f"{path}.table"),
-                                 g_inv=_pchip(gv, m, f"{path}.table"), name="table")
+        m, gv = _table(spec["table"], ("m", "g"), f"{path}.table", ("m", "g"))
+        return CustomMaturityMap(g=HermiteCubic(m, gv), g_inv=HermiteCubic(gv, m), name="table")
     return LinearMaturityMap(c=_number(_need(spec, "c", path), f"{path}.c"))
 
 
@@ -365,6 +361,9 @@ def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
     if not (isinstance(emit, list) and
             all(e in ("N", "P", "residuals") for e in emit)):
         raise ConfigurationError("run.emit: expected a list drawn from [N, P, residuals]")
+    if "residuals" in emit and solver.grid.steps_to(horizon) < 2:
+        raise ConfigurationError(f"run.horizon: {horizon:g} is below tau_upper + 2 dt, "
+                                 "the least horizon for residuals in run.emit")
     warmup = _warmup_data(run.get("warmup", {}), "run.warmup")
     hist_spec = run.get("history", {"kind": "zero"})
     if isinstance(hist_spec, dict) and hist_spec.get("kind") == "warmup":

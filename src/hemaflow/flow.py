@@ -14,8 +14,8 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
+from .cubic import HermiteCubic
 from .errors import ConfigurationError, DomainError
 from .params import (CustomVelocity, MaturityMap, PowerLawVelocity,
                      VelocityModel, golden_section_max)
@@ -92,9 +92,13 @@ class _TabulatedCoords:
         self._screen(w_tab, m_tab)
         u_tab = np.log(m_tab)
         slope = -m_tab / velocity(m_tab)            # dW/du, strictly negative
-        self._w_of_u = CubicHermiteSpline(u_tab, w_tab, slope)
         order = np.argsort(w_tab)                   # W decreasing in u
-        self._u_of_w = CubicHermiteSpline(w_tab[order], u_tab[order], 1.0 / slope[order])
+        if not (np.isfinite([w_tab, slope, 1.0 / slope]).all()
+                and (np.diff(w_tab[order]) > 0.0).all()):
+            raise ConfigurationError("custom velocity: the flow-coordinate table is not "
+                                     f"finite; V must be finite and positive on [{m_floor:g}, 1]")
+        self._w_of_u = HermiteCubic(u_tab, w_tab, slope)
+        self._u_of_w = HermiteCubic(w_tab[order], u_tab[order], 1.0 / slope[order])
         self._u_min, self._u_max = u_tab[0], u_tab[-1]
         self._w_at_floor = w_tab[0]
         self._floor_slope = slope[0]
@@ -102,17 +106,13 @@ class _TabulatedCoords:
     def _screen(self, w_tab, m_tab):
         # divergence screen: int_eps^m ds/V must grow by > 10 as eps drops
         # from 1e-2 through 1e-10 (it cannot be proved, only screened)
-        w = lambda m: float(self._interp_raw(w_tab, m_tab, m))
+        w = lambda m: float(np.interp(np.log(m), np.log(m_tab), w_tab))
         growth = w(1e-10) - w(1e-2)
         if not growth > 10.0:
             raise ConfigurationError(
                 "custom velocity fails the divergence screen near m = 0: "
                 f"int ds/V grew by only {growth:.3g} over eps in [1e-10, 1e-2]; "
                 "zero maturity must be unreachable (int_0 ds/V = inf)")
-
-    @staticmethod
-    def _interp_raw(w_tab, m_tab, m):
-        return np.interp(np.log(m), np.log(m_tab), w_tab)
 
     def _w(self, u):
         u = np.asarray(u, dtype=float)
@@ -175,7 +175,7 @@ class FlowMap:
         m = np.linspace(1e-8, 1.0, 65)
         err = np.max(np.abs(self._coords.h_inv_log(self._coords.log_h(m)) - m))
         tol = 1e-10 if isinstance(self.velocity, PowerLawVelocity) else 1e-7
-        if err > tol:
+        if not err <= tol:
             raise ConfigurationError(
                 f"flow coordinate round-trip error {err:.2e} exceeds {tol:.0e}")
 

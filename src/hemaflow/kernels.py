@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
+from .cubic import HermiteCubic
 from .errors import ConfigurationError, DomainError
 from .flow import FlowMap
 from .params import ModelParams, golden_section_max
@@ -49,7 +49,7 @@ class CumulativeDecay:
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(slope))):
             raise ConfigurationError("the decay rates overflow along the flow: the "
                                      "cumulative decay table is not finite")
-        self._phi = CubicHermiteSpline(u, phi, slope)
+        self._phi = HermiteCubic(u, phi, slope)
         self._u_min = u_min
         self._phi_floor = phi[0]
         self._slope_floor = slope[0]

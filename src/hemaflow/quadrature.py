@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -33,9 +34,12 @@ def adaptive_interval(f, a: float, b: float, *, n_nodes: int = 15,
         mid = 0.5 * (lo + hi)
         x1, w1 = mapped_rule(lo, mid, n_nodes)
         x2, w2 = mapped_rule(mid, hi, n_nodes)
-        left = float(f(x1) @ w1)
-        right = float(f(x2) @ w2)
-        if depth >= max_depth or abs(left + right - whole) <= rtol * max(abs(left + right), 1e-300):
+        halves = f(np.concatenate([x1, x2]))        # f acts pointwise: one call for both
+        left = float(halves[:n_nodes] @ w1)
+        right = float(halves[n_nodes:] @ w2)
+        # a non-finite panel never settles: return it rather than split to max_depth
+        if depth >= max_depth or not math.isfinite(left + right) \
+                or abs(left + right - whole) <= rtol * max(abs(left + right), 1e-300):
             return left + right
         return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
 

@@ -24,10 +24,9 @@ the solve's ring, phi(tau_upper, .), the warmup record, ``SolutionField.lookup``
 -- goes through one store, ``HistoryField``, which wraps the solver's own
 slice arrays and reads them monotone-cubically in x and linearly in t.
 
-Transport and the store both read through the package's own NumPy PCHIP
-kernel, ``PchipInterpolator``, which gives scipy's bits for the same slice.
-Fixed query sets -- the transport feet and the 16 division-age points --
-are ``Located`` on their nodes once, so a read is a gather plus a cubic.
+Transport and the store read through ``PchipInterpolator``, the slice form of
+the package's one cubic (``hemaflow.cubic``). The transport feet and the 16
+division-age points are ``Located`` once, so a read is a gather plus a cubic.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .cubic import HermiteCubic, Located
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      HistoryWindowError)
 from .flow import FlowMap
@@ -108,6 +108,10 @@ class Grid:
     def n_history(self) -> int:
         return round(self.tau_upper / self.dt)
 
+    def steps_to(self, T: float) -> int:
+        """Time steps a solve to horizon T takes past the history."""
+        return max(0, math.ceil((T - self.tau_upper) / self.dt - 1e-9))
+
     @property
     def x_full(self) -> np.ndarray:
         return np.concatenate([self.x_nodes, self.band_x[1:]])
@@ -148,116 +152,24 @@ class Grid:
 
 
 # ---------------------------------------------------------------------------
-# the monotone-cubic kernel
+# one characteristic step
 # ---------------------------------------------------------------------------
 
-class Located:
-    """Query points ``xq`` bracketed once on the nodes ``x``, for repeated reads.
+class PchipInterpolator(HermiteCubic):
+    """The slice kernel, scipy's ``PchipInterpolator(x, y, extrapolate=False)``
+    bit for bit: outside points read NaN, non-finite values raise."""
 
-    Holds the interval index i with x[i] <= xq < x[i+1] (the last interval
-    closed on the right), the offset s = xq - x[i] with s^2 and s^3, and the
-    flat positions of the points outside [x[0], x[-1]] or NaN, which read as NaN.
-    """
-
-    __slots__ = ("x", "shape", "index", "s", "s2", "s3", "outside")
-
-    def __init__(self, x: np.ndarray, xq):
-        xq = np.asarray(xq, dtype=float)
-        flat = xq.ravel()
-        # counting the interior nodes at or below xq clips to [0, n-2] for free
-        index = np.searchsorted(x[1:-1], flat, side="right")
-        outside = np.flatnonzero(~((flat >= x[0]) & (flat <= x[-1])))
-        self.x = x
-        self.shape = xq.shape
-        self.index = index
-        self.s = flat - x.take(index)
-        self.s2 = self.s * self.s
-        self.s3 = self.s2 * self.s
-        self.outside = outside if outside.size else None
-
-
-def _sign(v: float) -> int:
-    return (v > 0.0) - (v < 0.0)
-
-
-def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """One-sided three-point end slope, clipped to preserve shape (Moler,
-    *Numerical Computing with MATLAB*, 3.6)."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if _sign(d) != _sign(m0):
-        return 0.0
-    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _node_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Node slopes from the spacings h and secants m: the weighted harmonic
-    mean of the neighbouring secants, zero where they change sign or one
-    vanishes, one-sided at the ends; two nodes take the secant at both."""
-    if m.size == 1:
-        return np.concatenate([m, m])
-    sm = np.sign(m)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        harmonic = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-    d = np.empty(m.size + 1)
-    # scipy's "signs differ or either is zero": no secant is NaN once y is finite
-    d[1:-1] = np.where(sm[1:] * sm[:-1] <= 0.0, 0.0, harmonic)
-    d[0] = _edge_slope(*h[:2].tolist(), *m[:2].tolist())
-    d[-1] = _edge_slope(*h[:-3:-1].tolist(), *m[:-3:-1].tolist())
-    return d
-
-
-class PchipInterpolator:
-    """Monotone-cubic (Fritsch-Carlson) interpolant of one slice, no extrapolation.
-
-    Operation for operation the arithmetic of scipy 1.17.1's
-    ``PchipInterpolator(x, y, extrapolate=False)``: node slopes as in its
-    ``_find_derivatives`` and ``_edge_case``, the ``(4, n-1)`` coefficients as
-    in ``CubicHermiteSpline``, and evaluation summed in ``PPoly``'s order, so
-    both give the same bits (``TestMonotoneCubic`` pins this). Queries outside
-    [x[0], x[-1]] and NaN queries read as NaN.
-    """
+    extrapolate = False
 
     def __init__(self, x: np.ndarray, y, window_index: Optional[int] = None):
-        y = np.asarray(y, dtype=float)
         if not np.isfinite(y).all():
             # the first place a NaN-producing rate law shows up in a solve
             where = "" if window_index is None else f" in window {window_index}"
             raise ConvergenceError(
                 f"non-finite values in the transported field{where}; "
                 "check the rate laws for NaN or inf", window_index=window_index)
-        self.x = x
-        h = x[1:] - x[:-1]
-        m = (y[1:] - y[:-1]) / h
-        d = _node_slopes(h, m)
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        c = self.c = np.empty((4, y.size - 1))
-        np.divide(t, h, out=c[0])
-        np.subtract((m - d[:-1]) / h, t, out=c[1])
-        c[2] = d[:-1]
-        # PPoly's sum starts from 0.0, which turns a -0.0 constant term into +0.0
-        np.add(y[:-1], 0.0, out=c[3])
+        super().__init__(x, y)
 
-    def at(self, q: Located) -> np.ndarray:
-        """Values at query points located on this interpolant's nodes."""
-        if q.x is not self.x:
-            raise ValueError("the query points were located on another node set")
-        c0, c1, c2, c3 = self.c.take(q.index, axis=1)
-        out = ((c3 + c2 * q.s) + c1 * q.s2) + c0 * q.s3
-        if q.outside is not None:
-            out[q.outside] = np.nan
-        return out.reshape(q.shape)
-
-    def __call__(self, xq) -> np.ndarray:
-        return self.at(Located(self.x, xq))
-
-
-# ---------------------------------------------------------------------------
-# one characteristic step
-# ---------------------------------------------------------------------------
 
 class _Shift:
     """One step dt of transport: values on the nodes ``x``, re-interpolated
@@ -684,7 +596,7 @@ class Solver:
         if not (np.all(np.isfinite(history.values)) and
                 (history.upper is None or np.all(np.isfinite(history.upper)))):
             raise ConfigurationError("history values must be finite")
-        n_steps = max(0, math.ceil((T - grid.tau_upper) / grid.dt - 1e-9))
+        n_steps = grid.steps_to(T)
 
         use_band = history.upper is not None
         x_reach = math.exp(-grid.tau_lower)

@@ -166,6 +166,9 @@ class TestConfigRejection:
         (["run", "warmup"], {"Gama": 0.1}, "run.warmup.Gama", "run"),
         (["experiment"], {"kind": "resolvent", "lambdas": [0.5, "a"]},
          "experiment.lambdas", "resolvent"),
+        (["model", "velocity"],
+         {"table": {"m": [0.0, 0.5, 0.5, 1.0], "V": [0.0, 0.5, 0.5, 1.0]}},
+         "model.velocity.table.m", "check"),
     ])
     def test_malformed_section_names_path(self, tmp_path, capsys, keys, value,
                                           path, command):
@@ -217,6 +220,20 @@ class TestConfigRejection:
         assert run_cli(tmp_path, "run", write_config(tmp_path, cfg)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: run.warmup.Gamma") and "run.history.Gamma" in err
+
+    @pytest.mark.parametrize("horizon", [2.0, 2.0 + 1.0 / 16.0])
+    def test_short_horizon_for_residuals_refused_before_solving(
+            self, tmp_path, capsys, monkeypatch, horizon):
+        # residuals sample t in [tau_upper + dt, T - dt]: two steps past the history
+        def reached(*args, **kwargs):
+            raise AssertionError("a horizon too short for residuals reached the solve")
+        monkeypatch.setattr("hemaflow.solver.Solver.solve", reached)
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["run"].update(horizon=horizon, emit=["N", "residuals"])
+        assert run_cli(tmp_path, "run", write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.horizon") and "run.emit" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli(tmp_path, "check", str(tmp_path / "nope.json")) == 2

@@ -1,5 +1,7 @@
 """Flow map: conjugacy coordinate, backward flow, ancestry map, crossing time."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -214,3 +216,14 @@ class TestDivergenceScreen:
 
     def test_unit_linear_decay_accepted(self):
         FlowMap(quadratic_velocity(), G_HALF)
+
+    def test_nonfinite_table_is_a_configuration_error(self):
+        # 1/V overflows to inf below m = 1e-11, so int ds/V is not finite
+        # there; the quadrature stops at the first non-finite panel instead
+        # of splitting it to full depth
+        vel = CustomVelocity(V=lambda m: np.where(m < 1e-11, m * 1e-300, m),
+                             V_prime=lambda m: np.where(m < 1e-11, 1e-300, 1.0))
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="not finite"):
+            FlowMap(vel, G_HALF)
+        assert time.perf_counter() - start < 60.0

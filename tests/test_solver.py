@@ -1,15 +1,19 @@
 """Windowed Picard solver: exactness, convergence, bookkeeping, serialization."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from hemaflow import (ConfigurationError, ConvergenceError, DomainError, Grid,
                       HistoryField, HistoryWindowError, InitialHistory,
                       Kernels, SolutionField, Solver)
 from hemaflow import solver as solver_module
+from hemaflow.cubic import HermiteCubic
 from hemaflow.solver import Located
 
 from refcase import nan_band_params, reference_params, smooth_history
@@ -176,6 +180,77 @@ class TestMonotoneCubic:
         monkeypatch.setattr(solver_module, "PchipInterpolator", Counting)
         assert np.array_equal(solver.solve(hist, T=3.0).N, plain.N)
         assert len(built) > 0
+
+
+def _hermite_tables():
+    """Seeded random tables (slopes of both signs, exact zeros of both signs)
+    and a 4,096-node log-spaced table shaped like the flow coordinate's."""
+    rng = np.random.default_rng(21)
+    tables = []
+    for k, n in enumerate((2, 3, 8, 33, 300)):
+        x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 1.0
+        y = rng.normal(size=n) if k % 2 else rng.choice([0.0, -0.0, 1.0, -2.5], n)
+        d = rng.normal(size=n) if k % 2 else rng.choice([0.0, -0.0, 3.0], n)
+        tables.append(pytest.param(x, y, d, id=f"random-{n}"))
+    u = np.log(np.logspace(-12.0, 0.0, 4096))
+    tables.append(pytest.param(u, -1.3 * u + 0.01 * np.sin(u), -1.3 + 0.01 * np.cos(u),
+                               id="flow-4096"))
+    return tables
+
+
+class TestHermiteCubic:
+    """The one cubic the package runs gives scipy 1.17.1's bits: with given
+    slopes as ``CubicHermiteSpline``, without as ``PchipInterpolator``, both
+    extrapolating with their end pieces, and their derivatives."""
+
+    @staticmethod
+    def queries(x):
+        rng = np.random.default_rng(5)
+        span = x[-1] - x[0]
+        return {"nodes": x,
+                "beyond": np.linspace(x[0] - 0.5 * span, x[-1] + 0.5 * span, 1001),
+                "random": rng.uniform(x[0] - 0.1 * span, x[-1] + 0.1 * span, 2000),
+                "nan": np.array([np.nan, x[1], np.nan]),
+                "scalar": 0.5 * (x[0] + x[1]),
+                "0-d": np.asarray(x[-1]),
+                "2-D": rng.uniform(x[0], x[-1], (3, 7)),
+                "empty": np.array([])}
+
+    @pytest.mark.parametrize("x, y, d", _hermite_tables())
+    def test_given_slopes_bit_equal_to_scipy(self, x, y, d):
+        ours, theirs = HermiteCubic(x, y, d), CubicHermiteSpline(x, y, d)
+        for xq in self.queries(x).values():
+            _assert_same_bits(ours(xq), theirs(xq))
+            _assert_same_bits(ours.derivative()(xq), theirs.derivative()(xq))
+
+    @pytest.mark.parametrize("x, y", _kernel_rows() + [
+        pytest.param(np.array([0.0, 1.0]), np.array([2.0, -1.0]), id="two"),
+        pytest.param(np.array([0.0, 1.0, 3.0]), np.array([2.0, -1.0, 4.0]), id="three")])
+    def test_pchip_slopes_extrapolate_bit_equal_to_scipy(self, x, y):
+        ours, theirs = HermiteCubic(x, y), PchipInterpolator(x, y)
+        for xq in self.queries(x).values():
+            _assert_same_bits(ours(xq), theirs(xq))
+            _assert_same_bits(ours.derivative()(xq), theirs.derivative()(xq))
+
+    def test_solver_kernel_is_the_cubic_without_extrapolation(self):
+        x = np.linspace(0.0, 0.5, 12)
+        y = np.cumsum(np.random.default_rng(4).normal(size=12))
+        xq = np.linspace(-0.2, 0.7, 31)
+        inside = (xq >= 0.0) & (xq <= 0.5)
+        kernel = solver_module.PchipInterpolator(x, y)
+        assert isinstance(kernel, HermiteCubic)
+        _assert_same_bits(kernel(xq)[inside], HermiteCubic(x, y)(xq)[inside])
+        assert np.isnan(kernel(xq)[~inside]).all()
+
+    def test_cli_import_loads_no_scipy_interpolate(self):
+        code = ("import sys, hemaflow.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
+        src = os.path.dirname(os.path.dirname(solver_module.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]"
 
 
 class TestHistoryField:

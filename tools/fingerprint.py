@@ -11,7 +11,10 @@ imported, never copied), so the digests cover what the benchmark runs:
 * ``uniqueness``: the ``exp_uniqueness`` divergence profile (192 x 16);
 * ``band_solve``: a solve with c = 0.3 that needs the upper band (N and the
   band's N);
-* ``cli_run``: every file the benchmark's seed-0 ``hemaflow run`` writes.
+* ``cli_run``: every file the benchmark's seed-0 ``hemaflow run`` writes;
+* ``tables``: a model read by the CLI's builder with a tabulated V
+  (m + m^2 / 2, 17 rows) and a linear tabulated g (c = 0.5, 5 rows), solved
+  on 64 x 8 to T = 5 (N, tau0, Lipschitz l, invariance lhs, flow nodes).
 
 Run from the root of a checkout; it imports that checkout's ``src``:
 
@@ -36,7 +39,7 @@ import numpy as np  # noqa: E402
 
 import hemaflow as hf  # noqa: E402
 from hemaflow import experiments as xp  # noqa: E402
-from hemaflow.cli import main as cli_main  # noqa: E402
+from hemaflow.cli import build_params, main as cli_main  # noqa: E402
 from workload import REFERENCE_SEED, SIZES, cli_config, reference_params  # noqa: E402
 
 
@@ -112,10 +115,25 @@ def cli_run() -> dict:
     return digests
 
 
+def tables() -> dict:
+    cfg = cli_config(REFERENCE_SEED, SIZES["full"]["cli_run"])
+    m = [i / 16 for i in range(17)]
+    cfg["model"]["velocity"] = {"table": {"m": m, "V": [v + 0.5 * v * v for v in m]}}
+    cfg["model"]["g"] = {"table": {"m": m[::4], "g": [0.5 * v for v in m[::4]]}}
+    solver = hf.Solver(build_params(cfg), m_nodes=64, dt_divisor=8)
+    hist = hf.InitialHistory.from_callable(
+        xp.random_nonneg_history(REFERENCE_SEED), solver.grid)
+    field = solver.solve(hist, 5.0)
+    return {"N": _sha(field.N), "tau0": float.hex(solver.flow.tau0()),
+            "lipschitz_l": float.hex(solver.kern.lipschitz_l()),
+            "invariance_lhs": float.hex(solver.kern.invariance_margin().lhs),
+            "x_nodes": _sha(solver.grid.x_nodes)}
+
+
 def main() -> int:
     result = {"ref_solve": ref_solve(), "positivity": positivity(),
               "uniqueness": uniqueness(), "band_solve": band_solve(),
-              "cli_run": cli_run()}
+              "cli_run": cli_run(), "tables": tables()}
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 

@@ -24,8 +24,12 @@ the solve's ring, phi(tau_upper, .), the warmup record, ``SolutionField.lookup``
 -- goes through one store, ``HistoryField``, which wraps the solver's own
 slice arrays and reads them monotone-cubically in x and linearly in t.
 
-Transport and the store read through ``PchipInterpolator``, the slice form of
-the package's one cubic (``hemaflow.cubic``). The transport feet and the 16
+Transport and the store build through ``PchipInterpolator``, the slice form of
+the package's one cubic (``hemaflow.cubic``), with the constants of each node
+set computed once. The store keeps the slices' coefficients in one block, slot
+i % capacity for slice i, and reads many times in one call: a window's
+division influx is one read and one ``beta`` call per age node over all its
+rows, and its history pull is one read. The transport feet and the 16
 division-age points are ``Located`` once, so a read is a gather plus a cubic.
 """
 
@@ -37,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cubic import HermiteCubic, Located
+from .cubic import HermiteCubic, Located, NodeSet, ppoly_sum
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      HistoryWindowError)
 from .flow import FlowMap
@@ -176,11 +180,11 @@ class _Shift:
     monotone-cubically at the fixed feet ``x_out * exp(-dt)``."""
 
     def __init__(self, x: np.ndarray, x_out: np.ndarray, dt: float):
-        self.x = x
+        self.nodes = NodeSet(x)
         self.feet = Located(x, x_out * math.exp(-dt))
 
     def __call__(self, values: np.ndarray, window_index: Optional[int] = None) -> np.ndarray:
-        return PchipInterpolator(self.x, values, window_index).at(self.feet)
+        return PchipInterpolator(self.nodes, values, window_index).at(self.feet)
 
 
 def _rk4_step(u0: np.ndarray, dt: float, rhs: Callable) -> np.ndarray:
@@ -213,6 +217,18 @@ def _time_bracket(t: float, dt: float):
     return i, theta
 
 
+def _time_brackets(t: np.ndarray, dt: float):
+    """``_time_bracket`` of each time in the 1-D array t, by its expressions;
+    the i come back as floats."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = t / dt
+    pos[~np.isfinite(pos)] = -1.0
+    i = np.floor(pos + _TIME_SNAP)
+    theta = pos - i
+    theta[theta < _TIME_SNAP] = 0.0
+    return i, theta
+
+
 class HistoryField:
     """Slices of a field at times i*dt on a fixed x-grid, read monotone-cubically
     in x and linearly in t.
@@ -220,9 +236,11 @@ class HistoryField:
     Wraps an existing ``(n_slices, M)`` array without copying; with an ``upper``
     band array, row i is ``values[i]`` followed by ``upper[i][1:]`` and ``x``
     spans both. Slices ``0 .. filled - 1`` are readable, and the owner raises
-    ``filled`` as it finalizes slices. At most ``keep`` interpolants are cached,
-    oldest built out first; an evicted slice is rebuilt when read again. A
-    query set read many times can be passed ``Located`` on ``x``.
+    ``filled`` as it finalizes slices. A slice's cubic coefficients are built
+    on its first read into slot ``i % capacity`` of one ``(capacity, 4, K)``
+    block, ``capacity`` being ``keep`` or the slice count if fewer; a slice
+    whose slot was taken since is rebuilt when read again. A query set read
+    many times can be passed ``Located`` on ``x``.
     """
 
     def __init__(self, x: np.ndarray, dt: float, values: np.ndarray, *,
@@ -233,36 +251,99 @@ class HistoryField:
         self.values = values
         self.upper = upper
         self.filled = len(values) if filled is None else filled
-        self.keep = keep
-        self._cache: dict = {}
+        self.capacity = int(max(1, min(keep, len(values))))
+        self.nodes = NodeSet(x)
+        self._block = np.empty((self.capacity, 4, x.size - 1))
+        self._held = np.full(self.capacity, -1)         # the slice in each slot
 
     def row(self, i: int) -> np.ndarray:
         if self.upper is None:
             return self.values[i]
         return np.concatenate([self.values[i], self.upper[i][1:]])
 
-    def interpolant(self, i: int):
-        f = self._cache.get(i)
-        if f is None:
-            f = self._cache[i] = PchipInterpolator(self.x, self.row(i))
-            if len(self._cache) > self.keep:
-                del self._cache[next(iter(self._cache))]
-        return f
+    def _slot(self, i: int) -> int:
+        """The slot of slice i, built into it unless it holds it already."""
+        slot = i % self.capacity
+        if self._held[slot] != i:
+            self._block[slot] = PchipInterpolator(self.nodes, self.row(i)).c
+            self._held[slot] = i
+        return slot
 
-    def lookup(self, t: float, xq) -> np.ndarray:
-        """Field value at time t (linear between slices) and coordinates xq,
-        raw or ``Located`` on ``x``."""
+    def _refuse(self, t) -> None:
+        raise HistoryWindowError(
+            f"lookup at t = {t:.9g} falls outside the stored slices "
+            f"[0, {(self.filled - 1) * self.dt:.9g}]")
+
+    def _locate(self, xq) -> Located:
+        if not isinstance(xq, Located):
+            return Located(self.x, xq)
+        if xq.x is not self.x:
+            raise DomainError("the query points were located on another node set")
+        return xq
+
+    def lookup(self, t, xq) -> np.ndarray:
+        """Field values at time t (linear between slices) and coordinates xq,
+        raw or ``Located`` on ``x``. A 1-D array of R times reads points shaped
+        ``(R, M)``, or one ``(M,)`` set at every time, into ``(R, M)``."""
+        if np.ndim(t):
+            return self._lookup_block(np.asarray(t, dtype=float), xq)
         i, theta = _time_bracket(t, self.dt)
         if i < 0 or i + (theta > 0.0) >= self.filled:
-            raise HistoryWindowError(
-                f"lookup at t = {t:.9g} falls outside the stored slices "
-                f"[0, {(self.filled - 1) * self.dt:.9g}]")
-        if not isinstance(xq, Located):
-            xq = Located(self.x, xq)
-        base = self.interpolant(i).at(xq)
+            self._refuse(t)
+        xq = self._locate(xq)
+        base = self._read(i, xq)
         if theta == 0.0:
             return base
-        return (1.0 - theta) * base + theta * self.interpolant(i + 1).at(xq)
+        return (1.0 - theta) * base + theta * self._read(i + 1, xq)
+
+    def _read(self, i: int, q: Located) -> np.ndarray:
+        c = self._block[self._slot(i)].take(q.index, axis=1)
+        return ppoly_sum(c, q, False).reshape(q.shape)
+
+    def _lookup_block(self, times: np.ndarray, xq) -> np.ndarray:
+        """``lookup`` at a 1-D array of times, one gather per coefficient plane."""
+        i, theta = _time_brackets(times, self.dt)
+        ahead = theta > 0.0
+        bad = (i < 0) | (i + ahead >= self.filled)
+        if bad.any():
+            self._refuse(times.flat[np.argmax(bad)])
+        xq = self._locate(xq)
+        if times.ndim != 1 or not xq.shape or xq.shape[:-1] not in ((), times.shape):
+            raise DomainError(f"{times.size} times cannot read points shaped {xq.shape}")
+        # intervals: one row per time, or one row for every time
+        index = xq.index.reshape(-1, xq.shape[-1])
+        i = i.astype(np.intp)
+        out = self._read_rows(i, index, xq)
+        if ahead.any():
+            # rows at theta = 0 keep their first read and never read slice
+            # i + 1, which may not be filled yet
+            theta = theta[:, None]
+            out = np.where(ahead[:, None],
+                           (1.0 - theta) * out + theta * self._read_rows(i + ahead, index, xq),
+                           out)
+        return out
+
+    def _read_rows(self, rows: np.ndarray, index: np.ndarray, q: Located) -> np.ndarray:
+        """Slice ``rows[r]`` at the intervals ``index[r]`` (or ``index[0]``),
+        summed at q's points into ``(R, M)``. The slices are built as needed,
+        as many at a time as the block holds."""
+        cap, n = self.capacity, self._block.shape[2]
+        # flat block positions in the first plane; the last axis runs over q's points
+        at = ((rows % cap * 4 * n)[:, None] + index).reshape(-1, q.flat.size)
+        todo = np.unique(rows)
+        c = None
+        while todo.size:
+            group, todo = todo[todo < todo[0] + cap], todo[todo >= todo[0] + cap]
+            for i in group[self._held[group % cap] != group].tolist():
+                self._slot(i)
+            part = [self._block.reshape(-1).take(at + k * n) for k in range(4)]
+            if c is None:
+                c = part
+            else:
+                mine = np.broadcast_to(np.isin(rows, group)[:, None],
+                                       (rows.size, index.shape[1])).reshape(at.shape)
+                c = [np.where(mine, a, b) for a, b in zip(part, c)]
+        return ppoly_sum(c, q, False).reshape(rows.size, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +429,7 @@ class SolutionField:
         self.upper = upper
         self.metadata = metadata or {}
         self._stores: dict = {}           # combined -> HistoryField, built on first lookup
+        self._keep = math.inf             # slices each store holds (HistoryField's keep)
 
     @property
     def dt(self) -> float:
@@ -366,7 +448,8 @@ class SolutionField:
         if combined not in self._stores:
             x, upper = ((np.concatenate([self.x, self.upper.x[1:]]), self.upper.N)
                         if combined else (self.x, None))
-            self._stores[combined] = HistoryField(x, self.dt, self.N, upper=upper)
+            self._stores[combined] = HistoryField(x, self.dt, self.N, upper=upper,
+                                                  keep=self._keep)
         return self._stores[combined].lookup(t, xq)
 
     # -- serialization -------------------------------------------------------
@@ -613,11 +696,11 @@ class Solver:
             st.band = np.empty((st.n_slices, grid.band_m.size))
             st.band[:nh + 1] = history.upper
         x_active = grid.x_full if use_band else grid.x_nodes
-        # every (s - a) reach of the division integral lies within the
-        # last ceil(2 * tau_upper / dt) + 2 slices
+        # a window's reaches t - a, a in (tau_lower, tau_upper), span at most
+        # n_history + 1 slices, so no slice is rebuilt while still needed
         st.ring = HistoryField(x_active, grid.dt, st.N, upper=st.band, filled=nh + 1,
-                               keep=math.ceil(2.0 * grid.tau_upper / grid.dt) + 2)
-        st.history = HistoryField(grid.x_nodes, grid.dt, st.N, filled=nh + 1)
+                               keep=nh + 2)
+        st.history = HistoryField(grid.x_nodes, grid.dt, st.N, filled=nh + 1, keep=1)
         st.age_points = tuple(Located(st.ring.x, xd) for xd in self._xdelta)
         M = grid.m_nodes.size
         st.G_carry = np.zeros(M)
@@ -633,10 +716,11 @@ class Solver:
                            for u in u_probe)
         return st
 
-    def _q_slice(self, st: _RunState, index: int) -> np.ndarray:
-        """Inner division integral (age quadrature) at slice ``index``."""
-        t = index * self.grid.dt
-        acc = np.zeros(self.grid.m_nodes.size)
+    def _q_slice(self, st: _RunState, i0: int, steps: int) -> np.ndarray:
+        """Inner division integral (age quadrature) at slices i0 .. i0 + steps,
+        one read and one ``beta`` call per age node on the whole block."""
+        t = np.arange(i0, i0 + steps + 1) * self.grid.dt
+        acc = np.zeros((steps + 1, self.grid.m_nodes.size))
         for q in range(self._a_nodes.size):
             nv = st.ring.lookup(t - self._a_nodes[q], st.age_points[q])
             acc += (self._a_weights[q] * st.zeta_qa[q]
@@ -679,10 +763,7 @@ class Solver:
         M = grid.m_nodes.size
 
         # division influx: depends only on finalized history
-        Q = np.empty((steps + 1, M))
-        for r in range(steps + 1):
-            Q[r] = self._q_slice(st, i0 + r)
-        G = self._accumulate(st, st.G_carry, steps, Q)
+        G = self._accumulate(st, st.G_carry, steps, self._q_slice(st, i0, steps))
 
         # transport of the accumulated past reintroduction integral: frozen
         # during the iteration because it reads only finalized slices
@@ -690,11 +771,12 @@ class Solver:
 
         # zeroth iterate: transported history term plus influx minus the
         # past outflux; only the window-local outflux remains to iterate
-        base = np.empty((steps + 1, M))
-        for r in range(steps + 1):
-            back = (i0 + r - nh) * grid.dt
-            pulled = st.history.lookup(nh * grid.dt, grid.x_nodes * math.exp(-back))
-            base[r] = pulled * st.dec_r.survival(grid.x_nodes, back) + G[r] - J_past[r]
+        back = np.arange(i0 - nh, i0 - nh + steps + 1) * grid.dt
+        # math.exp, not np.exp: the two differ in the last bit on some inputs
+        shrink = np.array([math.exp(-b) for b in back.tolist()])
+        pulled = st.history.lookup(np.full(steps + 1, nh * grid.dt),
+                                   grid.x_nodes * shrink[:, None])
+        base = pulled * st.dec_r.survival(grid.x_nodes, back[:, None]) + G - J_past
 
         N_win = np.empty((steps + 1, M))
         N_win[0] = st.N[i0]
@@ -783,9 +865,13 @@ class Solver:
             "max_junction_mismatch": max((w["junction_mismatch"] for w in st.windows),
                                          default=0.0),
         }
-        return SolutionField(times=times, x=self.grid.x_nodes.copy(),
-                             m=self.grid.m_nodes.copy(), N=st.N, upper=upper,
-                             metadata=meta)
+        field = SolutionField(times=times, x=self.grid.x_nodes.copy(),
+                              m=self.grid.m_nodes.copy(), N=st.N, upper=upper,
+                              metadata=meta)
+        # the solver's own reads of the field (the sink of P, the residual's
+        # division ages) reach back at most one history depth
+        field._keep = self.grid.n_history + 2
+        return field
 
     # -- warmup from age densities ------------------------------------------------
 
@@ -844,12 +930,12 @@ class Solver:
                 k_qa = self.params.division.k(mm[None, :], a_nodes[:, None], flow.g1)
                 xi_qa = np.exp(dec_g.log_survival(stage_xgi[stage][None, :],
                                                   a_nodes[:, None]))
+                lg = lgi[None, :] - a_nodes[:, None]
+                nv = record.lookup(sigma - a_nodes, np.exp(lg))
+                rate = beta(flow.h_inv_log(lg), nv)
                 acc = np.zeros(M)
                 for q in range(16):
-                    xq = np.exp(lgi - a_nodes[q])
-                    mq = flow.h_inv_log(lgi - a_nodes[q])
-                    nv = record.lookup(sigma - a_nodes[q], xq)
-                    acc += a_w[q] * k_qa[q] * xi_qa[q] * beta(mq, nv) * nv
+                    acc += a_w[q] * k_qa[q] * xi_qa[q] * rate[q] * nv[q]
                 out += 2.0 * acc
             return out
 

@@ -297,13 +297,113 @@ class TestHistoryField:
     def test_cache_bounded_by_keep_older_slices_readable(self):
         values = np.arange(6.0)[:, None] * (1.0 + self.x)[None, :]
         ring = HistoryField(self.x, 0.25, values, keep=2)
+        assert ring.capacity == 2 and ring._block.shape == (2, 4, self.x.size - 1)
         for i in range(6):
             assert np.array_equal(ring.lookup(0.25 * i, self.x), values[i])
-            assert len(ring._cache) <= 2
+            assert i in ring._held and len(ring._held) == 2
         # slice 0 was evicted long ago; it is rebuilt, not lost
         assert np.array_equal(ring.lookup(0.0, self.x), values[0])
         assert np.array_equal(ring.lookup(0.125, self.x), 0.5 * (values[0] + values[1]))
-        assert len(ring._cache) == 2
+        assert sorted(ring._held.tolist()) == [0, 1]
+
+    @pytest.mark.parametrize("keep", [math.inf, 3, 1])
+    def test_many_times_read_as_one_time_each(self, keep):
+        # slices that do not fit the block together are read in turns
+        rng = np.random.default_rng(6)
+        values = np.cumsum(rng.normal(size=(7, 9)), axis=1)
+        ring = HistoryField(self.x, 0.25, values, keep=keep)
+        times = np.array([1.5, 0.0, 0.3, 0.25 + 1e-12, 1.1, 0.6, 0.75, 1.4999999])
+        raw = rng.uniform(-0.05, 0.55, (times.size, 9))
+        shared = np.linspace(0.0, 0.5, 13)
+        for xq, each in ((raw, raw), (shared, [shared] * times.size),
+                         (Located(self.x, shared), [shared] * times.size)):
+            got = ring.lookup(times, xq)
+            expected = np.array([ring.lookup(t, row) for t, row in zip(times, each)])
+            _assert_same_bits(got, expected)
+
+    def test_block_read_never_touches_the_slice_after_an_exact_time(self):
+        values = np.cumsum(np.random.default_rng(8).normal(size=(4, 9)), axis=1)
+        values[2:] = np.nan                 # not filled yet: building it would raise
+        ring = HistoryField(self.x, 0.25, values, filled=2)
+        got = ring.lookup(np.array([0.25, 0.125, 0.0]), self.x)
+        assert np.array_equal(got[[2, 0]], values[:2])
+        assert np.array_equal(got[1], 0.5 * values[0] + 0.5 * values[1])
+
+    def test_points_located_on_other_nodes_refused(self):
+        ring = HistoryField(self.x, 0.25, np.ones((3, 9)))
+        with pytest.raises(DomainError, match="node set"):
+            ring.lookup(0.25, Located(self.x.copy(), self.x))
+        with pytest.raises(DomainError, match="node set"):
+            ring.lookup(np.array([0.0, 0.25]), Located(self.x.copy(), self.x))
+
+    def test_times_and_points_must_agree(self):
+        ring = HistoryField(self.x, 0.25, np.ones((3, 9)))
+        for times, xq in ((np.array([0.0, 0.25]), np.ones((3, 4))),
+                          (np.array([0.0, 0.25]), np.float64(0.1)),
+                          (np.zeros((2, 2)), np.ones(4))):
+            with pytest.raises(DomainError, match="cannot read"):
+                ring.lookup(times, xq)
+
+
+def _q_rows(solver, st, i0, steps):
+    """The division integral a row and an age node at a time."""
+    acc = np.zeros((steps + 1, solver.grid.m_nodes.size))
+    for r in range(steps + 1):
+        t = (i0 + r) * solver.grid.dt
+        for q in range(solver._a_nodes.size):
+            nv = st.ring.lookup(t - solver._a_nodes[q], st.age_points[q])
+            acc[r] += (solver._a_weights[q] * st.zeta_qa[q]
+                       * solver.kern.beta(solver._mdelta[q], nv) * nv)
+    return acc
+
+
+class TestWindowBlockReads:
+    @pytest.mark.parametrize("params, m_nodes, dt_divisor, band", [
+        pytest.param(reference_params(), 512, 64, False, id="reference-512x64"),
+        pytest.param(reference_params(), 64, 7, False, id="dt-divisor-7"),
+        pytest.param(reference_params(c=0.3, tau_lower=1.0, tau_upper=2.0), 64, 8, True,
+                     id="band-c0.3")])
+    def test_window_q_equals_row_by_row_reads(self, params, m_nodes, dt_divisor, band):
+        solver = Solver(params, m_nodes=m_nodes, dt_divisor=dt_divisor)
+        hist = InitialHistory.from_callable(smooth_history, solver.grid,
+                                            upper=smooth_history if band else None)
+        st = solver.start(hist, T=5.0)
+        for _ in range(2):                  # a window on history, then one past it
+            i0 = st.ring.filled - 1
+            steps = min(solver.grid.n_window, st.n_slices - 1 - i0)
+            Q = solver._q_slice(st, i0, steps)
+            assert Q.shape == (steps + 1, m_nodes)
+            assert np.array_equal(Q, _q_rows(solver, st, i0, steps))
+            solver.solve_window(st)
+
+    @pytest.mark.parametrize("dt_divisor", [64, 7])
+    def test_vector_bracket_equals_the_per_time_bracket(self, dt_divisor):
+        solver = Solver(reference_params(), m_nodes=16, dt_divisor=dt_divisor)
+        grid = solver.grid
+        rows = np.arange(grid.n_history, grid.n_history + grid.steps_to(10.0) + 1)
+        times = (rows[:, None] * grid.dt - solver._a_nodes[None, :]).ravel()
+        i, theta = solver_module._time_brackets(times, grid.dt)
+        expected = [solver_module._time_bracket(t, grid.dt) for t in times.tolist()]
+        assert np.array_equal(i, [e[0] for e in expected])
+        assert np.array_equal(theta, [e[1] for e in expected])
+        # the weight of one age node is not the same in every row
+        assert max(np.unique(th).size for th in theta.reshape(rows.size, -1).T) > 1
+        i, theta = solver_module._time_brackets(np.array(NONFINITE_TIMES), 0.25)
+        expected = [solver_module._time_bracket(t, 0.25) for t in NONFINITE_TIMES]
+        assert list(zip(i, theta)) == expected
+
+
+class TestSolvedFieldStore:
+    def test_holds_one_history_depth_and_reads_as_an_unbounded_store(self, solver_ref,
+                                                                      field_ref):
+        assert field_ref._keep == solver_ref.grid.n_history + 2
+        field = SolutionField(field_ref.times, field_ref.x, field_ref.m, field_ref.N)
+        field._keep = field_ref._keep       # a fresh store, bounded as the solve's
+        unbounded = HistoryField(field.x, field.dt, field.N)
+        xq = np.linspace(0.0, field.x[-1], 37)
+        for t in (7.9, 0.3, 4.1, 7.95, 2.0, 0.3):
+            assert np.array_equal(field.lookup(t, xq), unbounded.lookup(t, xq))
+        assert field._stores[False].capacity == field._keep
 
 
 class TestNonFiniteTimes:

@@ -19,7 +19,7 @@ from .cubic import HermiteCubic
 from .errors import ConfigurationError, DomainError
 from .params import (CustomVelocity, MaturityMap, PowerLawVelocity,
                      VelocityModel, golden_section_max)
-from .quadrature import adaptive_interval
+from .quadrature import adaptive_panels
 
 _EPS = 1e-12
 
@@ -74,7 +74,8 @@ class _TabulatedCoords:
     """Quadrature-backed h, h_inv for a custom velocity.
 
     W(m) = int_m^1 ds/V is accumulated over log-spaced panels by adaptive
-    15-point Gauss-Legendre and stored as a Hermite spline in u = ln m
+    15-point Gauss-Legendre (every panel's first two levels in one call of V)
+    and stored as a Hermite spline in u = ln m
     (slopes -m/V(m) are exact). The inverse is a second Hermite spline of
     u against W. Below the table floor both directions extrapolate with the
     local slope, which is first-order exact when V is asymptotically linear.
@@ -84,10 +85,7 @@ class _TabulatedCoords:
                  m_floor: float = 1e-12, rtol: float = 1e-10):
         self.m_floor = m_floor
         m_tab = np.logspace(math.log10(m_floor), 0.0, n_nodes)
-        inv_v = lambda s: 1.0 / velocity(s)
-        increments = np.empty(n_nodes - 1)
-        for i in range(n_nodes - 1):
-            increments[i] = adaptive_interval(inv_v, m_tab[i], m_tab[i + 1], rtol=rtol)
+        increments = adaptive_panels(lambda s: 1.0 / velocity(s), m_tab, rtol=rtol)
         w_tab = np.concatenate([[0.0], np.cumsum(increments[::-1])])[::-1]
         self._screen(w_tab, m_tab)
         u_tab = np.log(m_tab)

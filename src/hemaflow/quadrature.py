@@ -30,20 +30,52 @@ def adaptive_interval(f, a: float, b: float, *, n_nodes: int = 15,
     Compares one panel against its bisection; splits where they disagree.
     Suited to integrands with localized stiffness (1/V near zero maturity).
     """
-    def recurse(lo, hi, whole, depth):
-        mid = 0.5 * (lo + hi)
-        x1, w1 = mapped_rule(lo, mid, n_nodes)
-        x2, w2 = mapped_rule(mid, hi, n_nodes)
-        halves = f(np.concatenate([x1, x2]))        # f acts pointwise: one call for both
-        left = float(halves[:n_nodes] @ w1)
-        right = float(halves[n_nodes:] @ w2)
-        # a non-finite panel never settles: return it rather than split to max_depth
-        if depth >= max_depth or not math.isfinite(left + right) \
-                or abs(left + right - whole) <= rtol * max(abs(left + right), 1e-300):
-            return left + right
-        return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
-
     if b == a:
         return 0.0
     x0, w0 = mapped_rule(a, b, n_nodes)
-    return recurse(a, b, float(f(x0) @ w0), 0)
+    return _bisect(f, a, b, float(f(x0) @ w0), 0, n_nodes, rtol, max_depth)
+
+
+def adaptive_panels(f, edges: np.ndarray, *, n_nodes: int = 15,
+                    rtol: float = 1e-10, max_depth: int = 14) -> np.ndarray:
+    """``adaptive_interval`` over each panel [edges[i], edges[i + 1]], bit for
+    bit: every panel's top rule and first bisection come from one call of f on
+    a 1-D array, and only panels that do not settle there recurse."""
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    z, w = gauss_legendre(n_nodes)
+    # mapped_rule's expressions, one row per panel: the whole, left and right rules
+    starts = (lo, lo, mid)
+    halves = [0.5 * (b - a) for a, b in zip(starts, (hi, mid, hi))]
+    x = np.concatenate([a[:, None] + h[:, None] * (z + 1.0)
+                        for a, h in zip(starts, halves)], axis=1)
+    wts = np.concatenate([h[:, None] * w for h in halves], axis=1)
+    fx = f(x.ravel()).reshape(x.shape)
+    n = n_nodes
+    out = np.zeros(lo.size)
+    for i in np.flatnonzero(hi != lo).tolist():
+        fi, wi = fx[i], wts[i]
+        out[i] = _settle(f, lo[i], mid[i], hi[i], float(fi[:n] @ wi[:n]),
+                         float(fi[n:2 * n] @ wi[n:2 * n]), float(fi[2 * n:] @ wi[2 * n:]),
+                         0, n, rtol, max_depth)
+    return out
+
+
+def _bisect(f, lo, hi, whole, depth, n, rtol, max_depth) -> float:
+    """The panel [lo, hi] of value ``whole`` against its two halves."""
+    mid = 0.5 * (lo + hi)
+    x1, w1 = mapped_rule(lo, mid, n)
+    x2, w2 = mapped_rule(mid, hi, n)
+    halves = f(np.concatenate([x1, x2]))        # f acts pointwise: one call for both
+    return _settle(f, lo, mid, hi, whole, float(halves[:n] @ w1),
+                   float(halves[n:] @ w2), depth, n, rtol, max_depth)
+
+
+def _settle(f, lo, mid, hi, whole, left, right, depth, n, rtol, max_depth) -> float:
+    """left + right once they agree with ``whole``, else each half split again."""
+    # a non-finite panel never settles: return it rather than split to max_depth
+    if depth >= max_depth or not math.isfinite(left + right) \
+            or abs(left + right - whole) <= rtol * max(abs(left + right), 1e-300):
+        return left + right
+    return (_bisect(f, lo, mid, left, depth + 1, n, rtol, max_depth)
+            + _bisect(f, mid, hi, right, depth + 1, n, rtol, max_depth))

@@ -411,12 +411,26 @@ class UpperBand:
     P: Optional[np.ndarray] = None
 
 
+def _store_depth(metadata: dict) -> float:
+    """Slices a field's store holds: one history depth plus two when the
+    metadata records the grid, as a solve's and its reload's does (the solver's
+    own reads of a field, the sink of P and the residual's division ages, reach
+    back no further), else every slice."""
+    grid = metadata.get("grid")
+    try:
+        return round(grid["tau_upper"] / grid["dt"]) + 2
+    except (TypeError, KeyError, ValueError, OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 class SolutionField:
     """Full record of N (and optionally P) on [0, T] x [0, g(1)].
 
     ``x`` holds the flow coordinates of the maturity nodes; it is None for a
     field read back from CSV, which stores maturities only, and such a field
-    refuses lookups in flow coordinates.
+    refuses lookups in flow coordinates. Lookups read through ``HistoryField``
+    stores that hold ``n_history + 2`` slices when ``metadata["grid"]`` records
+    the grid (a solve's field and its reload), else every slice.
     """
 
     def __init__(self, times, x, m, N, P=None, upper: Optional[UpperBand] = None,
@@ -429,7 +443,7 @@ class SolutionField:
         self.upper = upper
         self.metadata = metadata or {}
         self._stores: dict = {}           # combined -> HistoryField, built on first lookup
-        self._keep = math.inf             # slices each store holds (HistoryField's keep)
+        self._keep = _store_depth(self.metadata)   # slices each store holds
 
     @property
     def dt(self) -> float:
@@ -455,17 +469,18 @@ class SolutionField:
     # -- serialization -------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """Rows (t, m, N[, P]) over the main grid, 17 significant digits."""
-        n_t, n_m = self.N.shape
-        tt = np.repeat(self.times, n_m)
-        mm = np.tile(self.m, n_t)
-        cols = [tt, mm, self.N.ravel()]
-        header = "t,m,N"
-        if self.P is not None:
-            cols.append(self.P.ravel())
-            header += ",P"
-        np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
-                   header=header, comments="")
+        """Rows (t, m, N[, P]) over the main grid, 17 significant digits: the
+        bytes ``np.savetxt(fmt="%.17g", delimiter=",")`` writes. Each time and
+        maturity is formatted once; a slice is one template filled with its values."""
+        cols = (self.N,) if self.P is None else (self.N, self.P)
+        # "m,%.17g[,%.17g]" per node; no formatted number holds a "%"
+        rows = ["%.17g" % m + ",%.17g" * len(cols) for m in self.m.tolist()]
+        with open(path, "w") as fh:
+            fh.write("t,m,N" + ",P" * (len(cols) - 1) + "\n")
+            for i, t in enumerate(self.times.tolist()):
+                lead = "%.17g," % t
+                values = np.stack([c[i] for c in cols], axis=-1).ravel().tolist()
+                fh.write((lead + ("\n" + lead).join(rows) + "\n") % tuple(values))
 
     @classmethod
     def from_csv(cls, path) -> "SolutionField":
@@ -865,13 +880,9 @@ class Solver:
             "max_junction_mismatch": max((w["junction_mismatch"] for w in st.windows),
                                          default=0.0),
         }
-        field = SolutionField(times=times, x=self.grid.x_nodes.copy(),
-                              m=self.grid.m_nodes.copy(), N=st.N, upper=upper,
-                              metadata=meta)
-        # the solver's own reads of the field (the sink of P, the residual's
-        # division ages) reach back at most one history depth
-        field._keep = self.grid.n_history + 2
-        return field
+        return SolutionField(times=times, x=self.grid.x_nodes.copy(),
+                             m=self.grid.m_nodes.copy(), N=st.N, upper=upper,
+                             metadata=meta)
 
     # -- warmup from age densities ------------------------------------------------
 
@@ -1055,38 +1066,51 @@ class Solver:
         tracks the discretization error.
         """
         grid = self.grid
-        dt = grid.dt
         i = self._aligned_index(t)
-        if not (grid.n_history < i < field.times.size - 1):
-            raise DomainError("residual needs tau_upper + dt <= t <= T - dt")
         j = int(np.argmin(np.abs(grid.m_nodes - m)))
         if abs(grid.m_nodes[j] - m) > 1e-9:
             raise DomainError("residual expects m on a grid node")
         if not (0 < j < grid.m_nodes.size - 1):
             raise DomainError("residual needs an interior maturity node")
+        return float(self._residuals(field, np.array([float(t)]), np.array([i]),
+                                     np.array([j]))[0, 0])
+
+    def _residuals(self, field: SolutionField, t: np.ndarray, ti: np.ndarray,
+                   jj: np.ndarray) -> np.ndarray:
+        """``residual`` at the times ``t`` (on the slices ``ti``) times the
+        interior nodes ``jj``, as one ``(len(ti), len(jj))`` block."""
+        grid = self.grid
+        if not (grid.n_history < ti.min() and ti.max() < field.times.size - 1):
+            raise DomainError("residual needs tau_upper + dt <= t <= T - dt")
         _, dec_g = self._ensure_tables(float(field.times[-1]) + grid.tau_upper)
-
-        mj = grid.m_nodes[j]
-        V = self.params.velocity
-        dN_dt = (field.N[i + 1, j] - field.N[i - 1, j]) / (2.0 * dt)
-        fluxes = V(grid.m_nodes[j - 1:j + 2]) * field.N[i, j - 1:j + 2]
+        N = field.N
+        mj = grid.m_nodes[jj]
+        V_lo, V_mid, V_hi = self.params.velocity(
+            grid.m_nodes[jj + np.array([[-1], [0], [1]])])
+        dN_dt = (N[ti + 1][:, jj] - N[ti - 1][:, jj]) / (2.0 * grid.dt)
+        here = N[ti]
         dx = grid.x_nodes[1] - grid.x_nodes[0]
-        dflux_dx = (fluxes[2] - fluxes[0]) / (2.0 * dx)
-        dflux_dm = dflux_dx * grid.x_nodes[j] / float(V(np.asarray([mj]))[0])
+        dflux_dx = (V_hi * here[:, jj + 1] - V_lo * here[:, jj - 1]) / (2.0 * dx)
+        dflux_dm = dflux_dx * grid.x_nodes[jj] / V_mid
 
-        nv_here = field.N[i, j]
-        delta = float(self.params.rates.delta_fn()(np.asarray([mj]))[0])
-        decay = -(delta + float(self.kern.beta(np.asarray(mj), np.asarray(nv_here)))) * nv_here
-        lgi = float(self.flow.log_h(self.params.maturity.inverse(np.asarray(mj))))
-        xd = np.exp(lgi - self._a_nodes)
-        md = self.flow.h_inv_log(lgi - self._a_nodes)
-        k_q = self.params.division.k(np.full(16, mj), self._a_nodes, self.flow.g1)
-        xi_q = np.exp(dec_g.log_survival(np.full(16, math.exp(lgi)), self._a_nodes))
-        nv = np.array([float(field.lookup(t - a, np.asarray([xq]))[0])
-                       for a, xq in zip(self._a_nodes, xd)])
-        gain = 2.0 * float(np.sum(self._a_weights * k_q * xi_q *
-                                  self.kern.beta(md, nv) * nv))
-        return float(dN_dt + dflux_dm - decay - gain)
+        nv_here = here[:, jj]
+        delta = self.params.rates.delta_fn()(mj)
+        decay = -(delta + self.kern.beta(mj, nv_here)) * nv_here
+        lgi = self.flow.log_h(self.params.maturity.inverse(mj))[:, None]
+        a = self._a_nodes
+        md = self.flow.h_inv_log(lgi - a)                           # (J, 16)
+        xd = np.exp(lgi - a).T                                      # (16, J)
+        # math.exp, not np.exp: the two differ in the last bit on some inputs
+        xg = np.array([math.exp(v) for v in lgi.ravel().tolist()])[:, None]
+        weight = (self._a_weights * self.params.division.k(mj[:, None], a, self.flow.g1)
+                  * np.exp(dec_g.log_survival(xg, a)))
+        # one read per sample time, its 16 division ages as rows: each read
+        # spans less than a history depth, so no slice is built twice
+        nv = np.stack([field.lookup(tk - a, xd) for tk in t.tolist()])     # (T, 16, J)
+        nv = np.ascontiguousarray(nv.transpose(0, 2, 1))
+        # the age sum along a contiguous last axis adds as np.sum of 16 values does
+        gain = 2.0 * np.sum(weight * self.kern.beta(md, nv) * nv, axis=-1)
+        return dN_dt + dflux_dm - decay - gain
 
     def residual_stats(self, field: SolutionField) -> dict:
         """Residual magnitudes over a deterministic interior sample: 12 slice
@@ -1097,8 +1121,6 @@ class Solver:
         hi_i = field.times.size - 2
         t_idx = np.unique(np.linspace(lo_i, hi_i, 12, dtype=int))
         j_idx = np.unique(rng.integers(1, grid.m_nodes.size - 1, size=24))
-        vals = [abs(self.residual(field, field.times[i], grid.m_nodes[j]))
-                for i in t_idx for j in j_idx]
-        vals = np.asarray(vals)
+        vals = np.abs(self._residuals(field, field.times[t_idx], t_idx, j_idx)).ravel()
         return {"max": float(vals.max()), "median": float(np.median(vals)),
                 "n_samples": int(vals.size)}

@@ -8,6 +8,8 @@ from scipy.integrate import quad
 
 from hemaflow import (ConfigurationError, CustomVelocity, DomainError,
                       FlowMap, LinearMaturityMap, PowerLawVelocity)
+from hemaflow.cubic import HermiteCubic
+from hemaflow.quadrature import adaptive_interval, adaptive_panels
 
 from refcase import quadratic_h, quadratic_velocity
 
@@ -227,3 +229,42 @@ class TestDivergenceScreen:
         with pytest.raises(ConfigurationError, match="not finite"):
             FlowMap(vel, G_HALF)
         assert time.perf_counter() - start < 60.0
+
+
+def _table_velocity():
+    """The velocity the CLI builds from `velocity.table` with V = m on 17 rows."""
+    m = np.arange(17) / 16
+    interp = HermiteCubic(m, m)
+    return CustomVelocity(V=interp, V_prime=interp.derivative(), name="table")
+
+
+class TestBatchedPanels:
+    """The flow table's panels integrate in one block, bit-equal to one
+    ``adaptive_interval`` call per panel."""
+
+    EDGES = np.logspace(-12.0, 0.0, 4096)       # the table's panels
+
+    @pytest.mark.parametrize("velocity, deep", [
+        (_table_velocity(), False),
+        # the kink at m = 0.3 keeps its panel splitting past the first level
+        (CustomVelocity(V=lambda m: m * (1.0 + np.abs(m - 0.3)),
+                        V_prime=lambda m: 1.0 + np.abs(m - 0.3)), True),
+    ])
+    def test_increments_equal_per_panel_quadrature(self, velocity, deep):
+        calls = []
+
+        def inv_v(s):
+            calls.append(s.size)
+            return 1.0 / velocity(s)
+
+        batched = adaptive_panels(inv_v, self.EDGES)
+        assert (len(calls) > 1) == deep          # the fallback ran only when needed
+        single = np.array([adaptive_interval(inv_v, a, b)
+                           for a, b in zip(self.EDGES[:-1], self.EDGES[1:])])
+        assert np.array_equal(batched, single)
+
+    def test_empty_panel_is_zero(self):
+        edges = np.array([0.1, 0.2, 0.2, 0.4])
+        out = adaptive_panels(lambda s: 1.0 / s, edges)
+        assert out[1] == 0.0
+        assert out[2] == adaptive_interval(lambda s: 1.0 / s, 0.2, 0.4)

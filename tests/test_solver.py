@@ -405,6 +405,28 @@ class TestSolvedFieldStore:
             assert np.array_equal(field.lookup(t, xq), unbounded.lookup(t, xq))
         assert field._stores[False].capacity == field._keep
 
+    def test_reloaded_field_holds_one_history_depth(self, solver_ref, field_ref, tmp_path):
+        field_ref.save(tmp_path / "field")
+        back = SolutionField.load(tmp_path / "field")
+        depth = solver_ref.grid.n_history + 2
+        assert back._keep == depth
+        stats = solver_ref.residual_stats(back)
+        assert back._stores[False].capacity == depth
+        assert back._stores[False]._block.shape[0] == depth
+        assert _hex(stats) == _hex(solver_ref.residual_stats(field_ref))
+
+    def test_fields_without_a_recorded_grid_keep_every_slice(self, field_ref, tmp_path):
+        bare = SolutionField(field_ref.times, field_ref.x, field_ref.m, field_ref.N)
+        assert bare._keep == math.inf
+        field_ref.to_csv(tmp_path / "field.csv")
+        assert SolutionField.from_csv(tmp_path / "field.csv")._keep == math.inf
+        bare.lookup(4.0, field_ref.x[:3])
+        assert bare._stores[False].capacity == field_ref.times.size
+
+
+def _hex(stats: dict) -> dict:
+    return {k: float.hex(float(v)) for k, v in stats.items()}
+
 
 class TestNonFiniteTimes:
     @pytest.mark.parametrize("t", NONFINITE_TIMES)
@@ -630,6 +652,68 @@ class TestResidualDiagnostic:
             solver_ref.residual(field_ref, 4.0, grid.m_nodes[0])
 
 
+def _residual_one_sample(solver, field, t, m):
+    """The residual as one point and one age node at a time: the per-sample
+    form that ``Solver._residuals`` evaluates as a block."""
+    grid = solver.grid
+    i = solver._aligned_index(t)
+    j = int(np.argmin(np.abs(grid.m_nodes - m)))
+    _, dec_g = solver._ensure_tables(float(field.times[-1]) + grid.tau_upper)
+    mj = grid.m_nodes[j]
+    V = solver.params.velocity
+    dN_dt = (field.N[i + 1, j] - field.N[i - 1, j]) / (2.0 * grid.dt)
+    fluxes = V(grid.m_nodes[j - 1:j + 2]) * field.N[i, j - 1:j + 2]
+    dx = grid.x_nodes[1] - grid.x_nodes[0]
+    dflux_dx = (fluxes[2] - fluxes[0]) / (2.0 * dx)
+    dflux_dm = dflux_dx * grid.x_nodes[j] / float(V(np.asarray([mj]))[0])
+    nv_here = field.N[i, j]
+    delta = float(solver.params.rates.delta_fn()(np.asarray([mj]))[0])
+    decay = -(delta + float(solver.kern.beta(np.asarray(mj), np.asarray(nv_here)))) * nv_here
+    lgi = float(solver.flow.log_h(solver.params.maturity.inverse(np.asarray(mj))))
+    a_nodes = solver._a_nodes
+    xd = np.exp(lgi - a_nodes)
+    md = solver.flow.h_inv_log(lgi - a_nodes)
+    k_q = solver.params.division.k(np.full(16, mj), a_nodes, solver.flow.g1)
+    xi_q = np.exp(dec_g.log_survival(np.full(16, math.exp(lgi)), a_nodes))
+    nv = np.array([float(field.lookup(t - a, np.asarray([xq]))[0])
+                   for a, xq in zip(a_nodes, xd)])
+    gain = 2.0 * float(np.sum(solver._a_weights * k_q * xi_q *
+                              solver.kern.beta(md, nv) * nv))
+    return float(dN_dt + dflux_dm - decay - gain)
+
+
+class TestResidualBlock:
+    """``residual_stats``' 12 x 24 sample is one block, bit-equal to the
+    residual evaluated one sample at a time."""
+
+    @pytest.mark.parametrize("c, m_nodes, dt_divisor, T, band", [
+        (0.5, 512, 64, 10.0, False),        # the reference solve
+        (0.3, 128, 16, 6.0, True),          # ancestry above g(1): a band solve
+    ])
+    def test_sample_equals_one_sample_at_a_time(self, c, m_nodes, dt_divisor, T, band):
+        solver = Solver(reference_params(c=c), m_nodes=m_nodes, dt_divisor=dt_divisor)
+        field = solver.solve(InitialHistory.from_callable(
+            smooth_history, solver.grid, upper=smooth_history if band else None), T)
+        grid = solver.grid
+        t_idx = np.unique(np.linspace(grid.n_history + 1, field.times.size - 2, 12,
+                                      dtype=int))
+        j_idx = np.unique(np.random.default_rng(0).integers(1, m_nodes - 1, size=24))
+        expected = np.array([_residual_one_sample(solver, field, field.times[i],
+                                                  grid.m_nodes[j])
+                             for i in t_idx for j in j_idx])
+        block = solver._residuals(field, field.times[t_idx], t_idx, j_idx).ravel()
+        assert block.size == t_idx.size * j_idx.size
+        assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
+        stats = solver.residual_stats(field)
+        assert stats["n_samples"] == expected.size
+        assert float.hex(stats["max"]) == float.hex(float(np.abs(expected).max()))
+        assert float.hex(stats["median"]) == float.hex(float(np.median(np.abs(expected))))
+        for k in (0, expected.size // 2, expected.size - 1):
+            i, j = t_idx[k // j_idx.size], j_idx[k % j_idx.size]
+            one = solver.residual(field, field.times[i], grid.m_nodes[j])
+            assert float.hex(one) == float.hex(float(expected[k]))
+
+
 class TestUpperBand:
     def test_band_never_feeds_back(self):
         par = reference_params()
@@ -691,6 +775,30 @@ class TestSerialization:
         assert np.array_equal(back.N, field_ref.N)
         assert np.array_equal(back.times, field_ref.times)
         assert np.array_equal(back.m, field_ref.m)
+
+    @pytest.mark.parametrize("with_p", [False, True])
+    def test_csv_bytes_are_savetxt_bytes(self, tmp_path, with_p):
+        rng = np.random.default_rng(3)
+        n_t, n_m = 7, 9
+        times = np.arange(n_t) * 0.1
+        m = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.5, n_m - 1))])
+        N = rng.normal(size=(n_t, n_m)) * 10.0 ** rng.integers(-300, 300, size=(n_t, n_m))
+        N[0, :6] = [-0.0, 5e-324, 1e300, -1e300, -5e-324, -2.5]
+        P = -N[::-1] if with_p else None
+        SolutionField(times, None, m, N, P).to_csv(tmp_path / "field.csv")
+        cols = [np.repeat(times, n_m), np.tile(m, n_t), N.ravel()]
+        cols += [P.ravel()] if with_p else []
+        np.savetxt(tmp_path / "savetxt.csv", np.column_stack(cols), fmt="%.17g",
+                   delimiter=",", header="t,m,N" + ",P" * with_p, comments="")
+        written = (tmp_path / "field.csv").read_bytes()
+        assert written == (tmp_path / "savetxt.csv").read_bytes()
+        assert written.splitlines()[1].startswith(b"0,0,-0")
+        back = SolutionField.from_csv(tmp_path / "field.csv")
+        for got, want in ((back.times, times), (back.m, m), (back.N, N), (back.P, P)):
+            if want is None:
+                assert got is None
+            else:
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_csv_field_refuses_flow_lookup(self, tmp_path):
         # alpha = 2 makes h(m) = sqrt(m) != m, so the CSV's maturities do

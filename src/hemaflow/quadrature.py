@@ -8,6 +8,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
+N_NODES = 15        # Gauss-Legendre points per panel of the adaptive rules
+MAX_DEPTH = 14      # bisection levels before a panel is taken as it stands
+
 
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int):
@@ -23,8 +26,8 @@ def mapped_rule(a: float, b: float, n: int):
     return a + half * (z + 1.0), half * w
 
 
-def adaptive_interval(f, a: float, b: float, *, n_nodes: int = 15,
-                      rtol: float = 1e-10, max_depth: int = 14) -> float:
+def adaptive_interval(f, a: float, b: float, *, n_nodes: int = N_NODES,
+                      rtol: float = 1e-10, max_depth: int = MAX_DEPTH) -> float:
     """Recursive panel splitting until each panel's value settles.
 
     Compares one panel against its bisection; splits where they disagree.
@@ -36,14 +39,15 @@ def adaptive_interval(f, a: float, b: float, *, n_nodes: int = 15,
     return _bisect(f, a, b, float(f(x0) @ w0), 0, n_nodes, rtol, max_depth)
 
 
-def adaptive_panels(f, edges: np.ndarray, *, n_nodes: int = 15,
-                    rtol: float = 1e-10, max_depth: int = 14) -> np.ndarray:
-    """``adaptive_interval`` over each panel [edges[i], edges[i + 1]], bit for
-    bit: every panel's top rule and first bisection come from one call of f on
-    a 1-D array, and only panels that do not settle there recurse."""
+def adaptive_panels(f, edges: np.ndarray, *, rtol: float = 1e-10) -> np.ndarray:
+    """``adaptive_interval`` (default nodes and depth) over each panel
+    [edges[i], edges[i + 1]], bit for bit: every panel's top rule and first
+    bisection come from one call of f on a 1-D array, and only panels that do
+    not settle there recurse."""
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
-    z, w = gauss_legendre(n_nodes)
+    n = N_NODES
+    z, w = gauss_legendre(n)
     # mapped_rule's expressions, one row per panel: the whole, left and right rules
     starts = (lo, lo, mid)
     halves = [0.5 * (b - a) for a, b in zip(starts, (hi, mid, hi))]
@@ -51,13 +55,12 @@ def adaptive_panels(f, edges: np.ndarray, *, n_nodes: int = 15,
                         for a, h in zip(starts, halves)], axis=1)
     wts = np.concatenate([h[:, None] * w for h in halves], axis=1)
     fx = f(x.ravel()).reshape(x.shape)
-    n = n_nodes
     out = np.zeros(lo.size)
     for i in np.flatnonzero(hi != lo).tolist():
         fi, wi = fx[i], wts[i]
         out[i] = _settle(f, lo[i], mid[i], hi[i], float(fi[:n] @ wi[:n]),
                          float(fi[n:2 * n] @ wi[n:2 * n]), float(fi[2 * n:] @ wi[2 * n:]),
-                         0, n, rtol, max_depth)
+                         0, n, rtol, MAX_DEPTH)
     return out
 
 

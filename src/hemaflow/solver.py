@@ -76,6 +76,11 @@ def _eval_two_arg(fn: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # grid
 # ---------------------------------------------------------------------------
 
+def history_steps(tau_upper: float, dt: float) -> int:
+    """Time steps of the history [-tau_upper, 0] at step dt (Grid.n_history)."""
+    return round(tau_upper / dt)
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform-in-x maturity grid plus the time step.
@@ -110,7 +115,7 @@ class Grid:
 
     @property
     def n_history(self) -> int:
-        return round(self.tau_upper / self.dt)
+        return history_steps(self.tau_upper, self.dt)
 
     def steps_to(self, T: float) -> int:
         """Time steps a solve to horizon T takes past the history."""
@@ -411,14 +416,17 @@ class UpperBand:
     P: Optional[np.ndarray] = None
 
 
-def _store_depth(metadata: dict) -> float:
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")   # names np.loadtxt would decompress
+
+
+def _store_depth(metadata) -> float:
     """Slices a field's store holds: one history depth plus two when the
     metadata records the grid, as a solve's and its reload's does (the solver's
     own reads of a field, the sink of P and the residual's division ages, reach
     back no further), else every slice."""
-    grid = metadata.get("grid")
+    grid = metadata.get("grid") if isinstance(metadata, dict) else None
     try:
-        return round(grid["tau_upper"] / grid["dt"]) + 2
+        return history_steps(grid["tau_upper"], grid["dt"]) + 2
     except (TypeError, KeyError, ValueError, OverflowError, ZeroDivisionError):
         return math.inf
 
@@ -469,9 +477,13 @@ class SolutionField:
     # -- serialization -------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """Rows (t, m, N[, P]) over the main grid, 17 significant digits: the
-        bytes ``np.savetxt(fmt="%.17g", delimiter=",")`` writes. Each time and
+        """Rows (t, m, N[, P]) over the main grid, 17 significant digits, as
+        plain text to the file path ``path``: the bytes
+        ``np.savetxt(path, fmt="%.17g", delimiter=",")`` writes for a plain name.
+        A compressed name (.gz, .bz2, .xz, .lzma) is refused. Each time and
         maturity is formatted once; a slice is one template filled with its values."""
+        if str(path).endswith(_COMPRESSED):
+            raise ConfigurationError(f"to_csv writes plain text only, not {str(path)!r}")
         cols = (self.N,) if self.P is None else (self.N, self.P)
         # "m,%.17g[,%.17g]" per node; no formatted number holds a "%"
         rows = ["%.17g" % m + ",%.17g" * len(cols) for m in self.m.tolist()]

@@ -423,6 +423,18 @@ class TestSolvedFieldStore:
         bare.lookup(4.0, field_ref.x[:3])
         assert bare._stores[False].capacity == field_ref.times.size
 
+    @pytest.mark.parametrize("meta", ["[1, 2]", '"grid"', "3", '{"grid": [1, 2]}',
+                                      '{"grid": {"dt": 0, "tau_upper": 1}}'])
+    def test_metadata_without_a_usable_grid_keeps_every_slice(self, field_ref, tmp_path,
+                                                              meta):
+        field_ref.save(tmp_path / "field")
+        (tmp_path / "field.meta.json").write_text(meta)
+        back = SolutionField.load(tmp_path / "field")
+        assert back._keep == math.inf
+        assert np.array_equal(back.lookup(4.0, field_ref.x[:3]),
+                              field_ref.lookup(4.0, field_ref.x[:3]))
+        assert back._stores[False].capacity == field_ref.times.size
+
 
 def _hex(stats: dict) -> dict:
     return {k: float.hex(float(v)) for k, v in stats.items()}
@@ -799,6 +811,15 @@ class TestSerialization:
                 assert got is None
             else:
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("name", ["field.csv.gz", "field.csv.bz2", "field.xz",
+                                      "field.lzma"])
+    def test_csv_refuses_compressed_names(self, tmp_path, name):
+        field = SolutionField(np.arange(3) * 0.5, None, np.linspace(0.0, 1.0, 4),
+                              np.ones((3, 4)))
+        with pytest.raises(ConfigurationError, match="plain text"):
+            field.to_csv(tmp_path / name)
+        assert not (tmp_path / name).exists()
 
     def test_csv_field_refuses_flow_lookup(self, tmp_path):
         # alpha = 2 makes h(m) = sqrt(m) != m, so the CSV's maturities do

@@ -19,16 +19,14 @@ imported, never copied), so the digests cover what the benchmark runs:
 Run from the root of a checkout; it imports that checkout's ``src``:
 
     python3 tools/fingerprint.py > parent.json      # in the parent checkout
-    python3 tools/fingerprint.py --against parent.json
+    python3 tools/fingerprint.py | diff parent.json -   # in the change checkout
 
-With ``--against`` it prints only the digests that differ from the saved
-JSON (one line each, with both values) and a count, and exits 1 if any
-differ.
+The JSON holds one digest per line, so ``diff`` prints each digest that
+differs and exits 1 if any does.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -136,38 +134,12 @@ def tables() -> dict:
             "x_nodes": _sha(solver.grid.x_nodes)}
 
 
-def _flat(digests: dict, prefix: str = "") -> dict:
-    """``{"a": {"b": v}}`` as ``{"a/b": v}``."""
-    out = {}
-    for key, value in digests.items():
-        if isinstance(value, dict):
-            out.update(_flat(value, f"{prefix}{key}/"))
-        else:
-            out[f"{prefix}{key}"] = value
-    return out
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", metavar="FILE.json",
-                        help="a saved output of this tool: print the digests that "
-                             "differ from it and exit 1 if any do")
-    args = parser.parse_args(argv)
+def main() -> int:
     result = {"ref_solve": ref_solve(), "positivity": positivity(),
               "uniqueness": uniqueness(), "band_solve": band_solve(),
               "cli_run": cli_run(), "tables": tables()}
-    if args.against is None:
-        print(json.dumps(result, indent=1, sort_keys=True))
-        return 0
-    with open(args.against) as fh:
-        saved = _flat(json.load(fh))
-    now = _flat(result)
-    keys = saved.keys() | now.keys()
-    differ = sorted(k for k in keys if k not in saved or k not in now or saved[k] != now[k])
-    for key in differ:
-        print(f"{key}: {saved.get(key, '(absent)')} -> {now.get(key, '(absent)')}")
-    print(f"{len(differ)} of {len(keys)} digests differ from {args.against}")
-    return 1 if differ else 0
+    print(json.dumps(result, indent=1, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

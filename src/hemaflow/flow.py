@@ -22,6 +22,7 @@ from .params import (CustomVelocity, MaturityMap, PowerLawVelocity,
 from .quadrature import adaptive_panels
 
 _EPS = 1e-12
+_TABLE_FLOOR, _TABLE_NODES = 1e-12, 4096     # a custom velocity's table: log-spaced m
 
 
 def _maybe_scalar(out, *inputs):
@@ -81,11 +82,9 @@ class _TabulatedCoords:
     local slope, which is first-order exact when V is asymptotically linear.
     """
 
-    def __init__(self, velocity: CustomVelocity, *, n_nodes: int = 4096,
-                 m_floor: float = 1e-12, rtol: float = 1e-10):
-        self.m_floor = m_floor
-        m_tab = np.logspace(math.log10(m_floor), 0.0, n_nodes)
-        increments = adaptive_panels(lambda s: 1.0 / velocity(s), m_tab, rtol=rtol)
+    def __init__(self, velocity: CustomVelocity):
+        m_tab = np.logspace(math.log10(_TABLE_FLOOR), 0.0, _TABLE_NODES)
+        increments = adaptive_panels(lambda s: 1.0 / velocity(s), m_tab)
         w_tab = np.concatenate([[0.0], np.cumsum(increments[::-1])])[::-1]
         self._screen(w_tab, m_tab)
         u_tab = np.log(m_tab)
@@ -94,7 +93,7 @@ class _TabulatedCoords:
         if not (np.isfinite([w_tab, slope, 1.0 / slope]).all()
                 and (np.diff(w_tab[order]) > 0.0).all()):
             raise ConfigurationError("custom velocity: the flow-coordinate table is not "
-                                     f"finite; V must be finite and positive on [{m_floor:g}, 1]")
+                                     f"finite; V must be finite and positive on [{_TABLE_FLOOR:g}, 1]")
         self._w_of_u = HermiteCubic(u_tab, w_tab, slope)
         self._u_of_w = HermiteCubic(w_tab[order], u_tab[order], 1.0 / slope[order])
         self._u_min, self._u_max = u_tab[0], u_tab[-1]

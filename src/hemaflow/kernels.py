@@ -20,7 +20,7 @@ from .cubic import HermiteCubic
 from .errors import ConfigurationError, DomainError
 from .flow import FlowMap
 from .params import ModelParams, golden_section_max
-from .quadrature import gauss_legendre
+from .quadrature import RTOL, gauss_legendre
 
 _PATH_POINTS_MAX = 2 ** 24   # quadrature points one _path_integral pass may hold
 
@@ -123,13 +123,13 @@ class Kernels:
 
     # -- attenuation factors (direct quadrature) -------------------------------
 
-    def _path_integral(self, psi: Callable, t: float, m, *, rtol: float = 1e-10,
-                       n_start: int = 32, n_cap: int = 256):
+    def _path_integral(self, psi: Callable, t: float, m):
         """int_0^t psi(pi_{-s}(m)) ds for scalar t and vector m.
 
         Composite Gauss-Legendre with one panel per unit time; the node
-        count doubles until the value settles to ``rtol``.
+        count doubles from 32 up to 256 until the value settles to ``RTOL``.
         """
+        n_cap = 256
         m = np.atleast_1d(np.asarray(m, dtype=float))
         if t == 0.0:
             return np.zeros(m.shape)
@@ -151,12 +151,12 @@ class Kernels:
             wts = (np.tile(w, n_panels) * np.repeat(half, n_nodes))
             return wts @ vals
 
-        n = n_start
+        n = 32
         prev = value(n)
         while n < n_cap:
             n *= 2
             cur = value(n)
-            if np.max(np.abs(cur - prev)) <= rtol * max(float(np.max(np.abs(cur))), 1e-30):
+            if np.max(np.abs(cur - prev)) <= RTOL * max(float(np.max(np.abs(cur))), 1e-30):
                 return cur
             prev = cur
         return prev

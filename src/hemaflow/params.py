@@ -273,12 +273,12 @@ def golden_section_max(f: Callable, a: float, b: float, *, max_iter: int,
     return max(fc, fd)
 
 
-def _max_field(f: Callable, lo: float, hi: float, n: int = 2049) -> float:
-    m = np.linspace(lo, hi, n)
+def _max_field(f: Callable, lo: float, hi: float) -> float:
+    m = np.linspace(lo, hi, 2049)
     vals = f(m)
     j = int(np.argmax(vals))
     polished = golden_section_max(lambda v: float(f(v)), m[max(j - 1, 0)],
-                                  m[min(j + 1, n - 1)], max_iter=80, tol=1e-13)
+                                  m[min(j + 1, m.size - 1)], max_iter=80, tol=1e-13)
     return max(float(np.max(vals)), polished)
 
 

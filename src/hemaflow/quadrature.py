@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature helpers used throughout the package."""
+"""Gauss rules and the adaptive Gauss-Legendre rule the package integrates with."""
 
 from __future__ import annotations
 
@@ -6,17 +6,31 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 N_NODES = 15        # Gauss-Legendre points per panel of the adaptive rules
 MAX_DEPTH = 14      # bisection levels before a panel is taken as it stands
+RTOL = 1e-10        # relative agreement at which a panel's value has settled
 
 
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int):
     """Nodes and weights of the n-point rule on [-1, 1] (cached)."""
-    nodes, weights = roots_legendre(n)
-    return np.asarray(nodes), np.asarray(weights)
+    return np.polynomial.legendre.leggauss(n)
+
+
+def gauss_jacobi(n: int, beta: float):
+    """Nodes and weights (summing to one) of the n-point rule for the weight
+    (1 + x)^beta on [-1, 1], beta > -1, after Golub & Welsch (Math. Comp.
+    23(106), 1969): the eigenvalues of the tridiagonal Jacobi matrix, and the
+    squared first components of their eigenvectors."""
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + beta
+    # the k = 0 entry of beta^2 / (s (s + 2)) is 0/0 at beta = 0: use its limit
+    diag = np.concatenate([[beta / (beta + 2.0)], beta ** 2 / (s * (s + 2.0))])
+    off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = vectors[0] ** 2
+    return nodes, weights / np.sum(weights)
 
 
 def mapped_rule(a: float, b: float, n: int):
@@ -26,8 +40,7 @@ def mapped_rule(a: float, b: float, n: int):
     return a + half * (z + 1.0), half * w
 
 
-def adaptive_interval(f, a: float, b: float, *, n_nodes: int = N_NODES,
-                      rtol: float = 1e-10, max_depth: int = MAX_DEPTH) -> float:
+def adaptive_interval(f, a: float, b: float) -> float:
     """Recursive panel splitting until each panel's value settles.
 
     Compares one panel against its bisection; splits where they disagree.
@@ -35,15 +48,14 @@ def adaptive_interval(f, a: float, b: float, *, n_nodes: int = N_NODES,
     """
     if b == a:
         return 0.0
-    x0, w0 = mapped_rule(a, b, n_nodes)
-    return _bisect(f, a, b, float(f(x0) @ w0), 0, n_nodes, rtol, max_depth)
+    x0, w0 = mapped_rule(a, b, N_NODES)
+    return _bisect(f, a, b, float(f(x0) @ w0), 0)
 
 
-def adaptive_panels(f, edges: np.ndarray, *, rtol: float = 1e-10) -> np.ndarray:
-    """``adaptive_interval`` (default nodes and depth) over each panel
-    [edges[i], edges[i + 1]], bit for bit: every panel's top rule and first
-    bisection come from one call of f on a 1-D array, and only panels that do
-    not settle there recurse."""
+def adaptive_panels(f, edges: np.ndarray) -> np.ndarray:
+    """``adaptive_interval`` over each panel [edges[i], edges[i + 1]], bit for
+    bit: every panel's top rule and first bisection come from one call of f on
+    a 1-D array, and only panels that do not settle there recurse."""
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     n = N_NODES
@@ -59,26 +71,25 @@ def adaptive_panels(f, edges: np.ndarray, *, rtol: float = 1e-10) -> np.ndarray:
     for i in np.flatnonzero(hi != lo).tolist():
         fi, wi = fx[i], wts[i]
         out[i] = _settle(f, lo[i], mid[i], hi[i], float(fi[:n] @ wi[:n]),
-                         float(fi[n:2 * n] @ wi[n:2 * n]), float(fi[2 * n:] @ wi[2 * n:]),
-                         0, n, rtol, MAX_DEPTH)
+                         float(fi[n:2 * n] @ wi[n:2 * n]), float(fi[2 * n:] @ wi[2 * n:]), 0)
     return out
 
 
-def _bisect(f, lo, hi, whole, depth, n, rtol, max_depth) -> float:
+def _bisect(f, lo, hi, whole, depth) -> float:
     """The panel [lo, hi] of value ``whole`` against its two halves."""
+    n = N_NODES
     mid = 0.5 * (lo + hi)
     x1, w1 = mapped_rule(lo, mid, n)
     x2, w2 = mapped_rule(mid, hi, n)
     halves = f(np.concatenate([x1, x2]))        # f acts pointwise: one call for both
     return _settle(f, lo, mid, hi, whole, float(halves[:n] @ w1),
-                   float(halves[n:] @ w2), depth, n, rtol, max_depth)
+                   float(halves[n:] @ w2), depth)
 
 
-def _settle(f, lo, mid, hi, whole, left, right, depth, n, rtol, max_depth) -> float:
+def _settle(f, lo, mid, hi, whole, left, right, depth) -> float:
     """left + right once they agree with ``whole``, else each half split again."""
-    # a non-finite panel never settles: return it rather than split to max_depth
-    if depth >= max_depth or not math.isfinite(left + right) \
-            or abs(left + right - whole) <= rtol * max(abs(left + right), 1e-300):
+    # a non-finite panel never settles: return it rather than split to MAX_DEPTH
+    if depth >= MAX_DEPTH or not math.isfinite(left + right) \
+            or abs(left + right - whole) <= RTOL * max(abs(left + right), 1e-300):
         return left + right
-    return (_bisect(f, lo, mid, left, depth + 1, n, rtol, max_depth)
-            + _bisect(f, mid, hi, right, depth + 1, n, rtol, max_depth))
+    return _bisect(f, lo, mid, left, depth + 1) + _bisect(f, mid, hi, right, depth + 1)

@@ -146,7 +146,8 @@ class Grid:
         # the band (g(1), 1] at the main spacing: its history must fit the cap too
         band = (1.0 - top) / float(xs[1] - xs[0]) if top > 0.0 else math.inf
         check_slice_bytes(m_nodes + band, dt_divisor, tau_lower, tau_upper)
-        n_band = max(2, int(math.ceil(band)) + 1)
+        # snap within round-off: one ulp of h(g(1)) must not add a node
+        n_band = max(2, int(math.ceil(band * (1.0 - 1e-9))) + 1)
         bx = np.linspace(top, 1.0, n_band)
         bm = np.asarray(flow.h_inv(bx))
         bm[0], bm[-1] = flow.g1, 1.0
@@ -1116,9 +1117,9 @@ class Solver:
         xg = np.array([math.exp(v) for v in lgi.ravel().tolist()])[:, None]
         weight = (self._a_weights * self.params.division.k(mj[:, None], a, self.flow.g1)
                   * np.exp(dec_g.log_survival(xg, a)))
-        # one read per sample time, its 16 division ages as rows: each read
-        # spans less than a history depth, so no slice is built twice
-        nv = np.stack([field.lookup(tk - a, xd) for tk in t.tolist()])     # (T, 16, J)
+        # one read of main plus band (as the solve reads it) per sample time, its
+        # 16 ages as rows: no read spans a history depth, so no slice is built twice
+        nv = np.stack([field.lookup(tk - a, xd, combined=True) for tk in t.tolist()])
         nv = np.ascontiguousarray(nv.transpose(0, 2, 1))
         # the age sum along a contiguous last axis adds as np.sum of 16 values does
         gain = 2.0 * np.sum(weight * self.kern.beta(md, nv) * nv, axis=-1)

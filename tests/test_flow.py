@@ -5,11 +5,13 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi, roots_legendre
 
 from hemaflow import (ConfigurationError, CustomVelocity, DomainError,
                       FlowMap, LinearMaturityMap, PowerLawVelocity)
 from hemaflow.cubic import HermiteCubic
-from hemaflow.quadrature import adaptive_interval, adaptive_panels
+from hemaflow.quadrature import (adaptive_interval, adaptive_panels, gauss_jacobi,
+                                 gauss_legendre)
 
 from refcase import quadratic_h, quadratic_velocity
 
@@ -268,3 +270,26 @@ class TestBatchedPanels:
         out = adaptive_panels(lambda s: 1.0 / s, edges)
         assert out[1] == 0.0
         assert out[2] == adaptive_interval(lambda s: 1.0 / s, 0.2, 0.4)
+
+
+class TestGaussRules:
+    """The NumPy rules against scipy 1.17.1's at the sizes the package uses:
+    8 (decay tables), 15 (adaptive rule), 16 (age rule), 32 to 256 (path
+    integrals) and the resolvent check's 48-node Jacobi rule."""
+
+    @pytest.mark.parametrize("n", [8, 15, 16, 32, 64, 128, 256])
+    def test_legendre_matches_scipy(self, n):
+        z, w = gauss_legendre(n)
+        z_ref, w_ref = roots_legendre(n)
+        assert np.max(np.abs(z - z_ref)) <= 2.3e-16
+        assert np.max(np.abs(w - w_ref)) <= 1.9e-14
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 1.3, 10.0])
+    def test_jacobi_matches_scipy(self, lam):
+        # the resolvent check's 48-node rule for the weight x^(1/lambda - 1)
+        beta = 1.0 / lam - 1.0
+        z, w = gauss_jacobi(48, beta)
+        z_ref, w_ref = roots_jacobi(48, 0.0, beta)
+        assert np.max(np.abs(z - z_ref)) <= 6.7e-16
+        assert np.max(np.abs(w - w_ref / np.sum(w_ref))) <= 2.2e-13
+        assert abs(np.sum(w) - 1.0) <= 1e-15

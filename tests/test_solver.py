@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from hemaflow import (ConfigurationError, ConvergenceError, DomainError, Grid,
+from hemaflow import (ConfigurationError, ConvergenceError, DomainError, FlowMap, Grid,
                       HistoryField, HistoryWindowError, InitialHistory,
-                      Kernels, SolutionField, Solver)
+                      Kernels, LinearMaturityMap, PowerLawVelocity, SolutionField, Solver)
+from hemaflow import cli as cli_module
 from hemaflow import solver as solver_module
 from hemaflow.cubic import HermiteCubic
 from hemaflow.solver import Located
@@ -44,6 +45,18 @@ class TestGrid:
         assert np.all(np.diff(grid.m_nodes) > 0.0)
         assert grid.n_window == 16
         assert grid.n_history == 32
+
+    def test_band_node_count_ignores_round_off(self):
+        # V = m and c = 0.5 put exactly 511 main spacings on (g(1), 1]; the
+        # CLI's tabulated V = m reads the ratio one ulp above 511
+        table = [i / 16 for i in range(17)]
+        counts = set()
+        for velocity in (cli_module._build_velocity({"table": {"m": table, "V": table}},
+                                                    "model.velocity"),
+                         PowerLawVelocity(1.0, 1.0)):
+            flow = FlowMap(velocity, LinearMaturityMap(c=0.5))
+            counts.add(Grid.build(flow, 1.0, 2.0, m_nodes=512).band_x.size)
+        assert counts == {512}
 
     def test_history_depth_must_align(self):
         # tau_upper/dt = 1.7 * 16 = 27.2 slices: not representable
@@ -242,9 +255,9 @@ class TestHermiteCubic:
         _assert_same_bits(kernel(xq)[inside], HermiteCubic(x, y)(xq)[inside])
         assert np.isnan(kernel(xq)[~inside]).all()
 
-    def test_cli_import_loads_no_scipy_interpolate(self):
-        code = ("import sys, hemaflow.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, hemaflow, hemaflow.cli, hemaflow.experiments; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         src = os.path.dirname(os.path.dirname(solver_module.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")])}
@@ -495,6 +508,18 @@ class TestSolveBasics:
         f2 = solver_ref.solve(hist, T=6.0)
         assert np.array_equal(f1.N, f2.N)
 
+    def test_deeper_decay_tables_change_no_bits(self):
+        # decay-table nodes are dyadic in u, so tables of any depth agree bit
+        # for bit where they overlap: histories run one after another on one
+        # Solver need no table built up front for the deepest of them
+        fresh, deep = (Solver(reference_params(), m_nodes=128, dt_divisor=16)
+                       for _ in range(2))
+        deep._ensure_tables(60.0)
+        hist = InitialHistory.from_callable(smooth_history, fresh.grid)
+        f1, f2 = fresh.solve(hist, T=6.0), deep.solve(hist, T=6.0)
+        assert np.array_equal(f1.N, f2.N)
+        assert fresh.residual_stats(f1) == deep.residual_stats(f2)
+
     def test_horizon_below_history_depth_rejected(self, solver_ref):
         hist = InitialHistory.zeros(solver_ref.grid)
         with pytest.raises(ConfigurationError):
@@ -687,7 +712,7 @@ def _residual_one_sample(solver, field, t, m):
     md = solver.flow.h_inv_log(lgi - a_nodes)
     k_q = solver.params.division.k(np.full(16, mj), a_nodes, solver.flow.g1)
     xi_q = np.exp(dec_g.log_survival(np.full(16, math.exp(lgi)), a_nodes))
-    nv = np.array([float(field.lookup(t - a, np.asarray([xq]))[0])
+    nv = np.array([float(field.lookup(t - a, np.asarray([xq]), combined=True)[0])
                    for a, xq in zip(a_nodes, xd)])
     gain = 2.0 * float(np.sum(solver._a_weights * k_q * xi_q *
                               solver.kern.beta(md, nv) * nv))
@@ -724,6 +749,15 @@ class TestResidualBlock:
             i, j = t_idx[k // j_idx.size], j_idx[k % j_idx.size]
             one = solver.residual(field, field.times[i], grid.m_nodes[j])
             assert float.hex(one) == float.hex(float(expected[k]))
+
+    def test_band_solve_residuals_are_finite(self):
+        # the ancestry above g(1) is read from the band, as the solve reads it
+        solver = Solver(reference_params(c=0.3), m_nodes=128, dt_divisor=16)
+        field = solver.solve(InitialHistory.from_callable(
+            smooth_history, solver.grid, upper=smooth_history), 6.0)
+        stats = solver.residual_stats(field)
+        assert np.isfinite([stats["max"], stats["median"]]).all()
+        assert stats["median"] < 1e-4          # the c = 0.5 solve at this size: 5.7e-5
 
 
 class TestUpperBand:

@@ -540,14 +540,17 @@ def main(argv=None) -> int:
     p_chk.add_argument("config")
 
     args = parser.parse_args(argv)
+    # every non-finite result exits 2 or 3 by name, so numpy's floating-point
+    # warnings on the way there would only repeat it
     try:
-        cfg = _load_config(args.config)
-        if args.command == "run":
-            return cmd_run(cfg, Path(args.out), seed_override=args.seed)
-        if args.command == "experiment":
-            return cmd_experiment(args.kind, cfg, Path(args.out),
-                                  seed_override=args.seed)
-        return cmd_check(cfg)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cfg = _load_config(args.config)
+            if args.command == "run":
+                return cmd_run(cfg, Path(args.out), seed_override=args.seed)
+            if args.command == "experiment":
+                return cmd_experiment(args.kind, cfg, Path(args.out),
+                                      seed_override=args.seed)
+            return cmd_check(cfg)
     except (ConfigurationError, DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -43,7 +43,10 @@ class NodeSet:
     on it shares: the spacings h, the slope weights 2h[1:] + h[:-1] and
     h[1:] + 2h[:-1] with their sum, and the spacings at either end."""
 
-    __slots__ = ("x", "h", "w1", "w2", "w12", "head", "tail")
+    __slots__ = ("x", "h", "w1", "w2", "w12", "head", "tail", "end_h0", "end_lead",
+                 "end_sum")
+
+    END0, END1 = np.array([0, -1]), np.array([1, -2])   # end secants, their neighbours
 
     def __init__(self, x: np.ndarray):
         self.x = x
@@ -52,6 +55,9 @@ class NodeSet:
         self.w2 = h[1:] + 2 * h[:-1]
         self.w12 = self.w1 + self.w2
         self.head, self.tail = h[:2].tolist(), h[:-3:-1].tolist()
+        if h.size > 1:                      # _edge_slope's spacings at both ends
+            h0, h1 = h[self.END0], h[self.END1]
+            self.end_h0, self.end_lead, self.end_sum = h0, 2 * h0 + h1, h0 + h1
 
 
 def _sign(v: float) -> int:
@@ -69,20 +75,35 @@ def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
+def _edge_slopes(nodes: NodeSet, m: np.ndarray) -> np.ndarray:
+    """``_edge_slope`` at both ends of each row of secants m, by its expressions:
+    a ``(B, 2)`` array of the first and the last node slope."""
+    m0, m1 = m[:, nodes.END0], m[:, nodes.END1]
+    d = (nodes.end_lead * m0 - nodes.end_h0 * m1) / nodes.end_sum
+    s0 = np.sign(m0)                        # m is never NaN once y is finite
+    flip = np.sign(d) != s0                 # a NaN d flips, as _sign(NaN) = 0 does
+    clip = (s0 != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(flip, 0.0, np.where(clip, 3.0 * m0, d))
+
+
 def _node_slopes(nodes: NodeSet, m: np.ndarray) -> np.ndarray:
-    """Node slopes from the node set's spacings and the secants m: the weighted
-    harmonic mean of the neighbouring secants, zero where they change sign or
-    one vanishes, one-sided at the ends; two nodes take the secant at both."""
-    if m.size == 1:
-        return np.concatenate([m, m])
+    """Node slopes from the node set's spacings and the secants m (one row per
+    leading index): the weighted harmonic mean of the neighbouring secants,
+    zero where they change sign or one vanishes, one-sided at the ends; two
+    nodes take the secant at both."""
+    if m.shape[-1] == 1:
+        return np.concatenate([m, m], axis=-1)
     sm = np.sign(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        harmonic = 1.0 / ((nodes.w1 / m[:-1] + nodes.w2 / m[1:]) / nodes.w12)
-    d = np.empty(m.size + 1)
+        harmonic = 1.0 / ((nodes.w1 / m[..., :-1] + nodes.w2 / m[..., 1:]) / nodes.w12)
+    d = np.empty(m.shape[:-1] + (m.shape[-1] + 1,))
     # scipy's "signs differ or either is zero": no secant is NaN once y is finite
-    d[1:-1] = np.where(sm[1:] * sm[:-1] <= 0.0, 0.0, harmonic)
-    d[0] = _edge_slope(*nodes.head, *m[:2].tolist())
-    d[-1] = _edge_slope(*nodes.tail, *m[:-3:-1].tolist())
+    d[..., 1:-1] = np.where(sm[..., 1:] * sm[..., :-1] <= 0.0, 0.0, harmonic)
+    if m.ndim == 1:
+        d[0] = _edge_slope(*nodes.head, *m[:2].tolist())
+        d[-1] = _edge_slope(*nodes.tail, *m[:-3:-1].tolist())
+    else:
+        d[:, nodes.END0] = _edge_slopes(nodes, m)
     return d
 
 
@@ -106,7 +127,9 @@ class HermiteCubic:
     slopes (Fritsch & Carlson, SIAM J. Numer. Anal. 17(2), 1980), as scipy's
     ``CubicHermiteSpline`` or ``PchipInterpolator``, summed in ``PPoly``'s order,
     end pieces extrapolated. ``x`` is the node array or its ``NodeSet``; the
-    owner checks x strictly increasing, all finite."""
+    owner checks x strictly increasing, all finite. A ``(B, n)`` array y builds
+    B cubics on the nodes at once, each with the bits of its own build, and a
+    read returns one row of values per cubic."""
 
     extrapolate = True                      # else points outside [x[0], x[-1]] read NaN
 
@@ -114,15 +137,15 @@ class HermiteCubic:
         y = np.asarray(y, dtype=float)
         nodes = x if isinstance(x, NodeSet) else NodeSet(x)
         self.x, h = nodes.x, nodes.h
-        m = (y[1:] - y[:-1]) / h
+        m = (y[..., 1:] - y[..., :-1]) / h
         d = _node_slopes(nodes, m) if dydx is None else np.asarray(dydx, dtype=float)
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        c = self.c = np.empty((4, y.size - 1))
+        t = (d[..., :-1] + d[..., 1:] - 2 * m) / h
+        c = self.c = np.empty((4,) + m.shape)
         np.divide(t, h, out=c[0])
-        np.subtract((m - d[:-1]) / h, t, out=c[1])
-        c[2] = d[:-1]
+        np.subtract((m - d[..., :-1]) / h, t, out=c[1])
+        c[2] = d[..., :-1]
         # PPoly's sum starts from 0.0, which turns a -0.0 constant term into +0.0
-        np.add(y[:-1], 0.0, out=c[3])
+        np.add(y[..., :-1], 0.0, out=c[3])
 
     def derivative(self) -> "HermiteCubic":
         """The piecewise quadratic dy/dx, as ``PPoly.derivative`` builds it."""
@@ -135,7 +158,10 @@ class HermiteCubic:
         """Values at query points located on this interpolant's nodes."""
         if q.x is not self.x:
             raise DomainError("the query points were located on another node set")
-        return ppoly_sum(self.c.take(q.index, axis=1), q, self.extrapolate).reshape(q.shape)
+        c = self.c
+        # one row: take; a batch gathers faster by indexing
+        c = c.take(q.index, axis=1) if c.ndim == 2 else c[..., q.index]
+        return ppoly_sum(c, q, self.extrapolate).reshape(self.c.shape[1:-1] + q.shape)
 
     def __call__(self, xq) -> np.ndarray:
         return self.at(Located(self.x, xq))

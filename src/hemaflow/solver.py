@@ -15,14 +15,26 @@ whose contraction constant scales with the window length.
 The maturity grid is uniform in the flow coordinate x = h(m), where one step
 dt of the flow is the exact map x -> x * exp(-dt). Every transport is that
 one step, ``_Shift``: monotone-cubic re-interpolation of a slice at the fixed
-feet x * exp(-dt). ``Solver._accumulate`` carries the running integrals G and
-J with it plus a trapezoid increment (the attenuation tables make the flow
+feet x * exp(-dt). The running integrals G and J ride along it, each step a
+shift plus a trapezoid increment (the attenuation tables make the flow
 factorization of K exact), and ``_rk4_step`` integrates the band, warmup and
-proliferating equations along characteristics. Direct evaluators ``eval_G``
-and ``eval_J`` are kept as the slow reference form. Every read at (t, x) --
-the solve's ring, phi(tau_upper, .), the warmup record, ``SolutionField.lookup``
--- goes through one store, ``HistoryField``, which wraps the solver's own
-slice arrays and reads them monotone-cubically in x and linearly in t.
+proliferating equations along characteristics.
+
+A window's sweeps run as a wavefront (``Solver._j_sweep``): row r of Picard
+iterate k needs only rows r - 1 and r of iterate k - 1, so one wave step
+advances G and the transported past outflux by a row and every iterate in
+flight by the row behind its predecessor's, all through one row-batched
+shift. Iterates start before the ones ahead of them pass the convergence
+test, as many as the previous window needed (the first window takes its
+count from the factorial envelope), and the rows of any that turn out not
+to be needed are dropped. Each row keeps its arithmetic, so the iterates,
+deltas and iteration counts are those of one sweep at a time, bit for bit.
+
+Direct evaluators ``eval_G`` and ``eval_J`` are kept as the slow reference
+form. Every read at (t, x) -- the solve's ring, phi(tau_upper, .), the warmup
+record, ``SolutionField.lookup`` -- goes through one store, ``HistoryField``,
+which wraps the solver's own slice arrays and reads them monotone-cubically in
+x and linearly in t.
 
 Transport and the store build through ``PchipInterpolator``, the slice form of
 the package's one cubic (``hemaflow.cubic``), with the constants of each node
@@ -52,6 +64,13 @@ from .quadrature import gauss_legendre, mapped_rule
 _TIME_SNAP = 1e-9
 _TOL_PICARD = 1e-10       # relative Picard stopping tolerance per window
 _N_MAX = 50               # Picard iterations allowed per window
+# Picard iterates one wave runs ahead of their convergence test; per row, a
+# 512-node batched shift costs about the same from 12 rows on
+_DEPTH_CAP = 16
+# bytes of iterate rows a solve may hold for its waves: batching saves a
+# shift's fixed cost per row, which a 512-node row feels and a 2048-node row
+# hardly does, so the depth shrinks as the rows grow
+_STORE_BYTES = 2 ** 23
 MAX_SLICE_BYTES = 2 ** 30  # float64 slices one solve may hold (1 GiB)
 
 
@@ -544,8 +563,40 @@ class SolutionField:
 # the solver
 # ---------------------------------------------------------------------------
 
+def _wave_depth(sweeps: Optional[int], rate: float) -> int:
+    """Picard iterates a window launches ahead of their convergence test: the
+    previous window's sweep count (iterations + 1), or for the first window one
+    more than the n at which the factorial envelope 2 rate^n / n! falls below
+    the Picard tolerance; at most ``_DEPTH_CAP``."""
+    if sweeps is None:
+        n, term = 0, 2.0
+        while term > _TOL_PICARD and n <= _N_MAX:
+            n += 1
+            term *= rate / n
+        sweeps = n + 1
+    return max(1, min(sweeps, _DEPTH_CAP))
+
+
+class _Window:
+    """One window's Picard record while its waves run."""
+
+    def __init__(self, steps: int):
+        self.steps = steps
+        self.pulled = None        # (steps + 1, M) transported history term
+        self.half_q = None        # (steps + 1, M) dt/2 times the influx source
+        self.half_w0 = None       # dt/2 times the outflux source at the first slice
+        self.G_end = None         # G and J_past at the last slice, once reached
+        self.J_past_end = None
+        self.M_sup = 0.0
+        self.deltas: list = []    # one per complete iterate
+        self.converged = None     # the iterate that passed the test
+        self.failed = None        # (iterate, error): a non-finite shift, held back
+        self.J_end = None         # the refresh sweep's J at the last slice
+
+
 class _RunState:
-    """Mutable scratch owned by one solve (windows advance it in place)."""
+    """Mutable scratch owned by one solve (windows advance it in place). The
+    wave's stores are sized once, for ``max_depth`` iterates."""
 
     def __init__(self):
         self.N = None             # (n_slices, M) main field, filled as we go
@@ -563,6 +614,16 @@ class _RunState:
         self.alpha_bar = 1.0      # sup of K over one window span
         self.windows: list = []
         self.window_index = 0
+        self.sweeps = None        # the last window's sweep count
+        self.depth = 1            # iterates the current window runs ahead
+        self.max_depth = 1        # the most the stores below hold
+        self.iterates = None      # (layers, n_window + 1, M): the base and the iterates
+        self.lanes = None         # (3, lanes, M): each lane's last row and dt/2 sources
+
+    def layer(self, k: int) -> int:
+        """Layer of Picard iterate k in ``iterates``: 0 holds the base (iterate
+        0), and iterates from 1 on cycle through the other layers."""
+        return 0 if k == 0 else 1 + (k - 1) % (self.max_depth + 1)
 
 
 class Solver:
@@ -733,6 +794,10 @@ class Solver:
         M = grid.m_nodes.size
         st.G_carry = np.zeros(M)
         st.J_carry = np.zeros(M)
+        rows = grid.n_window + 1
+        st.max_depth = max(1, min(_DEPTH_CAP, _N_MAX + 1, _STORE_BYTES // (8 * rows * M) - 2))
+        st.iterates = np.empty((st.max_depth + 2, rows, M))
+        st.lanes = np.empty((3, st.max_depth + 2, M))
 
         depth = n_steps * grid.dt + grid.tau_upper
         dec_r, dec_g = self._ensure_tables(depth)
@@ -755,31 +820,6 @@ class Solver:
                     * self.kern.beta(self._mdelta[q], nv) * nv)
         return acc
 
-    def _j_sweep(self, st: _RunState, N_win: np.ndarray, steps: int) -> np.ndarray:
-        """Window-local reintroduction integral along characteristics.
-
-        Covers only [t_window_start, t]; the contribution of earlier times
-        is transported separately (it is frozen during the iteration).
-        """
-        w = self.kern.beta(self.grid.m_nodes[None, :], N_win) * N_win
-        return self._accumulate(st, 0.0, steps, w)
-
-    def _accumulate(self, st: _RunState, start, steps: int,
-                    w: Optional[np.ndarray] = None) -> np.ndarray:
-        """Row r = K(dt) * shift(row[r-1] + dt/2 * w[r-1]) + dt/2 * w[r]: the
-        trapezoid rule for the attenuated source w along characteristics
-        (without w, the pure transport of ``start``)."""
-        half = 0.5 * self.grid.dt
-        out = np.empty((steps + 1, self.grid.m_nodes.size))
-        out[0] = start
-        for r in range(1, steps + 1):
-            if w is None:
-                out[r] = st.K_step * self._shift_main(out[r - 1], st.window_index)
-            else:
-                carried = self._shift_main(out[r - 1] + half * w[r - 1], st.window_index)
-                out[r] = st.K_step * carried + half * w[r]
-        return out
-
     def solve_window(self, st: _RunState) -> dict:
         """Advance one method-of-steps window; returns its iteration record."""
         grid = self.grid
@@ -788,73 +828,164 @@ class Solver:
         steps = min(nw, st.n_slices - 1 - i0)
         if steps <= 0:
             raise ConfigurationError("no slices left to solve")
-        M = grid.m_nodes.size
+        half = 0.5 * grid.dt
+        win = _Window(steps)
 
         # division influx: depends only on finalized history
-        G = self._accumulate(st, st.G_carry, steps, self._q_slice(st, i0, steps))
-
-        # transport of the accumulated past reintroduction integral: frozen
-        # during the iteration because it reads only finalized slices
-        J_past = self._accumulate(st, st.J_carry, steps)
-
-        # zeroth iterate: transported history term plus influx minus the
-        # past outflux; only the window-local outflux remains to iterate
+        win.half_q = half * self._q_slice(st, i0, steps)
+        # transported history term of the zeroth iterate
         back = np.arange(i0 - nh, i0 - nh + steps + 1) * grid.dt
         # math.exp, not np.exp: the two differ in the last bit on some inputs
         shrink = np.array([math.exp(-b) for b in back.tolist()])
         pulled = st.history.lookup(np.full(steps + 1, nh * grid.dt),
                                    grid.x_nodes * shrink[:, None])
-        base = pulled * st.dec_r.survival(grid.x_nodes, back[:, None]) + G - J_past
+        win.pulled = pulled * st.dec_r.survival(grid.x_nodes, back[:, None])
+        n0 = st.N[i0]
+        win.half_w0 = half * (self.kern.beta(grid.m_nodes, n0) * n0)
 
-        N_win = np.empty((steps + 1, M))
-        N_win[0] = st.N[i0]
-        N_win[1:] = base[1:]
-        M_sup = float(np.max(np.abs(base)))
-        deltas = []
-        converged = False
-        for _ in range(_N_MAX):
-            J = self._j_sweep(st, N_win, steps)
-            new_rows = base[1:] - J[1:]
-            delta = float(np.max(np.abs(new_rows - N_win[1:])))
-            deltas.append(delta)
-            N_win[1:] = new_rows
-            scale = max(M_sup, float(np.max(np.abs(new_rows))), 1e-300)
-            if delta <= _TOL_PICARD * scale:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"window {st.window_index} did not converge in {_N_MAX} "
-                f"Picard iterations (last delta {deltas[-1]:.3e}); "
-                "reduce dt or weaken the reintroduction law",
-                window_index=st.window_index, last_delta=deltas[-1])
+        st.depth = min(st.max_depth, _wave_depth(
+            st.sweeps, st.alpha_bar * self.lipschitz * steps * grid.dt))
+        while win.J_end is None:
+            self._j_sweep(st, win)
 
-        # refresh J on the converged iterate: carries the running integral
-        # forward and measures how tightly the fixed point closed
-        J = self._j_sweep(st, N_win, steps)
-        junction = float(np.max(np.abs(N_win[steps] - (base[steps] - J[steps]))))
-
-        st.N[i0 + 1:i0 + steps + 1] = N_win[1:]
+        K = win.converged
+        final = st.iterates[st.layer(K)]
+        # the refresh sweep on the converged iterate carries the running
+        # integral forward and measures how tightly the fixed point closed
+        junction = float(np.max(np.abs(final[steps]
+                                       - st.iterates[st.layer(K + 1), steps])))
+        st.N[i0 + 1:i0 + steps + 1] = final[1:steps + 1]
         if st.band is not None:
             self._advance_band(st, i0, steps)
-        st.G_carry = G[steps]
-        st.J_carry = J_past[steps] + J[steps]
+        st.G_carry = win.G_end
+        st.J_carry = win.J_past_end + win.J_end
         st.ring.filled = i0 + steps + 1
+        st.sweeps = K + 1
 
         meta = {
             "index": st.window_index,
             "t_start": i0 * grid.dt,
             "t_end": (i0 + steps) * grid.dt,
             "steps": steps,
-            "iterations": len(deltas),
-            "deltas": deltas,
-            "sup_initial_iterate": M_sup,
+            "iterations": K,
+            "deltas": win.deltas,
+            "sup_initial_iterate": win.M_sup,
             "alpha_bar": st.alpha_bar,
             "junction_mismatch": junction,
         }
         st.windows.append(meta)
         st.window_index += 1
         return meta
+
+    def _j_sweep(self, st: _RunState, win: _Window) -> None:
+        """One wave of the window's characteristic sweeps.
+
+        Along characteristics every running integral takes the trapezoid step
+        row r = K(dt) * shift(row[r-1] + dt/2 * w[r-1]) + dt/2 * w[r]: G with
+        the influx source, J_past (the outflux before the window, frozen during
+        the iteration) without a source, and Picard iterate k's window-local
+        outflux J^k with w = beta(N^{k-1}) N^{k-1}, where N^k = base - J^k and
+        base = pulled + G - J_past is iterate 0. Row r of iterate k needs only
+        rows r - 1 and r of iterate k - 1, so at wave step s the first wave
+        advances G and J_past to row s and iterate k to row s - k, all in one
+        batched shift; every row keeps its arithmetic and its bits. Up to
+        ``st.depth`` iterates run ahead of their convergence test; once one
+        passes, the next is the refresh sweep and later ones are dropped. If
+        the window needs more, the next wave starts from the last complete
+        iterate. A non-finite shift in an iterate raises only once the
+        iterates before it show that the one-at-a-time order would run it.
+        """
+        steps, half_q, pulled = win.steps, win.half_q, win.pulled
+        base = st.iterates[0]
+        first = win.G_end is None           # G and J_past run in the first wave
+        k0 = len(win.deltas)                # the last complete iterate
+        n_it = 1 if win.converged is not None else min(st.depth, _N_MAX + 1 - k0)
+        fixed = 2 if first else 0           # lanes 0, 1: J_past, G; then the iterates
+        lag0 = 1 if first else 0            # lag of the wave's first iterate
+        # store layers of each iterate lane's source and its own rows
+        layers = np.array([st.layer(k0 + j) for j in range(n_it + 1)])
+        src, dst = layers[:-1], layers[1:]
+        # each lane's last row, and the dt/2 sources at its last and next rows;
+        # the two source buffers trade places every step
+        carry, prev, cur = (a[:fixed + n_it] for a in st.lanes)
+        if first:
+            carry[0], carry[1] = st.J_carry, st.G_carry
+            prev[0] = cur[0] = 0.0          # J_past has no source
+            prev[1] = half_q[0]
+            base[0] = pulled[0] + st.G_carry - st.J_carry
+        carry[fixed:] = 0.0
+        prev[fixed:] = cur[fixed:] = win.half_w0
+        m_nodes, beta, K_step = self.grid.m_nodes, self.kern.beta, st.K_step
+        half = 0.5 * self.grid.dt
+
+        live = n_it                         # iterate lanes still running
+        s = 0
+        while s < steps + lag0 + live - 1:
+            s += 1
+            both = first and s <= steps     # G and J_past advance this step
+            j_lo, j_hi = max(0, s - steps - lag0), min(live, s - lag0)
+            lo, hi = (0 if both else fixed + j_lo), fixed + j_hi
+            x = carry[lo:hi] + prev[lo:hi]
+            if both:
+                x[0] = carry[0]             # J_past is pure transport
+            try:
+                moved = self._shift_main(x, st.window_index)
+            except ConvergenceError as err:
+                bad = int(np.argmin(np.isfinite(x).all(axis=1))) + lo - fixed
+                if bad < 0 or k0 + bad <= len(win.deltas):
+                    raise                   # G, J_past or an iterate that runs next
+                win.failed = (k0 + 1 + bad, err)
+                live = bad
+                hi = fixed + min(j_hi, live)
+                if hi <= lo:
+                    continue
+                moved = self._shift_main(x[:hi - lo], st.window_index)
+                j_hi = hi - fixed
+            moved *= K_step
+            rows = np.arange(s - j_lo - lag0, s - j_hi - lag0, -1)
+            it = slice(fixed + j_lo, fixed + j_hi)
+            if j_hi > j_lo:
+                n_src = st.iterates[src[j_lo:j_hi], rows]
+                cur[it] = half * (beta(m_nodes, n_src) * n_src)
+            if both:
+                cur[1] = half_q[s]
+                carry[0] = moved[0]
+                np.add(moved[1:], cur[1:hi], out=carry[1:hi])
+                base[s] = pulled[s] + carry[1] - carry[0]
+            else:
+                np.add(moved, cur[lo:hi], out=carry[lo:hi])
+            prev, cur = cur, prev
+            if j_hi > j_lo:
+                st.iterates[dst[j_lo:j_hi], rows] = base[rows] - carry[it]
+            if both and s == steps:
+                win.J_past_end, win.G_end = carry[0].copy(), carry[1].copy()
+                win.M_sup = float(np.max(np.abs(base[:steps + 1])))
+            if s - steps - lag0 == j_lo and j_lo < j_hi:     # lane j_lo is complete
+                if win.converged is not None:
+                    win.J_end = carry[fixed + j_lo].copy()
+                    return
+                self._picard_test(st, win)
+                if win.converged is not None:
+                    live = min(live, j_lo + 2)          # the refresh sweep is the last
+
+    def _picard_test(self, st: _RunState, win: _Window) -> None:
+        """Test the iterate that just completed against the one before it."""
+        steps = win.steps
+        k = len(win.deltas) + 1
+        new = st.iterates[st.layer(k), 1:steps + 1]
+        delta = float(np.max(np.abs(new - st.iterates[st.layer(k - 1), 1:steps + 1])))
+        win.deltas.append(delta)
+        scale = max(win.M_sup, float(np.max(np.abs(new))), 1e-300)
+        if delta <= _TOL_PICARD * scale:
+            win.converged = k
+        elif k == _N_MAX:
+            raise ConvergenceError(
+                f"window {st.window_index} did not converge in {_N_MAX} "
+                f"Picard iterations (last delta {delta:.3e}); "
+                "reduce dt or weaken the reintroduction law",
+                window_index=st.window_index, last_delta=delta)
+        if win.failed is not None and win.failed[0] == k + 1:
+            raise win.failed[1]             # held back until iterate k + 1 was due
 
     def _advance_band(self, st: _RunState, i0: int, steps: int) -> None:
         """Transport-decay march of the upper band across one window."""

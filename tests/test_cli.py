@@ -275,10 +275,12 @@ def _leaf_paths(node, path=()):
 
 
 class TestConfigMutation:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_mutated_leaf_exits_cleanly(self, tmp_path, capsys):
         # each leaf of a check and a run config (8 nodes, horizon tau_upper)
         # takes each bad value in turn: the CLI runs (0), refuses the config
-        # (2) or reports a solver failure (3), and never raises
+        # (2) or reports a solver failure (3), and never raises nor prints
+        # numpy's floating-point warnings first
         for command, base in MUTATION_BASES:
             assert run_cli(tmp_path, command, write_config(tmp_path, base)) == 0
         escaped = []

@@ -1,5 +1,6 @@
 """Windowed Picard solver: exactness, convergence, bookkeeping, serialization."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from hemaflow import (ConfigurationError, ConvergenceError, DomainError, FlowMap, Grid,
+from hemaflow import (ConfigurationError, ConvergenceError, CustomReintroduction,
+                      DomainError, FlowMap, Grid,
                       HistoryField, HistoryWindowError, InitialHistory,
                       Kernels, LinearMaturityMap, PowerLawVelocity, SolutionField, Solver)
 from hemaflow import cli as cli_module
@@ -113,6 +115,38 @@ def _assert_same_bits(got, expected):
     assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
+def _batch_rows():
+    """Node sets with 2, 3, 8, 33 and main-plus-band nodes, each with rows to
+    build as one batch: exact zeros of both signs, flat runs, random rows
+    and, from 4 nodes on, end secants that take each of ``_edge_slope``'s
+    branches at either end (secants 1, 4: the slope flips sign and is 0;
+    1, -10: the signs differ and it is clipped to 3; 1, 1: kept; -0, 2: both
+    tests hold and the flip to +0.0 wins over the clip to 3 * -0.0)."""
+    rng = np.random.default_rng(17)
+    sets = [np.array([0.0, 1.0]), np.array([0.0, 1.0, 3.0]), np.arange(8.0),
+            np.cumsum(rng.uniform(0.01, 1.0, 33)),
+            np.concatenate([np.linspace(0.0, 0.3, 24), np.linspace(0.3, 1.0, 6)[1:]])]
+    params = []
+    for x in sets:
+        n = x.size
+        rows = [rng.normal(size=n), np.cumsum(rng.normal(size=n)),
+                rng.choice([0.0, -0.0], n), np.full(n, -0.0),
+                np.repeat([1.0, 2.0, -0.5], -(-n // 3))[:n]]
+        if n >= 4:
+            for m0, m1 in ((1.0, 4.0), (1.0, -10.0), (1.0, 1.0), (-0.0, 2.0)):
+                head = np.concatenate([[0.0, m0, m0 + m1], np.full(n - 3, m0 + m1)])
+                rows += [head, -head[::-1]]            # the same secants at the tail
+        params.append(pytest.param(x, np.array(rows), id=f"{n}-nodes"))
+    return params
+
+
+def _batch_queries(x):
+    span = x[-1] - x[0]
+    return np.concatenate([x, x * math.exp(-1.0 / 64.0),
+                           np.linspace(x[0] - 0.2 * span, x[-1] + 0.2 * span, 41),
+                           [np.nan, x[-1], np.nan]])
+
+
 class TestMonotoneCubic:
     """The package's kernel gives scipy 1.17.1's PCHIP bits. If a later scipy
     changes its arithmetic, the kernel stays the reference."""
@@ -149,6 +183,36 @@ class TestMonotoneCubic:
         xq = np.linspace(-0.5, 3.5, 17)
         _assert_same_bits(solver_module.PchipInterpolator(x, y)(xq),
                           PchipInterpolator(x, y, extrapolate=False)(xq))
+
+    @pytest.mark.parametrize("x, rows", _batch_rows())
+    def test_batched_build_equals_single_builds(self, x, rows):
+        # the wave's batched shift: B rows built and read as one, each with
+        # the bits of its own build, NaN outside the nodes
+        q = Located(x, _batch_queries(x))
+        batch = solver_module.PchipInterpolator(x, rows).at(q)
+        assert batch.shape == (len(rows), q.flat.size)
+        for row, got in zip(rows, batch):
+            _assert_same_bits(got, solver_module.PchipInterpolator(x, row).at(q))
+        assert np.isnan(batch[:, -3]).all() and not np.isnan(batch[:, -2]).any()
+
+    def test_batched_end_slopes_take_every_branch_as_one_row_does(self):
+        from hemaflow.cubic import NodeSet, _edge_slope, _edge_slopes
+        x, rows = _batch_rows()[2].values
+        h, m = np.diff(x).tolist(), np.diff(rows, axis=1) / np.diff(x)
+        one = np.array([[_edge_slope(*h[:2], *r[:2]), _edge_slope(*h[:-3:-1], *r[:-3:-1])]
+                        for r in m.tolist()])
+        _assert_same_bits(_edge_slopes(NodeSet(x), m), one)
+        for end in one.T:
+            assert {0.0, 3.0, 1.0} <= set(end.tolist())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_row_in_a_batch_raises_convergence_error(self, bad):
+        x = np.linspace(0.0, 0.5, 12)
+        rows = np.stack([np.sin(x), np.cos(x), x])
+        rows[1, 5] = bad
+        with pytest.raises(ConvergenceError, match="non-finite.*in window 3") as err:
+            solver_module.PchipInterpolator(x, rows, window_index=3)
+        assert err.value.window_index == 3
 
     def test_located_reads_equal_raw_reads_in_the_store(self):
         x = np.linspace(0.0, 0.5, 12)
@@ -244,6 +308,13 @@ class TestHermiteCubic:
         for xq in self.queries(x).values():
             _assert_same_bits(ours(xq), theirs(xq))
             _assert_same_bits(ours.derivative()(xq), theirs.derivative()(xq))
+
+    @pytest.mark.parametrize("x, rows", _batch_rows())
+    def test_batched_build_equals_single_builds(self, x, rows):
+        xq = _batch_queries(x)
+        batch = HermiteCubic(x, rows)(xq)
+        for got, row in zip(batch, rows):
+            _assert_same_bits(got, HermiteCubic(x, row)(xq))
 
     def test_solver_kernel_is_the_cubic_without_extrapolation(self):
         x = np.linspace(0.0, 0.5, 12)
@@ -596,6 +667,91 @@ class TestPicardBookkeeping:
         assert wins[-1]["t_end"] == pytest.approx(8.0)
         for a, b in zip(wins[:-1], wins[1:]):
             assert a["t_end"] == pytest.approx(b["t_start"])
+
+
+WAVE_DEPTHS = [1, 2, solver_module._DEPTH_CAP]
+
+
+def _at_depth(monkeypatch, depth):
+    """Force every window's wave depth; returns the list of waves run."""
+    monkeypatch.setattr(solver_module, "_wave_depth", lambda *args: depth)
+    waves = []
+    sweep = Solver._j_sweep
+
+    def counted(self, st, win):
+        waves.append(st.window_index)
+        return sweep(self, st, win)
+    monkeypatch.setattr(Solver, "_j_sweep", counted)
+    return waves
+
+
+class TestWaveGrouping:
+    """How many Picard iterates a wave runs ahead changes which rows share a
+    batched shift, never a bit: depth 1 runs the iterates one at a time."""
+
+    CASES = {
+        "reference-64": (reference_params(), 64, 16, 8.0, False),
+        "band-c0.3": (reference_params(c=0.3), 64, 8, 6.0, True),
+    }
+
+    @staticmethod
+    def _solve(case):
+        params, m_nodes, dt_divisor, T, band = case
+        solver = Solver(params, m_nodes=m_nodes, dt_divisor=dt_divisor)
+        hist = InitialHistory.from_callable(smooth_history, solver.grid,
+                                            upper=smooth_history if band else None)
+        return solver.solve(hist, T)
+
+    @pytest.mark.parametrize("depth", WAVE_DEPTHS)
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_depth_changes_no_bit(self, monkeypatch, name, depth):
+        case = self.CASES[name]
+        plain = self._solve(case)
+        waves = _at_depth(monkeypatch, depth)
+        field = self._solve(case)
+        assert np.array_equal(field.N, plain.N)
+        assert np.array_equal(field.N.view(np.uint64), plain.N.view(np.uint64))
+        if plain.upper is not None:
+            assert np.array_equal(field.upper.N, plain.upper.N)
+        assert field.metadata["windows"] == plain.metadata["windows"]
+        # depth d runs ceil(sweeps / d) waves per window
+        sweeps = [w["iterations"] + 1 for w in plain.metadata["windows"]]
+        assert len(waves) == sum(-(-n // depth) for n in sweeps)
+
+    @pytest.mark.parametrize("depth", WAVE_DEPTHS)
+    def test_nonconvergence_unchanged(self, monkeypatch, depth):
+        solver = Solver(reference_params(beta0=60.0), m_nodes=64, dt_divisor=16)
+        hist = InitialHistory.from_callable(smooth_history, solver.grid)
+        with pytest.raises(ConvergenceError) as plain:
+            solver.solve(hist, T=4.0)
+        _at_depth(monkeypatch, depth)
+        with pytest.raises(ConvergenceError) as err:
+            solver.solve(hist, T=4.0)
+        assert err.value.window_index == plain.value.window_index == 0
+        assert err.value.last_delta == plain.value.last_delta
+        assert str(err.value) == str(plain.value)
+
+    @pytest.mark.parametrize("depth", WAVE_DEPTHS)
+    @pytest.mark.parametrize("params, history", [
+        pytest.param(nan_band_params(), lambda t, m: 0.65 + 0.0 * (t + m), id="nan-band"),
+        # beta = 60 / (1 + x), NaN above x = 50, which the diverging iterates
+        # pass after a few sweeps: a wave meets the NaN in an iterate that
+        # runs ahead and raises once the iterate before it fails its test
+        pytest.param(dataclasses.replace(reference_params(), reintroduction=(
+            CustomReintroduction(
+                fn=lambda m, x: np.where(x > 50.0, np.nan, 60.0 / (1.0 + x)) + 0.0 * m,
+                lipschitz_bound=60.0, name="nan_above_50"))),
+            lambda t, m: 0.6 + 0.5 * np.sin(3.0 * t) + 0.4 * m, id="nan-above-50")])
+    def test_nonfinite_rate_unchanged(self, monkeypatch, depth, params, history):
+        solver = Solver(params, m_nodes=64, dt_divisor=8)
+        hist = InitialHistory.from_callable(history, solver.grid)
+        with pytest.raises(ConvergenceError, match="non-finite") as plain:
+            solver.solve(hist, T=4.0)
+        _at_depth(monkeypatch, depth)
+        with pytest.raises(ConvergenceError, match="non-finite") as err:
+            solver.solve(hist, T=4.0)
+        assert err.value.window_index == plain.value.window_index == 0
+        assert str(err.value) == str(plain.value)
 
 
 class TestDirectFormEvaluators:

@@ -94,7 +94,8 @@ def _node_slopes(nodes: NodeSet, m: np.ndarray) -> np.ndarray:
     if m.shape[-1] == 1:
         return np.concatenate([m, m], axis=-1)
     sm = np.sign(m)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal secant overflows w / m to inf, which makes the mean 0, as in scipy
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         harmonic = 1.0 / ((nodes.w1 / m[..., :-1] + nodes.w2 / m[..., 1:]) / nodes.w12)
     d = np.empty(m.shape[:-1] + (m.shape[-1] + 1,))
     # scipy's "signs differ or either is zero": no secant is NaN once y is finite

@@ -84,7 +84,9 @@ class _TabulatedCoords:
 
     def __init__(self, velocity: CustomVelocity):
         m_tab = np.logspace(math.log10(_TABLE_FLOOR), 0.0, _TABLE_NODES)
-        increments = adaptive_panels(lambda s: 1.0 / velocity(s), m_tab)
+        # a V that underflows makes 1/V inf; the check below raises on it
+        with np.errstate(divide="ignore", over="ignore"):
+            increments = adaptive_panels(lambda s: 1.0 / velocity(s), m_tab)
         w_tab = np.concatenate([[0.0], np.cumsum(increments[::-1])])[::-1]
         self._screen(w_tab, m_tab)
         u_tab = np.log(m_tab)

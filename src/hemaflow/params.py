@@ -293,6 +293,9 @@ class HillReintroduction(_LawBase):
     beta0: ScalarField = 1.0
     theta: float = 1.0
     n: float = 1.0
+    # as_field(beta0) and theta^n, computed once for rate
+    _beta0: Callable = field(init=False, repr=False, compare=False)
+    _tn: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.theta > 0.0):
@@ -304,12 +307,14 @@ class HillReintroduction(_LawBase):
         except OverflowError:
             raise ConfigurationError("beta.n is too large: theta^n or the Lipschitz "
                                      "bound (n - 1)^2 / 4n overflows")
+        object.__setattr__(self, "_beta0", as_field(self.beta0))
+        object.__setattr__(self, "_tn", self.theta ** self.n)
 
     def rate(self, m, x):
         m = np.asarray(m, dtype=float)
         x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        tn = self.theta ** self.n
-        return as_field(self.beta0)(m) * tn / (tn + x ** self.n)
+        tn = self._tn
+        return self._beta0(m) * tn / (tn + x ** self.n)
 
     def lipschitz(self, g1: float) -> float:
         b0 = _max_field(as_field(self.beta0), 0.0, g1)

@@ -38,10 +38,12 @@ x and linearly in t.
 
 Transport and the store build through ``PchipInterpolator``, the slice form of
 the package's one cubic (``hemaflow.cubic``), with the constants of each node
-set computed once. The store keeps the slices' coefficients in one block, slot
-i % capacity for slice i, and reads many times in one call: a window's
-division influx is one read and one ``beta`` call per age node over all its
-rows, and its history pull is one read. The transport feet and the 16
+set computed once; a one-row shift takes the 1-D path, which gives the same
+bits sooner. The store keeps the slices' coefficients in one block, slot
+i % capacity for slice i, builds the slices a read lacks in batches, and reads
+many times in one call: a window's division influx is one read and one
+``beta`` call per age node over all its rows, each slice of the span read
+once, and its history pull is one read. The transport feet and the 16
 division-age points are ``Located`` once, so a read is a gather plus a cubic.
 """
 
@@ -71,6 +73,9 @@ _DEPTH_CAP = 16
 # shift's fixed cost per row, which a 512-node row feels and a 2048-node row
 # hardly does, so the depth shrinks as the rows grow
 _STORE_BYTES = 2 ** 23
+# slices the store builds in one batched cubic: per row the build costs about
+# the same from 64 rows on, and the batch's temporaries stay a few MB
+_BUILD_ROWS = 64
 MAX_SLICE_BYTES = 2 ** 30  # float64 slices one solve may hold (1 GiB)
 
 
@@ -209,6 +214,9 @@ class _Shift:
         self.feet = Located(x, x_out * math.exp(-dt))
 
     def __call__(self, values: np.ndarray, window_index: Optional[int] = None) -> np.ndarray:
+        if values.ndim == 2 and len(values) == 1:
+            # one row builds and reads faster through the 1-D path, with the same bits
+            return self(values[0], window_index)[None]
         return PchipInterpolator(self.nodes, values, window_index).at(self.feet)
 
 
@@ -261,11 +269,14 @@ class HistoryField:
     Wraps an existing ``(n_slices, M)`` array without copying; with an ``upper``
     band array, row i is ``values[i]`` followed by ``upper[i][1:]`` and ``x``
     spans both. Slices ``0 .. filled - 1`` are readable, and the owner raises
-    ``filled`` as it finalizes slices. A slice's cubic coefficients are built
-    on its first read into slot ``i % capacity`` of one ``(capacity, 4, K)``
-    block, ``capacity`` being ``keep`` or the slice count if fewer; a slice
-    whose slot was taken since is rebuilt when read again. A query set read
-    many times can be passed ``Located`` on ``x``.
+    ``filled`` as it finalizes slices. Slice i's cubic coefficients live in
+    slot ``i % capacity`` of one ``(capacity, 4, K)`` block, ``capacity`` being
+    ``keep`` or the slice count if fewer. A block read builds the slices it
+    lacks together, as one batched cubic per ``_BUILD_ROWS`` slices, and a
+    slice whose slot was taken since is rebuilt when read again. A block read
+    with one point set at every time reads each slice of its span once and
+    blends the rows of each time's two slices. A query set read many times
+    can be passed ``Located`` on ``x``.
     """
 
     def __init__(self, x: np.ndarray, dt: float, values: np.ndarray, *,
@@ -293,6 +304,16 @@ class HistoryField:
             self._block[slot] = PchipInterpolator(self.nodes, self.row(i)).c
             self._held[slot] = i
         return slot
+
+    def _build(self, rows: np.ndarray) -> None:
+        """Build the slices ``rows`` (distinct modulo capacity) into their
+        slots, as one batched cubic."""
+        y = self.values[rows]
+        if self.upper is not None:
+            y = np.concatenate([y, self.upper[rows, 1:]], axis=1)
+        slots = rows % self.capacity
+        self._block[slots] = PchipInterpolator(self.nodes, y).c.transpose(1, 0, 2)
+        self._held[slots] = rows
 
     def _refuse(self, t) -> None:
         raise HistoryWindowError(
@@ -326,7 +347,8 @@ class HistoryField:
         return ppoly_sum(c, q, False).reshape(q.shape)
 
     def _lookup_block(self, times: np.ndarray, xq) -> np.ndarray:
-        """``lookup`` at a 1-D array of times, one gather per coefficient plane."""
+        """``lookup`` at a 1-D array of times, one gather per coefficient plane;
+        one point set at every time reads each slice of the span once."""
         i, theta = _time_brackets(times, self.dt)
         ahead = theta > 0.0
         bad = (i < 0) | (i + ahead >= self.filled)
@@ -337,21 +359,27 @@ class HistoryField:
             raise DomainError(f"{times.size} times cannot read points shaped {xq.shape}")
         # intervals: one row per time, or one row for every time
         index = xq.index.reshape(-1, xq.shape[-1])
+        # rows at theta = 0 read slice i as their second slice too, never
+        # slice i + 1, which may not be filled yet
         i = i.astype(np.intp)
-        out = self._read_rows(i, index, xq)
+        nxt = i + ahead
+        if index.shape[0] == 1:
+            # one point set at every time: each slice of the span is read once
+            rows, at = np.unique(np.concatenate([i, nxt]), return_inverse=True)
+            block = self._read_rows(rows, index, xq)
+            out, nxt = block[at[:i.size]], block[at[i.size:]]
+        else:
+            out = self._read_rows(i, index, xq)
+            nxt = self._read_rows(nxt, index, xq) if ahead.any() else None
         if ahead.any():
-            # rows at theta = 0 keep their first read and never read slice
-            # i + 1, which may not be filled yet
             theta = theta[:, None]
-            out = np.where(ahead[:, None],
-                           (1.0 - theta) * out + theta * self._read_rows(i + ahead, index, xq),
-                           out)
+            out = np.where(ahead[:, None], (1.0 - theta) * out + theta * nxt, out)
         return out
 
     def _read_rows(self, rows: np.ndarray, index: np.ndarray, q: Located) -> np.ndarray:
         """Slice ``rows[r]`` at the intervals ``index[r]`` (or ``index[0]``),
-        summed at q's points into ``(R, M)``. The slices are built as needed,
-        as many at a time as the block holds."""
+        summed at q's points into ``(R, M)``. The missing slices are built in
+        batches, as many at a time as the block holds."""
         cap, n = self.capacity, self._block.shape[2]
         # flat block positions in the first plane; the last axis runs over q's points
         at = ((rows % cap * 4 * n)[:, None] + index).reshape(-1, q.flat.size)
@@ -359,8 +387,9 @@ class HistoryField:
         c = None
         while todo.size:
             group, todo = todo[todo < todo[0] + cap], todo[todo >= todo[0] + cap]
-            for i in group[self._held[group % cap] != group].tolist():
-                self._slot(i)
+            missing = group[self._held[group % cap] != group]
+            for k in range(0, missing.size, _BUILD_ROWS):
+                self._build(missing[k:k + _BUILD_ROWS])
             part = [self._block.reshape(-1).take(at + k * n) for k in range(4)]
             if c is None:
                 c = part

@@ -1,5 +1,7 @@
 """Attenuation kernels, Lipschitz constant, and the invariance margin."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,23 @@ class TestDivisionWeight:
             kern_const_rates.zeta(0.2, 0.5)
         with pytest.raises(DomainError):
             kern_const_rates.zeta(0.2, 2.5)
+
+
+class TestHillLaw:
+    def test_kept_constants_stay_out_of_identity(self):
+        # rate keeps as_field(beta0) and theta^n; equality, hashing, repr and
+        # describe see the declared fields only, and replace computes them anew
+        law = HillReintroduction(beta0=0.3, theta=2.0, n=3.0)
+        twin = HillReintroduction(beta0=0.3, theta=2.0, n=3.0)
+        assert law == twin and hash(law) == hash(twin)
+        assert repr(law) == "HillReintroduction(beta0=0.3, theta=2.0, n=3.0)"
+        assert law.describe() == {"kind": "hill", "beta0": 0.3, "theta": 2.0, "n": 3.0}
+        m, x = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 2.0, 5)
+        held = np.maximum(x, 0.0) ** 3.0
+        assert np.array_equal(law.rate(m, x), np.full(5, 0.3) * 8.0 / (8.0 + held))
+        moved = dataclasses.replace(law, theta=1.0)
+        assert moved != law
+        assert np.array_equal(moved.rate(m, x), np.full(5, 0.3) * 1.0 / (1.0 + held))
 
 
 class TestLipschitz:

@@ -205,6 +205,21 @@ class TestMonotoneCubic:
         for end in one.T:
             assert {0.0, 3.0, 1.0} <= set(end.tolist())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_secants_give_scipy_bits_without_warning(self):
+        # a subnormal secant overflows the harmonic mean's w / m to inf; the
+        # node slope is then 0, as scipy's, and the build stays silent
+        x = np.linspace(0.0, 1.0, 9)
+        y = np.array([0.0, 1e-310, 3e-310, 2e-309, 0.5, 0.5 + 2.0 ** -52, 1.0, 1.0, -1e-311])
+        rows = np.stack([y, -y, y[::-1]])
+        xq = np.concatenate([x, x * math.exp(-1.0 / 64.0), [-0.1, np.nan, 1.1]])
+        batch = solver_module.PchipInterpolator(x, rows)(xq)
+        for row, got in zip(rows, batch):
+            with np.errstate(over="ignore"):
+                expected = PchipInterpolator(x, row, extrapolate=False)(xq)
+            _assert_same_bits(solver_module.PchipInterpolator(x, row)(xq), expected)
+            _assert_same_bits(got, expected)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_row_in_a_batch_raises_convergence_error(self, bad):
         x = np.linspace(0.0, 0.5, 12)
@@ -428,6 +443,39 @@ class TestHistoryField:
             with pytest.raises(DomainError, match="cannot read"):
                 ring.lookup(times, xq)
 
+    @pytest.mark.parametrize("keep", [math.inf, 4])
+    def test_shared_points_read_as_the_scalar_lookup_at_each_time(self, keep):
+        # one point set at every time reads each slice once and blends the
+        # rows; at keep = 4 the span of 9 slices is read in turns
+        rng = np.random.default_rng(21)
+        values = np.cumsum(rng.normal(size=(10, 9)), axis=1)
+        values[9] = np.nan                  # not filled yet: building it would raise
+        ring = HistoryField(self.x, 0.25, values, filled=9, keep=keep)
+        times = np.array([0.0, 0.5, 2.0,                    # on slices, the last filled one
+                          0.3, 1.1, 0.25 + 1e-12, 1.9999999, 0.125])
+        xq = np.linspace(-0.05, 0.55, 13)                   # NaN outside the nodes
+        for points in (xq, Located(self.x, xq)):
+            got = ring.lookup(times, points)
+            _assert_same_bits(got, np.array([ring.lookup(t, xq) for t in times.tolist()]))
+        assert np.array_equal(np.isnan(got), np.broadcast_to((xq < 0.0) | (xq > 0.5), got.shape))
+
+    def test_batched_slot_builds_equal_single_builds_with_a_band(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        x = np.concatenate([self.x, np.linspace(0.5, 0.9, 5)[1:]])
+        values = np.cumsum(rng.normal(size=(70, 9)), axis=1)
+        upper = np.cumsum(rng.normal(size=(70, 5)), axis=1)
+        one = HistoryField(x, 0.25, values, upper=upper)
+        for i in range(70):
+            one._slot(i)
+        builds, kernel = [], solver_module.PchipInterpolator
+        monkeypatch.setattr(solver_module, "PchipInterpolator",
+                            lambda nodes, y: builds.append(y.shape) or kernel(nodes, y))
+        batch = HistoryField(x, 0.25, values, upper=upper)
+        batch.lookup(np.arange(70) * 0.25, x)
+        assert builds == [(64, 13), (6, 13)]
+        assert np.array_equal(batch._held, one._held)
+        _assert_same_bits(batch._block, one._block)
+
 
 def _q_rows(solver, st, i0, steps):
     """The division integral a row and an age node at a time."""
@@ -459,6 +507,16 @@ class TestWindowBlockReads:
             assert Q.shape == (steps + 1, m_nodes)
             assert np.array_equal(Q, _q_rows(solver, st, i0, steps))
             solver.solve_window(st)
+
+    def test_reference_solve_builds_no_single_slot(self, monkeypatch):
+        # the ring, the history pull and the residual reads build slices in batches
+        def single(self, i):
+            raise AssertionError(f"slice {i} built alone")
+
+        monkeypatch.setattr(HistoryField, "_slot", single)
+        solver = Solver(reference_params(), m_nodes=512, dt_divisor=64)
+        field = solver.solve(InitialHistory.from_callable(smooth_history, solver.grid), T=10.0)
+        assert solver.residual_stats(field)["n_samples"] > 0
 
     @pytest.mark.parametrize("dt_divisor", [64, 7])
     def test_vector_bracket_equals_the_per_time_bracket(self, dt_divisor):

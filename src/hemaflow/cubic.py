@@ -2,8 +2,9 @@
 the tabulated flow coordinate, the attenuation tables and the CLI's tabulated
 laws all read through it. Its arithmetic is scipy 1.17.1's, operation for
 operation, so it gives scipy's bits (``TestHermiteCubic`` pins this). A
-``NodeSet`` holds what every build on one node set shares, and ``ppoly_sum``
-is the one sum, also for the solver's gathers from its coefficient block.
+``NodeSet`` holds what every build on one node set shares and locates many
+points on a uniform set by arithmetic, and ``ppoly_sum`` is the one sum, also
+for the solver's gathers from its coefficient block.
 """
 
 from __future__ import annotations
@@ -13,18 +14,29 @@ import numpy as np
 from .errors import DomainError
 
 
+# point counts from which a uniform node set locates by arithmetic: below
+# about a thousand points searchsorted is as fast or faster
+_ARITH_POINTS = 1024
+
+
 class Located:
-    """Query points ``xq`` bracketed once on the nodes ``x``: the interval i with
-    x[i] <= xq < x[i+1] (the end intervals extended outward), s = xq - x[i], s^2,
-    s^3 and, sought on first use, the flat positions outside [x[0], x[-1]] or NaN."""
+    """Query points ``xq`` bracketed once on the nodes ``x`` (an array or its
+    ``NodeSet``): the interval i with x[i] <= xq < x[i+1] (the end intervals
+    extended outward), s = xq - x[i], s^2, s^3 and, sought on first use, the
+    flat positions outside [x[0], x[-1]] or NaN."""
 
     __slots__ = ("x", "shape", "flat", "index", "s", "s2", "s3", "_outside")
 
-    def __init__(self, x: np.ndarray, xq):
+    def __init__(self, x, xq):
         xq = np.asarray(xq, dtype=float)
-        self.x, self.shape, self.flat = x, xq.shape, xq.ravel()
-        # counting the interior nodes at or below xq clips to [0, n-2] for free
-        self.index = x[1:-1].searchsorted(self.flat, side="right")
+        nodes = x if isinstance(x, NodeSet) else None
+        x = self.x = x if nodes is None else nodes.x
+        self.shape, self.flat = xq.shape, xq.ravel()
+        if nodes is not None and self.flat.size >= _ARITH_POINTS and nodes.uniform:
+            self.index = nodes.guess(self.flat)
+        else:
+            # counting the interior nodes at or below xq clips to [0, n-2] for free
+            self.index = x[1:-1].searchsorted(self.flat, side="right")
         self.s = self.flat - x.take(self.index)
         self.s2 = self.s * self.s
         self.s3 = self.s2 * self.s
@@ -41,10 +53,12 @@ class Located:
 class NodeSet:
     """The constants of one strictly increasing node set that every PCHIP build
     on it shares: the spacings h, the slope weights 2h[1:] + h[:-1] and
-    h[1:] + 2h[:-1] with their sum, and the spacings at either end."""
+    h[1:] + 2h[:-1] with their sum, and the spacings at either end. Whether the
+    nodes are uniform, each within a quarter step of x[0] + i*step, is sought
+    on first use; points on a uniform set are located by arithmetic."""
 
     __slots__ = ("x", "h", "w1", "w2", "w12", "head", "tail", "end_h0", "end_lead",
-                 "end_sum")
+                 "end_sum", "_uniform", "_inv_step", "_bounds")
 
     END0, END1 = np.array([0, -1]), np.array([1, -2])   # end secants, their neighbours
 
@@ -58,6 +72,36 @@ class NodeSet:
         if h.size > 1:                      # _edge_slope's spacings at both ends
             h0, h1 = h[self.END0], h[self.END1]
             self.end_h0, self.end_lead, self.end_sum = h0, 2 * h0 + h1, h0 + h1
+        self._uniform = None                # not sought yet
+
+    @property
+    def uniform(self) -> bool:
+        if self._uniform is None:
+            x, n = self.x, self.x.size
+            step = (x[-1] - x[0]) / (n - 1) if n > 2 else 0.0
+            self._uniform = bool(step > 0.0 and np.max(np.abs(
+                x - (x[0] + step * np.arange(n)))) <= 0.25 * step)
+            if self._uniform:
+                self._inv_step = 1.0 / step
+                # x[i] below and x[i+1] above interval i, NaN where the end
+                # intervals extend outward: a NaN compares false
+                self._bounds = np.concatenate([[np.nan], x[1:-1], [np.nan]])
+        return self._uniform
+
+    def guess(self, flat: np.ndarray) -> np.ndarray:
+        """``x[1:-1].searchsorted(flat, side="right")`` on a uniform set: the
+        interval floor((flat - x[0]) / step), clipped (NaN and +inf to the
+        last), then corrected by one comparison each way with the nodes."""
+        g = flat - self.x[0]
+        g *= self._inv_step
+        np.floor(g, out=g)
+        np.fmin(g, self.x.size - 2, out=g)
+        np.maximum(g, 0.0, out=g)
+        i = g.astype(np.intp)
+        bounds = self._bounds
+        i += bounds.take(i + 1) <= flat
+        i -= bounds.take(i) > flat
+        return i
 
 
 def _sign(v: float) -> int:
@@ -136,7 +180,7 @@ class HermiteCubic:
 
     def __init__(self, x: np.ndarray, y, dydx=None):
         y = np.asarray(y, dtype=float)
-        nodes = x if isinstance(x, NodeSet) else NodeSet(x)
+        nodes = self.nodes = x if isinstance(x, NodeSet) else NodeSet(x)
         self.x, h = nodes.x, nodes.h
         m = (y[..., 1:] - y[..., :-1]) / h
         d = _node_slopes(nodes, m) if dydx is None else np.asarray(dydx, dtype=float)
@@ -151,7 +195,8 @@ class HermiteCubic:
     def derivative(self) -> "HermiteCubic":
         """The piecewise quadratic dy/dx, as ``PPoly.derivative`` builds it."""
         out = object.__new__(type(self))
-        out.x, out.c = self.x, self.c[:3] * np.array([[3.0], [2.0], [1.0]])
+        out.x, out.nodes = self.x, self.nodes
+        out.c = self.c[:3] * np.array([[3.0], [2.0], [1.0]])
         out.c[2] += 0.0                     # the constant term, as in __init__
         return out
 
@@ -165,4 +210,4 @@ class HermiteCubic:
         return ppoly_sum(c, q, self.extrapolate).reshape(self.c.shape[1:-1] + q.shape)
 
     def __call__(self, xq) -> np.ndarray:
-        return self.at(Located(self.x, xq))
+        return self.at(Located(self.nodes, xq))

@@ -133,7 +133,9 @@ class _TabulatedCoords:
 
     def h_inv_log(self, log_x):
         log_x = np.asarray(log_x, dtype=float)
-        w_target = -np.where(np.isfinite(log_x), log_x, np.inf)
+        finite = np.isfinite(log_x)
+        every = finite.all()                # then neither where below is needed
+        w_target = -log_x if every else -np.where(finite, log_x, np.inf)
         w_lo, w_hi = 0.0, self._w_at_floor
         inside = np.clip(w_target, w_lo, w_hi)
         u = self._u_of_w(inside)
@@ -141,7 +143,7 @@ class _TabulatedCoords:
         if np.any(deep):
             u = np.where(deep, self._u_min + (w_target - w_hi) / self._floor_slope, u)
         out = np.exp(u)
-        return np.where(np.isfinite(log_x), out, 0.0)
+        return np.asarray(out) if every else np.where(finite, out, 0.0)
 
     def h_inv(self, x):
         x = np.asarray(x, dtype=float)

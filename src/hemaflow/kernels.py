@@ -56,9 +56,11 @@ class CumulativeDecay:
         self.psi_at_zero = psi_at_zero
 
     def _phi_at(self, u):
+        below = u < self._u_min
+        if not below.any():
+            return self._phi(u)
         inside = self._phi(np.maximum(u, self._u_min))
-        return np.where(u < self._u_min,
-                        self._phi_floor + self._slope_floor * (u - self._u_min),
+        return np.where(below, self._phi_floor + self._slope_floor * (u - self._u_min),
                         inside)
 
     def log_survival(self, x, elapsed):

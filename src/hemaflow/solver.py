@@ -34,17 +34,22 @@ Direct evaluators ``eval_G`` and ``eval_J`` are kept as the slow reference
 form. Every read at (t, x) -- the solve's ring, phi(tau_upper, .), the warmup
 record, ``SolutionField.lookup`` -- goes through one store, ``HistoryField``,
 which wraps the solver's own slice arrays and reads them monotone-cubically in
-x and linearly in t.
+x and linearly in t. Every read is a block read over an array of times; a
+scalar time is a block of one.
 
 Transport and the store build through ``PchipInterpolator``, the slice form of
 the package's one cubic (``hemaflow.cubic``), with the constants of each node
-set computed once; a one-row shift takes the 1-D path, which gives the same
-bits sooner. The store keeps the slices' coefficients in one block, slot
-i % capacity for slice i, builds the slices a read lacks in batches, and reads
-many times in one call: a window's division influx is one read and one
-``beta`` call per age node over all its rows, each slice of the span read
-once, and its history pull is one read. The transport feet and the 16
-division-age points are ``Located`` once, so a read is a gather plus a cubic.
+set computed once; a one-row shift or slot build takes the 1-D path, which
+gives the same bits sooner. The store keeps the slices' coefficients in one
+block, slot i % capacity for slice i, builds the slices a read lacks in
+batches, and reads many times in one call: a window's division influx is one
+read and one ``beta`` call per age node over all its rows, each slice of the
+span read once (consecutive slices as one span), and its history pull is one
+read. ``proliferating`` reads the sources of a chunk of steps the same way,
+one read per stage, and marches only the RK4 steps one at a time. The
+transport feet, the 16 division-age points and P's stage points are
+``Located`` once, so a read is a gather plus a cubic; a large point set on a
+uniform node set is located by arithmetic instead of a binary search.
 """
 
 from __future__ import annotations
@@ -76,6 +81,9 @@ _STORE_BYTES = 2 ** 23
 # slices the store builds in one batched cubic: per row the build costs about
 # the same from 64 rows on, and the batch's temporaries stay a few MB
 _BUILD_ROWS = 64
+# bytes of one (steps, nodes) source array of P: 16 steps at 1,023 nodes, and
+# a chunk of a whole window held 6.5 MB more at its peak
+_CHUNK_BYTES = 2 ** 17
 MAX_SLICE_BYTES = 2 ** 30  # float64 slices one solve may hold (1 GiB)
 
 
@@ -211,7 +219,7 @@ class _Shift:
 
     def __init__(self, x: np.ndarray, x_out: np.ndarray, dt: float):
         self.nodes = NodeSet(x)
-        self.feet = Located(x, x_out * math.exp(-dt))
+        self.feet = Located(self.nodes, x_out * math.exp(-dt))
 
     def __call__(self, values: np.ndarray, window_index: Optional[int] = None) -> np.ndarray:
         if values.ndim == 2 and len(values) == 1:
@@ -237,22 +245,10 @@ def _rk4_step(u0: np.ndarray, dt: float, rhs: Callable) -> np.ndarray:
 # the slice store
 # ---------------------------------------------------------------------------
 
-def _time_bracket(t: float, dt: float):
-    """(i, theta) with t = (i + theta) * dt, snapping onto slices within _TIME_SNAP;
-    a non-finite t brackets to i = -1, before every slice."""
-    pos = float(t) / dt
-    if not math.isfinite(pos):
-        return -1, 0.0
-    i = math.floor(pos + _TIME_SNAP)
-    theta = pos - i
-    if theta < _TIME_SNAP:
-        theta = 0.0
-    return i, theta
-
-
 def _time_brackets(t: np.ndarray, dt: float):
-    """``_time_bracket`` of each time in the 1-D array t, by its expressions;
-    the i come back as floats."""
+    """(i, theta) with t = (i + theta) * dt for each time in the 1-D array t,
+    snapping onto slices within _TIME_SNAP; a non-finite t brackets to
+    i = -1, before every slice. The i come back as floats."""
     with np.errstate(over="ignore", invalid="ignore"):
         pos = t / dt
     pos[~np.isfinite(pos)] = -1.0
@@ -272,11 +268,12 @@ class HistoryField:
     ``filled`` as it finalizes slices. Slice i's cubic coefficients live in
     slot ``i % capacity`` of one ``(capacity, 4, K)`` block, ``capacity`` being
     ``keep`` or the slice count if fewer. A block read builds the slices it
-    lacks together, as one batched cubic per ``_BUILD_ROWS`` slices, and a
-    slice whose slot was taken since is rebuilt when read again. A block read
-    with one point set at every time reads each slice of its span once and
-    blends the rows of each time's two slices. A query set read many times
-    can be passed ``Located`` on ``x``.
+    lacks together, as one batched cubic per ``_BUILD_ROWS`` slices (a single
+    slice through the 1-D cubic, with the same bits), and a slice whose slot
+    was taken since is rebuilt when read again. Every read is a block read: a
+    scalar time is a block of one. A read with one point set at every time
+    reads each slice of its span once and blends the rows of each time's two
+    slices. A query set read many times can be passed ``Located`` on ``x``.
     """
 
     def __init__(self, x: np.ndarray, dt: float, values: np.ndarray, *,
@@ -297,22 +294,18 @@ class HistoryField:
             return self.values[i]
         return np.concatenate([self.values[i], self.upper[i][1:]])
 
-    def _slot(self, i: int) -> int:
-        """The slot of slice i, built into it unless it holds it already."""
-        slot = i % self.capacity
-        if self._held[slot] != i:
-            self._block[slot] = PchipInterpolator(self.nodes, self.row(i)).c
-            self._held[slot] = i
-        return slot
-
     def _build(self, rows: np.ndarray) -> None:
         """Build the slices ``rows`` (distinct modulo capacity) into their
-        slots, as one batched cubic."""
-        y = self.values[rows]
-        if self.upper is not None:
-            y = np.concatenate([y, self.upper[rows, 1:]], axis=1)
+        slots, as one batched cubic; one slice builds faster through the 1-D
+        cubic, with the same bits."""
         slots = rows % self.capacity
-        self._block[slots] = PchipInterpolator(self.nodes, y).c.transpose(1, 0, 2)
+        if rows.size == 1:
+            self._block[slots[0]] = PchipInterpolator(self.nodes, self.row(rows[0])).c
+        else:
+            y = self.values[rows]
+            if self.upper is not None:
+                y = np.concatenate([y, self.upper[rows, 1:]], axis=1)
+            self._block[slots] = PchipInterpolator(self.nodes, y).c.transpose(1, 0, 2)
         self._held[slots] = rows
 
     def _refuse(self, t) -> None:
@@ -322,59 +315,64 @@ class HistoryField:
 
     def _locate(self, xq) -> Located:
         if not isinstance(xq, Located):
-            return Located(self.x, xq)
+            return Located(self.nodes, xq)
         if xq.x is not self.x:
             raise DomainError("the query points were located on another node set")
         return xq
 
     def lookup(self, t, xq) -> np.ndarray:
         """Field values at time t (linear between slices) and coordinates xq,
-        raw or ``Located`` on ``x``. A 1-D array of R times reads points shaped
-        ``(R, M)``, or one ``(M,)`` set at every time, into ``(R, M)``."""
+        raw or ``Located`` on ``x``. A scalar t reads points of any shape into
+        that shape; a 1-D array of R times reads points shaped ``(R, M)``, or
+        one ``(M,)`` set at every time, into ``(R, M)``."""
         if np.ndim(t):
             return self._lookup_block(np.asarray(t, dtype=float), xq)
-        i, theta = _time_bracket(t, self.dt)
-        if i < 0 or i + (theta > 0.0) >= self.filled:
-            self._refuse(t)
-        xq = self._locate(xq)
-        base = self._read(i, xq)
-        if theta == 0.0:
-            return base
-        return (1.0 - theta) * base + theta * self._read(i + 1, xq)
+        return self._lookup_block(np.array([float(t)]), xq, single=True)
 
-    def _read(self, i: int, q: Located) -> np.ndarray:
-        c = self._block[self._slot(i)].take(q.index, axis=1)
-        return ppoly_sum(c, q, False).reshape(q.shape)
-
-    def _lookup_block(self, times: np.ndarray, xq) -> np.ndarray:
+    def _lookup_block(self, times: np.ndarray, xq, single: bool = False) -> np.ndarray:
         """``lookup`` at a 1-D array of times, one gather per coefficient plane;
-        one point set at every time reads each slice of the span once."""
+        one point set at every time reads each slice of the span once. A
+        ``single`` time reads xq's points as one flat set, into xq's shape."""
         i, theta = _time_brackets(times, self.dt)
         ahead = theta > 0.0
         bad = (i < 0) | (i + ahead >= self.filled)
         if bad.any():
             self._refuse(times.flat[np.argmax(bad)])
         xq = self._locate(xq)
-        if times.ndim != 1 or not xq.shape or xq.shape[:-1] not in ((), times.shape):
+        if single:
+            index = xq.index.reshape(1, -1)
+        elif times.ndim != 1 or not xq.shape or xq.shape[:-1] not in ((), times.shape):
             raise DomainError(f"{times.size} times cannot read points shaped {xq.shape}")
-        # intervals: one row per time, or one row for every time
-        index = xq.index.reshape(-1, xq.shape[-1])
+        else:
+            # intervals: one row per time, or one row for every time
+            index = xq.index.reshape(-1, xq.shape[-1])
         # rows at theta = 0 read slice i as their second slice too, never
         # slice i + 1, which may not be filled yet
         i = i.astype(np.intp)
-        nxt = i + ahead
-        if index.shape[0] == 1:
+        R = i.size
+        if index.shape[0] == 1 and (ahead == ahead[0]).all() and (np.diff(i) == 1).all():
+            # consecutive slices, every time ahead or none: the span, read once
+            span = self._read_rows(np.arange(i[0], i[-1] + 1 + ahead[0]), index, xq)
+            out, nxt = span[:R], span[1:]
+        elif index.shape[0] == 1:
             # one point set at every time: each slice of the span is read once
-            rows, at = np.unique(np.concatenate([i, nxt]), return_inverse=True)
+            rows, at = np.unique(np.concatenate([i, i + ahead]), return_inverse=True)
             block = self._read_rows(rows, index, xq)
-            out, nxt = block[at[:i.size]], block[at[i.size:]]
+            out, nxt = block[at[:R]], block[at[R:]]
+        elif ahead.any():
+            # a point set per time: both slices of every time in one read
+            block = self._read_rows(np.concatenate([i, i + ahead]),
+                                    np.concatenate([index, index]), xq)
+            out, nxt = block[:R], block[R:]
         else:
             out = self._read_rows(i, index, xq)
-            nxt = self._read_rows(nxt, index, xq) if ahead.any() else None
-        if ahead.any():
+        if ahead.all():
+            theta = theta[:, None]
+            out = (1.0 - theta) * out + theta * nxt
+        elif ahead.any():
             theta = theta[:, None]
             out = np.where(ahead[:, None], (1.0 - theta) * out + theta * nxt, out)
-        return out
+        return out.reshape(xq.shape) if single else out
 
     def _read_rows(self, rows: np.ndarray, index: np.ndarray, q: Located) -> np.ndarray:
         """Slice ``rows[r]`` at the intervals ``index[r]`` (or ``index[0]``),
@@ -510,7 +508,13 @@ class SolutionField:
         return float(np.max(np.abs(self.N)))
 
     def lookup(self, t: float, xq, *, combined: bool = False) -> np.ndarray:
-        """N at time t (linear between slices) and flow coordinates xq."""
+        """N at time t (linear between slices) and flow coordinates xq, raw or
+        ``Located`` on the nodes of ``_store(combined)``."""
+        return self._store(combined).lookup(t, xq)
+
+    def _store(self, combined: bool = False) -> HistoryField:
+        """The store that reads N, or N and the band's N when ``combined`` and
+        the field has a band; built on first use."""
         if self.x is None:
             raise DomainError(
                 "this field carries no flow coordinates (CSV stores maturities "
@@ -521,7 +525,7 @@ class SolutionField:
                         if combined else (self.x, None))
             self._stores[combined] = HistoryField(x, self.dt, self.N, upper=upper,
                                                   keep=self._keep)
-        return self._stores[combined].lookup(t, xq)
+        return self._stores[combined]
 
     # -- serialization -------------------------------------------------------
 
@@ -1161,7 +1165,10 @@ class Solver:
         The sink switches regime at tau_upper: before, it drains the initial
         age density reaching the division deadline; after, it drains the
         reintroduction flux delayed by the full proliferation span. Slice
-        times at the switch use the early regime.
+        times at the switch use the early regime. Each stage's points are
+        located once on the field's store; a chunk of steps reads its influx
+        and its sink with one lookup per stage, and only the march itself
+        advances a slice at a time.
         """
         grid = self.grid
         dt = grid.dt
@@ -1174,6 +1181,7 @@ class Solver:
         x_act = grid.x_full if has_band else grid.x_nodes
         m_act = grid.m_full if has_band else grid.m_nodes
         M = grid.m_nodes.size
+        nodes = field._store(has_band).nodes
 
         stage_x = tuple(x_act * math.exp(-s) for s in (dt, 0.5 * dt, 0.0))
         stage_m = tuple(np.asarray(flow.h_inv(sx)) for sx in stage_x)
@@ -1184,18 +1192,25 @@ class Solver:
         stage_xi_up = tuple(np.exp(dec_g.log_survival(sx, tau_up)) for sx in stage_x)
         stage_x_back = tuple(np.exp(lx - tau_up) for lx in stage_lx)
         stage_m_back = tuple(np.asarray(flow.h_inv_log(lx - tau_up)) for lx in stage_lx)
+        at_x = tuple(Located(nodes, sx) for sx in stage_x)
+        at_back = tuple(Located(nodes, sx) for sx in stage_x_back)
 
-        def sink(sigma: float, stage: int) -> np.ndarray:
-            if sigma < tau_up or abs(sigma - tau_up) < _TIME_SNAP:
-                age_left = tau_up - sigma
-                mothers = flow.h_inv_log(stage_lx[stage] - sigma)
-                gam = _eval_two_arg(data.Gamma, mothers, np.asarray(age_left))
-                return gam * np.exp(dec_g.log_survival(stage_x[stage], sigma))
-            nv = field.lookup(sigma - tau_up, stage_x_back[stage], combined=has_band)
-            return stage_xi_up[stage] * beta(stage_m_back[stage], nv) * nv
+        def sink(sigma: np.ndarray, stage: int) -> np.ndarray:
+            out = np.empty((sigma.size, x_act.size))
+            early = (sigma < tau_up) | (np.abs(sigma - tau_up) < _TIME_SNAP)
+            if early.any():
+                s = sigma[early, None]
+                mothers = flow.h_inv_log(stage_lx[stage] - s)
+                gam = _eval_two_arg(data.Gamma, mothers, tau_up - s)
+                out[early] = gam * np.exp(dec_g.log_survival(stage_x[stage], s))
+            if not early.all():
+                late = ~early
+                nv = field.lookup(sigma[late] - tau_up, at_back[stage], combined=has_band)
+                out[late] = stage_xi_up[stage] * beta(stage_m_back[stage], nv) * nv
+            return out
 
-        def influx(sigma: float, stage: int) -> np.ndarray:
-            nv = field.lookup(sigma, stage_x[stage], combined=has_band)
+        def influx(sigma: np.ndarray, stage: int) -> np.ndarray:
+            nv = field.lookup(sigma, at_x[stage], combined=has_band)
             return beta(stage_m[stage], nv) * nv
 
         # initial proliferating load: age integral of Gamma
@@ -1212,16 +1227,21 @@ class Solver:
         P = np.empty((n_slices, x_act.size))
         P[0] = P0
         shift = self._shift_full if has_band else self._shift_main
-        for i in range(1, n_slices):
-            t0 = (i - 1) * dt
+        # at most a history depth of steps per chunk: with the sink read before
+        # the influx, a store holding n_history + 2 slices builds each slice once
+        chunk = max(1, min(grid.n_history, _CHUNK_BYTES // (8 * x_act.size)))
+
+        def rhs(stage: int, u: np.ndarray) -> np.ndarray:
+            # row r of the chunk's sources, as the march below sets r
+            return -stage_psi[stage] * u + src[stage][r] - drain[stage][r]
+
+        for i0 in range(1, n_slices, chunk):
+            t0 = np.arange(i0 - 1, min(i0 + chunk, n_slices) - 1) * dt
             sigmas = (t0, t0 + 0.5 * dt, t0 + dt)
-            src = tuple(influx(sigma, stage) for stage, sigma in enumerate(sigmas))
-            drain = tuple(sink(sigma, stage) for stage, sigma in enumerate(sigmas))
-
-            def rhs(stage: int, u: np.ndarray) -> np.ndarray:
-                return -stage_psi[stage] * u + src[stage] - drain[stage]
-
-            P[i] = _rk4_step(shift(P[i - 1]), dt, rhs)
+            drain = [sink(sigma, stage) for stage, sigma in enumerate(sigmas)]
+            src = [influx(sigma, stage) for stage, sigma in enumerate(sigmas)]
+            for r in range(t0.size):
+                P[i0 + r] = _rk4_step(shift(P[i0 + r - 1]), dt, rhs)
 
         field.P = P[:, :M].copy()
         if has_band:

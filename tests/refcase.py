@@ -64,3 +64,65 @@ def smooth_history(t, m):
     t = np.asarray(t, dtype=float)
     m = np.asarray(m, dtype=float)
     return (0.4 + 0.3 * np.cos(2.0 * np.pi * m)) * (1.0 + 0.2 * np.sin(1.3 * t)) + 0.2
+
+
+def proliferating_by_steps(solver, field, data):
+    """P along characteristics one step at a time: every stage's influx and
+    sink read from the field at one time, on raw points, as two lookups per
+    stage. The oracle for ``Solver.proliferating``; returns P on the main
+    nodes and, with a band, P on the band nodes (else None)."""
+    import math
+
+    from hemaflow.quadrature import gauss_legendre
+    from hemaflow.solver import _TIME_SNAP, _eval_two_arg, _rk4_step
+
+    grid = solver.grid
+    dt = grid.dt
+    tau_up = grid.tau_upper
+    _, dec_g = solver._ensure_tables(float(field.times[-1]) + tau_up)
+    flow = solver.flow
+    beta = solver.kern.beta
+    has_band = field.upper is not None
+    x_act = grid.x_full if has_band else grid.x_nodes
+    m_act = grid.m_full if has_band else grid.m_nodes
+    M = grid.m_nodes.size
+
+    stage_x = tuple(x_act * math.exp(-s) for s in (dt, 0.5 * dt, 0.0))
+    stage_m = tuple(np.asarray(flow.h_inv(sx)) for sx in stage_x)
+    stage_psi = tuple(solver.kern.psi_proliferating(mm) for mm in stage_m)
+    with np.errstate(divide="ignore"):
+        stage_lx = tuple(np.where(sx > 0.0, np.log(np.maximum(sx, 1e-300)), -np.inf)
+                         for sx in stage_x)
+    stage_xi_up = tuple(np.exp(dec_g.log_survival(sx, tau_up)) for sx in stage_x)
+    stage_x_back = tuple(np.exp(lx - tau_up) for lx in stage_lx)
+    stage_m_back = tuple(np.asarray(flow.h_inv_log(lx - tau_up)) for lx in stage_lx)
+
+    def sink(sigma, stage):
+        if sigma < tau_up or abs(sigma - tau_up) < _TIME_SNAP:
+            mothers = flow.h_inv_log(stage_lx[stage] - sigma)
+            gam = _eval_two_arg(data.Gamma, mothers, np.asarray(tau_up - sigma))
+            return gam * np.exp(dec_g.log_survival(stage_x[stage], sigma))
+        nv = field.lookup(sigma - tau_up, stage_x_back[stage], combined=has_band)
+        return stage_xi_up[stage] * beta(stage_m_back[stage], nv) * nv
+
+    def influx(sigma, stage):
+        nv = field.lookup(sigma, stage_x[stage], combined=has_band)
+        return beta(stage_m[stage], nv) * nv
+
+    z, w = gauss_legendre(16)
+    edges = np.linspace(0.0, tau_up, 9)
+    P = np.empty((field.times.size, x_act.size))
+    P[0] = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        gam = _eval_two_arg(data.Gamma, m_act[None, :], (lo + half * (z + 1.0))[:, None])
+        P[0] += half * np.einsum("q,qj->j", w, gam)
+    shift = solver._shift_full if has_band else solver._shift_main
+    for i in range(1, field.times.size):
+        t0 = (i - 1) * dt
+        sigmas = (t0, t0 + 0.5 * dt, t0 + dt)
+        src = [influx(sigma, stage) for stage, sigma in enumerate(sigmas)]
+        drain = [sink(sigma, stage) for stage, sigma in enumerate(sigmas)]
+        P[i] = _rk4_step(shift(P[i - 1]), dt,
+                         lambda stage, u: -stage_psi[stage] * u + src[stage] - drain[stage])
+    return P[:, :M], (P[:, M - 1:] if has_band else None)

@@ -274,6 +274,87 @@ class TestMonotoneCubic:
         assert len(built) > 0
 
 
+def _uniform_sets():
+    """Uniform node sets of 9 to 12,289 nodes, and the tabulated flow's u = ln m
+    table, which is log-spaced m and so uniform to rounding."""
+    flow = FlowMap(cli_module._build_velocity(
+        {"table": {"m": [i / 16 for i in range(17)], "V": [i / 16 for i in range(17)]}},
+        "model.velocity"), LinearMaturityMap(c=0.5))
+    sets = [pytest.param(np.linspace(-2.0, 1.5, n), id=f"linspace-{n}")
+            for n in (9, 513, 4097, 12289)]
+    return sets + [pytest.param(flow._coords._w_of_u.nodes.x, id="flow-u-table")]
+
+
+class TestLocated:
+    """Points on a uniform node set are located by arithmetic from
+    ``_ARITH_POINTS`` points on; the intervals are searchsorted's."""
+
+    @staticmethod
+    def _points(x, rng):
+        up, down = np.nextafter(x, np.inf), np.nextafter(x, -np.inf)
+        span = x[-1] - x[0]
+        return np.concatenate([
+            rng.uniform(x[0] - 0.1 * span, x[-1] + 0.1 * span, 3000), x, up, down,
+            [np.nan, np.inf, -np.inf, x[0] - span, x[-1] + span, -1e100, 1e100]])
+
+    @pytest.mark.parametrize("x", _uniform_sets())
+    def test_uniform_sets_locate_as_searchsorted(self, x, monkeypatch):
+        from hemaflow.cubic import NodeSet
+        guesses, guess = [], NodeSet.guess
+        monkeypatch.setattr(NodeSet, "guess",
+                            lambda self, flat: guesses.append(flat.size) or guess(self, flat))
+        nodes = NodeSet(x)
+        xq = self._points(x, np.random.default_rng(x.size))
+        got = Located(nodes, xq)
+        assert guesses == [xq.size] and nodes.uniform
+        assert np.array_equal(got.index, x[1:-1].searchsorted(xq, side="right"))
+        assert np.array_equal(got.s, xq - x[got.index], equal_nan=True)
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.r_[np.linspace(0.0, 0.5, 9), np.linspace(0.5, 1.0, 3)[1:]],
+                     id="main-and-band"),
+        pytest.param("W", id="W-table-of-m+m2/2")])
+    def test_nonuniform_sets_take_searchsorted(self, x, monkeypatch):
+        from hemaflow.cubic import NodeSet
+        if isinstance(x, str):
+            table = [i / 16 for i in range(17)]
+            velocity = cli_module._build_velocity(
+                {"table": {"m": table, "V": [v + 0.5 * v * v for v in table]}},
+                "model.velocity")
+            x = FlowMap(velocity, LinearMaturityMap(c=0.5))._coords._u_of_w.nodes.x
+        monkeypatch.setattr(NodeSet, "guess", lambda self, flat: pytest.fail("guessed"))
+        nodes = NodeSet(x)
+        xq = self._points(x, np.random.default_rng(7))
+        assert not nodes.uniform
+        assert np.array_equal(Located(nodes, xq).index, x[1:-1].searchsorted(xq, side="right"))
+
+    def test_size_threshold(self, monkeypatch):
+        from hemaflow import cubic
+        guesses, guess = [], cubic.NodeSet.guess
+        monkeypatch.setattr(cubic.NodeSet, "guess",
+                            lambda self, flat: guesses.append(flat.size) or guess(self, flat))
+        x = np.linspace(0.0, 1.0, 513)
+        nodes = cubic.NodeSet(x)
+        rng = np.random.default_rng(9)
+        for n in (cubic._ARITH_POINTS - 1, cubic._ARITH_POINTS):
+            xq = rng.uniform(-0.1, 1.1, n)
+            assert np.array_equal(Located(nodes, xq).index,
+                                  x[1:-1].searchsorted(xq, side="right"))
+            # a plain node array always takes searchsorted
+            assert np.array_equal(Located(x, xq).index, Located(nodes, xq).index)
+        assert guesses == [cubic._ARITH_POINTS] * 2
+
+    def test_cubic_and_store_locate_on_their_own_node_sets(self):
+        x = np.linspace(0.0, 1.0, 65)
+        kernel = HermiteCubic(x, np.sin(3.0 * x))
+        xq = np.random.default_rng(10).uniform(-0.1, 1.1, 4000)
+        _assert_same_bits(kernel(xq), kernel.at(Located(x, xq)))
+        assert kernel.derivative().nodes is kernel.nodes and kernel.nodes.uniform
+        store = HistoryField(x, 0.25, np.sin(np.outer([1.0, 2.0], x)))
+        _assert_same_bits(store.lookup(0.125, xq), store.lookup(0.125, Located(x, xq)))
+        assert store.nodes.uniform
+
+
 def _hermite_tables():
     """Seeded random tables (slopes of both signs, exact zeros of both signs)
     and a 4,096-node log-spaced table shaped like the flow coordinate's."""
@@ -464,17 +545,61 @@ class TestHistoryField:
         x = np.concatenate([self.x, np.linspace(0.5, 0.9, 5)[1:]])
         values = np.cumsum(rng.normal(size=(70, 9)), axis=1)
         upper = np.cumsum(rng.normal(size=(70, 5)), axis=1)
-        one = HistoryField(x, 0.25, values, upper=upper)
-        for i in range(70):
-            one._slot(i)
+        # each slice's own build, on the main row followed by the band's
+        one = np.stack([solver_module.PchipInterpolator(x, np.r_[values[i], upper[i, 1:]]).c
+                        for i in range(70)])
         builds, kernel = [], solver_module.PchipInterpolator
         monkeypatch.setattr(solver_module, "PchipInterpolator",
                             lambda nodes, y: builds.append(y.shape) or kernel(nodes, y))
         batch = HistoryField(x, 0.25, values, upper=upper)
         batch.lookup(np.arange(70) * 0.25, x)
         assert builds == [(64, 13), (6, 13)]
-        assert np.array_equal(batch._held, one._held)
-        _assert_same_bits(batch._block, one._block)
+        assert np.array_equal(batch._held, np.arange(70))
+        _assert_same_bits(batch._block, one)
+
+    def test_a_single_slice_builds_through_the_1d_cubic(self, monkeypatch):
+        values = np.cumsum(np.random.default_rng(23).normal(size=(3, 9)), axis=1)
+        builds, kernel = [], solver_module.PchipInterpolator
+        monkeypatch.setattr(solver_module, "PchipInterpolator",
+                            lambda nodes, y: builds.append(y.shape) or kernel(nodes, y))
+        ring = HistoryField(self.x, 0.25, values)
+        assert np.array_equal(ring.lookup(0.5, self.x), values[2])
+        assert builds == [(9,)]
+        _assert_same_bits(ring._block[2], kernel(self.x, values[2]).c)
+
+    @pytest.mark.parametrize("keep", [math.inf, 4])
+    def test_consecutive_times_read_their_span_once(self, keep, monkeypatch):
+        # consecutive slices, every time ahead of its slice or none: the span is
+        # one read, and the rows are those of the general shared-point path
+        rng = np.random.default_rng(24)
+        values = np.cumsum(rng.normal(size=(12, 9)), axis=1)
+        ring = HistoryField(self.x, 0.25, values, keep=keep)
+        xq = np.linspace(-0.05, 0.55, 13)
+        reads, read = [], HistoryField._read_rows
+        monkeypatch.setattr(HistoryField, "_read_rows",
+                            lambda self, rows, index, q: reads.append(rows.tolist())
+                            or read(self, rows, index, q))
+        for times in (0.25 * np.arange(2, 9), 0.25 * np.arange(2, 9) + 0.1):
+            reads.clear()
+            got = ring.lookup(times, xq)
+            span = list(range(2, 9 + (times[0] % 0.25 > 0)))
+            assert reads == [span]
+            _assert_same_bits(got, np.array([ring.lookup(t, xq) for t in times.tolist()]))
+            shuffled = rng.permutation(times.size)      # not consecutive: the general path
+            _assert_same_bits(got[shuffled], ring.lookup(times[shuffled], xq))
+
+
+def _time_bracket(t: float, dt: float):
+    """(i, theta) with t = (i + theta) * dt in scalar arithmetic, snapping onto
+    slices within 1e-9; a non-finite t brackets to i = -1, before every slice."""
+    pos = float(t) / dt
+    if not math.isfinite(pos):
+        return -1, 0.0
+    i = math.floor(pos + 1e-9)
+    theta = pos - i
+    if theta < 1e-9:
+        theta = 0.0
+    return i, theta
 
 
 def _q_rows(solver, st, i0, steps):
@@ -509,14 +634,22 @@ class TestWindowBlockReads:
             solver.solve_window(st)
 
     def test_reference_solve_builds_no_single_slot(self, monkeypatch):
-        # the ring, the history pull and the residual reads build slices in batches
-        def single(self, i):
-            raise AssertionError(f"slice {i} built alone")
+        # the ring, the history pull and the residual reads build slices in
+        # batches, every slot with the bits of its slice's own build
+        batches, build = [], HistoryField._build
 
-        monkeypatch.setattr(HistoryField, "_slot", single)
+        def checked(self, rows):
+            build(self, rows)
+            batches.append(rows.size)
+            one = [solver_module.PchipInterpolator(self.nodes, self.row(i)).c
+                   for i in rows.tolist()]
+            _assert_same_bits(self._block[rows % self.capacity], np.stack(one))
+
+        monkeypatch.setattr(HistoryField, "_build", checked)
         solver = Solver(reference_params(), m_nodes=512, dt_divisor=64)
         field = solver.solve(InitialHistory.from_callable(smooth_history, solver.grid), T=10.0)
         assert solver.residual_stats(field)["n_samples"] > 0
+        assert sum(batches) >= 16 * len(batches)
 
     @pytest.mark.parametrize("dt_divisor", [64, 7])
     def test_vector_bracket_equals_the_per_time_bracket(self, dt_divisor):
@@ -525,13 +658,13 @@ class TestWindowBlockReads:
         rows = np.arange(grid.n_history, grid.n_history + grid.steps_to(10.0) + 1)
         times = (rows[:, None] * grid.dt - solver._a_nodes[None, :]).ravel()
         i, theta = solver_module._time_brackets(times, grid.dt)
-        expected = [solver_module._time_bracket(t, grid.dt) for t in times.tolist()]
+        expected = [_time_bracket(t, grid.dt) for t in times.tolist()]
         assert np.array_equal(i, [e[0] for e in expected])
         assert np.array_equal(theta, [e[1] for e in expected])
         # the weight of one age node is not the same in every row
         assert max(np.unique(th).size for th in theta.reshape(rows.size, -1).T) > 1
         i, theta = solver_module._time_brackets(np.array(NONFINITE_TIMES), 0.25)
-        expected = [solver_module._time_bracket(t, 0.25) for t in NONFINITE_TIMES]
+        expected = [_time_bracket(t, 0.25) for t in NONFINITE_TIMES]
         assert list(zip(i, theta)) == expected
 
 

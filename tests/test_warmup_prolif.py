@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hemaflow import (ConfigurationError, SolutionField, Solver, WarmupData)
+from hemaflow import (ConfigurationError, InitialHistory, SolutionField, Solver,
+                      WarmupData)
+from hemaflow import solver as solver_module
 
-from refcase import reference_params
+from refcase import proliferating_by_steps, reference_params, smooth_history
 
 TAU_L, TAU_U = 1.0, 2.0
 
@@ -82,6 +84,28 @@ class TestWarmup:
 
 
 class TestProliferating:
+    @pytest.mark.parametrize("band", [False, True], ids=["no-band", "band"])
+    @pytest.mark.parametrize("chunk_steps", [None, 5], ids=["default-chunk", "5-step-chunk"])
+    def test_equals_the_step_by_step_oracle(self, band, chunk_steps, monkeypatch):
+        # the horizon crosses tau_upper, so both sink regimes run and so does
+        # the slice at the switch; 5-step chunks put the switch mid-chunk
+        solver = Solver(reference_params(c=0.3 if band else 0.5), m_nodes=64,
+                        dt_divisor=16)
+        data = WarmupData(Gamma=lambda m, a: (1.0 + m) * np.exp(-0.7 * np.asarray(a)),
+                          N0=lambda m: 0.5 + 0.2 * np.cos(3.0 * m))
+        hist = (solver.warmup(data) if band else
+                InitialHistory.from_callable(smooth_history, solver.grid))
+        field = solver.solve(hist, T=5.0)
+        assert (field.upper is not None) == band
+        assert field.times[-1] > solver.grid.tau_upper + 2.0
+        P, upper_P = proliferating_by_steps(solver, field, data)
+        if chunk_steps:
+            n_act = P.shape[1] + (upper_P.shape[1] - 1 if band else 0)
+            monkeypatch.setattr(solver_module, "_CHUNK_BYTES", 8 * n_act * chunk_steps)
+        solver.proliferating(field, data)
+        assert np.array_equal(field.P, P)
+        assert np.array_equal(field.upper.P, upper_P) if band else field.upper is None
+
     def test_zero_sources_give_zero(self):
         solver = Solver(reference_params(beta_form="constant", beta0=0.0),
                         m_nodes=96, dt_divisor=16)

@@ -11,7 +11,11 @@ imported, never copied), so the digests cover what the benchmark runs:
 * ``uniqueness``: the ``exp_uniqueness`` divergence profile (192 x 16);
 * ``band_solve``: a solve with c = 0.3 that needs the upper band (N and the
   band's N);
-* ``cli_run``: every file the benchmark's seed-0 ``hemaflow run`` writes;
+* ``cli_run``: every file the benchmark's seed-0 ``hemaflow run`` writes
+  (its P is reconstructed on main plus band);
+* ``proliferating``: P reconstructed on a field without a band (the
+  ``ref_solve`` model and history on the ``cli_run`` grid, T = 6, an
+  age-dependent Gamma);
 * ``tables``: a model read by the CLI's builder with a tabulated V
   (m + m^2 / 2, 17 rows) and a linear tabulated g (c = 0.5, 5 rows), solved
   on 64 x 8 to T = 5 (N, tau0, Lipschitz l, invariance lhs, flow nodes).
@@ -119,6 +123,20 @@ def cli_run() -> dict:
     return digests
 
 
+def proliferating() -> str:
+    spec = SIZES["full"]["cli_run"]
+    solver = hf.Solver(reference_params(0.3), m_nodes=spec["m_nodes"],
+                       dt_divisor=spec["dt_divisor"])
+    hist = hf.InitialHistory.from_callable(
+        xp.random_nonneg_history(REFERENCE_SEED), solver.grid)
+    field = solver.solve(hist, spec["T"])
+    data = hf.WarmupData(Gamma=lambda m, a: (1.0 + m) * np.exp(-0.7 * np.asarray(a)),
+                         N0=lambda m: 0.0 * m)
+    solver.proliferating(field, data)
+    assert field.upper is None
+    return _sha(field.P)
+
+
 def tables() -> dict:
     cfg = cli_config(REFERENCE_SEED, SIZES["full"]["cli_run"])
     m = [i / 16 for i in range(17)]
@@ -137,7 +155,8 @@ def tables() -> dict:
 def main() -> int:
     result = {"ref_solve": ref_solve(), "positivity": positivity(),
               "uniqueness": uniqueness(), "band_solve": band_solve(),
-              "cli_run": cli_run(), "tables": tables()}
+              "cli_run": cli_run(), "proliferating": proliferating(),
+              "tables": tables()}
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 

@@ -38,8 +38,11 @@ class Located:
             # counting the interior nodes at or below xq clips to [0, n-2] for free
             self.index = x[1:-1].searchsorted(self.flat, side="right")
         self.s = self.flat - x.take(self.index)
-        self.s2 = self.s * self.s
-        self.s3 = self.s2 * self.s
+        # a point far outside the nodes squares past the float range: its
+        # value is NaN or infinite anyway, so the overflow warns of nothing
+        with np.errstate(over="ignore"):
+            self.s2 = self.s * self.s
+            self.s3 = self.s2 * self.s
         self._outside = None                # not sought yet
 
     @property
@@ -157,13 +160,17 @@ def ppoly_sum(c, q: Located, extrapolate: bool) -> np.ndarray:
     list of rows, highest power first) at the points ``q``, in place on c's
     last row. A row's last axis runs over q's flat points; axes before it
     broadcast. Unless ``extrapolate``, points outside the nodes read NaN."""
+    if not extrapolate and q.outside.size:
+        # their sums, which at a far point overflow, are dropped: no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = ppoly_sum(c, q, True)
+        out[..., q.outside] = np.nan
+        return out
     out = c[-1]
     out += c[-2] * q.s
     out += c[-3] * q.s2
     if len(c) == 4:                         # a cubic, not its derivative
         out += c[0] * q.s3
-    if not extrapolate and q.outside.size:
-        out[..., q.outside] = np.nan
     return out
 
 

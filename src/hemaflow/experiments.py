@@ -31,7 +31,8 @@ from .kernels import InvarianceMargin, Kernels
 from .quadrature import gauss_jacobi
 from .solver import InitialHistory, SolutionField, Solver
 
-DEFAULT_TOL_MATCH = 1e-6
+TOL_MATCH = 1e-6           # relative match and invariance tolerance
+POSITIVITY_FLOOR = 1e-8    # min(N) / max(N) a positivity run may reach
 
 
 def _as_history(phi, grid) -> InitialHistory:
@@ -218,7 +219,7 @@ class InvarianceReport:
     sup_ratio: Optional[np.ndarray] = None
     verdict_global: Optional[bool] = None
     verdict_small_m: Optional[bool] = None
-    tol: float = DEFAULT_TOL_MATCH
+    tol: float = TOL_MATCH
 
     @property
     def verdict(self) -> Optional[bool]:
@@ -331,7 +332,6 @@ def _agreement_nodes(grid, b):
 
 
 def exp_uniqueness(solver: Solver, phi1, phi2, b: float, *,
-                   tol_match: float = DEFAULT_TOL_MATCH,
                    horizon: Optional[float] = None) -> UniquenessReport:
     """Run two solves whose histories agree on [0, b] and compare them."""
     grid = solver.grid
@@ -349,7 +349,7 @@ def exp_uniqueness(solver: Solver, phi1, phi2, b: float, *,
     f1, f2 = (solver.solve(h, T) for h in (h1, h2))
     divergence = np.max(np.abs(f1.N - f2.N), axis=1)
     times = f1.times
-    tail_ok = divergence <= tol_match * scale
+    tail_ok = divergence <= TOL_MATCH * scale
     verdict = bool(np.all(tail_ok[times >= tb.t_bar - 1e-9]))
     # earliest time from which the profile stays inside the tolerance
     observed = None
@@ -360,12 +360,11 @@ def exp_uniqueness(solver: Solver, phi1, phi2, b: float, *,
     return UniquenessReport(
         b=b, t_bar=tb.t_bar, b_sequence=tb.b_sequence.tolist(),
         t_sequence=tb.t_sequence.tolist(), times=times, divergence=divergence,
-        scale=scale, tol_match=tol_match, verdict=verdict,
+        scale=scale, tol_match=TOL_MATCH, verdict=verdict,
         observed_sync_time=observed, difference_at_history_edge=edge)
 
 
 def exp_extinction(solver: Solver, phi, b: float, *, control_phi=None,
-                   tol_match: float = DEFAULT_TOL_MATCH,
                    horizon: Optional[float] = None) -> ExtinctionReport:
     """No stem cells below b: the population must vanish past the horizon."""
     grid = solver.grid
@@ -386,7 +385,7 @@ def exp_extinction(solver: Solver, phi, b: float, *, control_phi=None,
     f = fields[0]
     sup_profile = np.max(np.abs(f.N), axis=1)
     times = f.times
-    verdict = bool(np.all(sup_profile[times >= tb.t_bar - 1e-9] <= tol_match * scale))
+    verdict = bool(np.all(sup_profile[times >= tb.t_bar - 1e-9] <= TOL_MATCH * scale))
     control_sup = None
     if control_phi is not None:
         fc = fields[1]
@@ -394,12 +393,11 @@ def exp_extinction(solver: Solver, phi, b: float, *, control_phi=None,
         control_sup = float(np.max(np.abs(fc.N[j])))
     return ExtinctionReport(b=b, t_bar=tb.t_bar, times=times,
                             sup_profile=sup_profile, scale=scale,
-                            tol_match=tol_match, verdict=verdict,
+                            tol_match=TOL_MATCH, verdict=verdict,
                             control_sup_at_tbar=control_sup)
 
 
 def exp_invariance(solver: Solver, phi, b: float, *,
-                   tol: float = DEFAULT_TOL_MATCH,
                    horizon: Optional[float] = None) -> InvarianceReport:
     """Long-run domination by the small-maturity history norm.
 
@@ -408,7 +406,7 @@ def exp_invariance(solver: Solver, phi, b: float, *,
     """
     margin = solver.kern.invariance_margin()
     if not margin.satisfied:
-        return InvarianceReport(margin=margin, skipped=True, b=b, tol=tol)
+        return InvarianceReport(margin=margin, skipped=True, b=b)
     grid = solver.grid
     hist = _as_history(phi, grid)
     tb = compute_tbar(solver.kern, b)
@@ -419,19 +417,19 @@ def exp_invariance(solver: Solver, phi, b: float, *,
     times = field.times
     sup_all = np.max(np.abs(field.N), axis=1)
     ratio = sup_all / max(phi_norm, 1e-300)
-    verdict_global = bool(np.all(ratio[times >= tb.t_bar - 1e-9] <= 1.0 + tol))
+    verdict_global = bool(np.all(ratio[times >= tb.t_bar - 1e-9] <= 1.0 + TOL_MATCH))
     small = np.max(np.abs(field.N[:, sel]), axis=1)
     verdict_small = bool(np.all(
-        small[times >= grid.tau_upper - 1e-9] <= phi_norm * (1.0 + tol)))
+        small[times >= grid.tau_upper - 1e-9] <= phi_norm * (1.0 + TOL_MATCH)))
     return InvarianceReport(margin=margin, skipped=False, b=b, t_bar=tb.t_bar,
                             phi_norm_b=phi_norm, times=times, sup_ratio=ratio,
                             verdict_global=verdict_global,
-                            verdict_small_m=verdict_small, tol=tol)
+                            verdict_small_m=verdict_small)
 
 
 def exp_positivity(solver: Solver, *, n_runs: int = 20, seed: int = 0,
-                   horizon: Optional[float] = None, histories=None,
-                   floor: float = 1e-8) -> PositivityReport:
+                   horizon: Optional[float] = None,
+                   histories=None) -> PositivityReport:
     """Nonnegative seeded histories must produce nonnegative populations."""
     grid = solver.grid
     probe = np.linspace(0.0, solver.flow.g1, 1025)
@@ -455,7 +453,7 @@ def exp_positivity(solver: Solver, *, n_runs: int = 20, seed: int = 0,
         rel = lo / max(hi, 1e-300)
         per_run.append({"seed": seed + i, "min": lo, "max": hi, "rel_floor": rel})
         worst = min(worst, rel)
-    verdict = bool(worst >= -floor)
+    verdict = bool(worst >= -POSITIVITY_FLOOR)
     return PositivityReport(n_runs=len(per_run), worst_floor=float(worst),
                             verdict=verdict, per_run=per_run)
 

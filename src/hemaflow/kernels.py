@@ -1,8 +1,8 @@
 """Attenuation kernels along characteristics and derived model constants.
 
-``K`` and ``xi`` are the survival-and-dilation factors picked up while
-flowing backward through the resting and proliferating phases: exponentials
-of path integrals of (death rate + V') along the maturation flow. ``zeta``
+The survival-and-dilation factors picked up while flowing backward through
+the resting and proliferating phases (``decay_table``, and ``xi`` directly)
+are exponentials of path integrals of (death rate + V') along the flow. ``zeta``
 couples the division kernel to the proliferating-phase attenuation of the
 mother. The module also computes the Lipschitz constant of the
 reintroduction mass flux and the margin of the invariance condition.
@@ -162,16 +162,6 @@ class Kernels:
                 return cur
             prev = cur
         return prev
-
-    def K(self, t: float, m):
-        """Resting-phase attenuation over time t ending at maturity m."""
-        if t < 0.0:
-            raise DomainError("K needs t >= 0")
-        m_arr = np.asarray(m, dtype=float)
-        if np.any(m_arr < 0.0) or np.any(m_arr > 1.0):
-            raise DomainError("maturity must lie in [0, 1]")
-        out = np.exp(-self._path_integral(self.psi_resting, float(t), m_arr))
-        return float(out[0]) if np.ndim(m) == 0 else out
 
     def xi(self, m, t: float):
         """Proliferating-phase attenuation over time t ending at maturity m."""

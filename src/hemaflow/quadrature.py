@@ -40,22 +40,12 @@ def mapped_rule(a: float, b: float, n: int):
     return a + half * (z + 1.0), half * w
 
 
-def adaptive_interval(f, a: float, b: float) -> float:
-    """Recursive panel splitting until each panel's value settles.
-
-    Compares one panel against its bisection; splits where they disagree.
-    Suited to integrands with localized stiffness (1/V near zero maturity).
-    """
-    if b == a:
-        return 0.0
-    x0, w0 = mapped_rule(a, b, N_NODES)
-    return _bisect(f, a, b, float(f(x0) @ w0), 0)
-
-
 def adaptive_panels(f, edges: np.ndarray) -> np.ndarray:
-    """``adaptive_interval`` over each panel [edges[i], edges[i + 1]], bit for
-    bit: every panel's top rule and first bisection come from one call of f on
-    a 1-D array, and only panels that do not settle there recurse."""
+    """Adaptive Gauss-Legendre integrals over each panel [edges[i], edges[i + 1]]:
+    a panel's value is compared against its bisection and split where they
+    disagree, which suits integrands with localized stiffness (1/V near zero
+    maturity). Every panel's top rule and first bisection come from one call
+    of f on a 1-D array, and only panels that do not settle there recurse."""
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     n = N_NODES

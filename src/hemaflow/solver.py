@@ -15,10 +15,15 @@ whose contraction constant scales with the window length.
 The maturity grid is uniform in the flow coordinate x = h(m), where one step
 dt of the flow is the exact map x -> x * exp(-dt). Every transport is that
 one step, ``_Shift``: monotone-cubic re-interpolation of a slice at the fixed
-feet x * exp(-dt). The running integrals G and J ride along it, each step a
-shift plus a trapezoid increment (the attenuation tables make the flow
-factorization of K exact), and ``_rk4_step`` integrates the band, warmup and
-proliferating equations along characteristics.
+feet x * exp(-dt), on the main nodes or on main plus band. The running
+integrals G and J ride along it, each step a shift plus a trapezoid increment
+(the attenuation tables make the flow factorization of K exact), and
+``_rk4_step`` integrates the band, warmup and proliferating equations along
+characteristics. Those three marches share one stage table, built with the
+solver: a step's stage points x * exp(-s) for s = dt, dt/2, 0 on main plus
+band, their maturities and both phases' decay rates there. A march on the
+main nodes reads the table's head, the band march its tail, which is also the
+tail of the full shift.
 
 A window's sweeps run as a wavefront (``Solver._j_sweep``): row r of Picard
 iterate k needs only rows r - 1 and r of iterate k - 1, so one wave step
@@ -30,8 +35,7 @@ count from the factorial envelope), and the rows of any that turn out not
 to be needed are dropped. Each row keeps its arithmetic, so the iterates,
 deltas and iteration counts are those of one sweep at a time, bit for bit.
 
-Direct evaluators ``eval_G`` and ``eval_J`` are kept as the slow reference
-form. Every read at (t, x) -- the solve's ring, phi(tau_upper, .), the warmup
+Every read at (t, x) -- the solve's ring, phi(tau_upper, .), the warmup
 record, ``SolutionField.lookup`` -- goes through one store, ``HistoryField``,
 which wraps the solver's own slice arrays and reads them monotone-cubically in
 x and linearly in t. Every read is a block read over an array of times; a
@@ -43,13 +47,13 @@ set computed once; a one-row shift or slot build takes the 1-D path, which
 gives the same bits sooner. The store keeps the slices' coefficients in one
 block, slot i % capacity for slice i, builds the slices a read lacks in
 batches, and reads many times in one call: a window's division influx is one
-read and one ``beta`` call per age node over all its rows, each slice of the
-span read once (consecutive slices as one span), and its history pull is one
-read. ``proliferating`` reads the sources of a chunk of steps the same way,
-one read per stage, and marches only the RK4 steps one at a time. The
-transport feet, the 16 division-age points and P's stage points are
-``Located`` once, so a read is a gather plus a cubic; a large point set on a
-uniform node set is located by arithmetic instead of a binary search.
+read and one ``beta`` call per age node over all its rows, each slice of its
+span read once, and its history pull is one read. ``proliferating`` reads the
+sources of a chunk of steps the same way, one read per stage, and marches
+only the RK4 steps one at a time. The transport feet, the 16 division-age
+points and P's stage points are ``Located`` once, so a read is a gather plus
+a cubic; a large point set on a uniform node set is located by arithmetic
+instead of a binary search.
 """
 
 from __future__ import annotations
@@ -271,9 +275,10 @@ class HistoryField:
     lacks together, as one batched cubic per ``_BUILD_ROWS`` slices (a single
     slice through the 1-D cubic, with the same bits), and a slice whose slot
     was taken since is rebuilt when read again. Every read is a block read: a
-    scalar time is a block of one. A read with one point set at every time
-    reads each slice of its span once and blends the rows of each time's two
-    slices. A query set read many times can be passed ``Located`` on ``x``.
+    scalar time is a block of one. A read with one point set at consecutive
+    slice times, every time between slices or none, reads each slice of its
+    span once; any other read gathers both slices of every time. A query set
+    read many times can be passed ``Located`` on ``x``.
     """
 
     def __init__(self, x: np.ndarray, dt: float, values: np.ndarray, *,
@@ -331,7 +336,7 @@ class HistoryField:
 
     def _lookup_block(self, times: np.ndarray, xq, single: bool = False) -> np.ndarray:
         """``lookup`` at a 1-D array of times, one gather per coefficient plane;
-        one point set at every time reads each slice of the span once. A
+        one point set at consecutive times reads each slice of the span once. A
         ``single`` time reads xq's points as one flat set, into xq's shape."""
         i, theta = _time_brackets(times, self.dt)
         ahead = theta > 0.0
@@ -350,19 +355,16 @@ class HistoryField:
         # slice i + 1, which may not be filled yet
         i = i.astype(np.intp)
         R = i.size
+        if not R:
+            return np.empty((0, index.shape[1]))
         if index.shape[0] == 1 and (ahead == ahead[0]).all() and (np.diff(i) == 1).all():
             # consecutive slices, every time ahead or none: the span, read once
             span = self._read_rows(np.arange(i[0], i[-1] + 1 + ahead[0]), index, xq)
             out, nxt = span[:R], span[1:]
-        elif index.shape[0] == 1:
-            # one point set at every time: each slice of the span is read once
-            rows, at = np.unique(np.concatenate([i, i + ahead]), return_inverse=True)
-            block = self._read_rows(rows, index, xq)
-            out, nxt = block[at[:R]], block[at[R:]]
         elif ahead.any():
-            # a point set per time: both slices of every time in one read
-            block = self._read_rows(np.concatenate([i, i + ahead]),
-                                    np.concatenate([index, index]), xq)
+            # both slices of every time in one read; one point set serves all
+            block = self._read_rows(np.concatenate([i, i + ahead]), index if
+                                    index.shape[0] == 1 else np.concatenate([index, index]), xq)
             out, nxt = block[:R], block[R:]
         else:
             out = self._read_rows(i, index, xq)
@@ -683,18 +685,19 @@ class Solver:
         self._a_nodes, self._a_weights = a_nodes, a_weights
         self._xdelta = np.exp(self._log_gi[None, :] - a_nodes[:, None])   # (16, M)
         self._mdelta = flow.h_inv_log(self._log_gi[None, :] - a_nodes[:, None])
-        # one-step transports of the main grid, of main plus band (warmup,
-        # P), and of main plus band onto the band nodes
+        # one-step transports of the main grid and of main plus band (warmup,
+        # P and, by its tail, the band march)
         x_full = grid.x_full
         self._shift_main = _Shift(xs, xs, grid.dt)
         self._shift_full = _Shift(x_full, x_full, grid.dt)
-        self._shift_band = _Shift(x_full, grid.band_x, grid.dt)
-        # stage maturities of the characteristics, fixed per step; the band
-        # nodes are the tail of the full node set
-        self._full_stage_m = tuple(
-            np.asarray(flow.h_inv(x_full * math.exp(-s))) for s in
-            (grid.dt, 0.5 * grid.dt, 0.0))
-        self._band_stage_m = tuple(mm[xs.size - 1:] for mm in self._full_stage_m)
+        # the stage table of a characteristic step: points x e^-s on main plus
+        # band at s = dt, dt/2, 0, their maturities and the resting and
+        # proliferating decay rates there; main nodes read the head [:M], the
+        # band nodes the tail [M - 1:]
+        self._stage_x = tuple(x_full * math.exp(-s) for s in (grid.dt, 0.5 * grid.dt, 0.0))
+        self._stage_m = tuple(np.asarray(flow.h_inv(sx)) for sx in self._stage_x)
+        self._stage_psi_r = tuple(self.kern.psi_resting(mm) for mm in self._stage_m)
+        self._stage_psi_p = tuple(self.kern.psi_proliferating(mm) for mm in self._stage_m)
         self._tables = None
 
     # -- attenuation tables ----------------------------------------------------
@@ -717,73 +720,6 @@ class Solver:
         xi_qa = np.exp(dec_g.log_survival(np.exp(self._log_gi)[None, :],
                                           self._a_nodes[:, None]))
         return 2.0 * k_qa * xi_qa
-
-    # -- direct-form evaluations (reference path) -------------------------------
-
-    def _aligned_index(self, t: float) -> int:
-        pos = float(t) / self.grid.dt
-        if not math.isfinite(pos):
-            raise DomainError(f"t = {t} does not give a finite slice position")
-        i = round(pos)
-        if abs(pos - i) > 1e-6:
-            raise DomainError(f"t = {t:.9g} must align with the slice times")
-        return i
-
-    def _past_slices(self, t: float, name: str):
-        """Slice times s in [tau_upper, t] with trapezoid weights, for the
-        direct forms; a single slice means t = tau_upper, where both vanish."""
-        it = self._aligned_index(t)
-        if it < self.grid.n_history:
-            raise DomainError(f"{name} needs t >= tau_upper")
-        svals = np.arange(self.grid.n_history, it + 1) * self.grid.dt
-        w_s = np.full(svals.size, self.grid.dt)
-        w_s[0] = w_s[-1] = 0.5 * self.grid.dt
-        return svals, w_s
-
-    def eval_G(self, record, t: float, m: float) -> float:
-        """Division influx integral at (t, m), trapezoid in s and 16-node
-        Gauss-Legendre in division age, evaluated from scratch."""
-        svals, w_s = self._past_slices(t, "eval_G")
-        if svals.size == 1:
-            return 0.0
-        dec_r, dec_g = self._ensure_tables(t + self.grid.tau_upper)
-        log_x = float(self.flow.log_h(m))
-        x_m = math.exp(log_x) if np.isfinite(log_x) else 0.0
-        total = 0.0
-        for sv, ws in zip(svals, w_s):
-            ly = log_x - (t - sv)
-            y = float(self.flow.h_inv_log(np.asarray(ly)))
-            lgy = float(self.flow.log_h(self.flow.maturity.inverse(np.asarray(y))))
-            k_q = self.params.division.k(np.full(16, y), self._a_nodes, self.flow.g1)
-            xi_q = np.exp(dec_g.log_survival(
-                np.full(16, math.exp(lgy) if np.isfinite(lgy) else 0.0), self._a_nodes))
-            xd = np.exp(lgy - self._a_nodes) if np.isfinite(lgy) else np.zeros(16)
-            md = self.flow.h_inv_log(lgy - self._a_nodes) if np.isfinite(lgy) else np.zeros(16)
-            nv = np.array([float(record.lookup(sv - a, np.asarray([xq]))[0])
-                           for a, xq in zip(self._a_nodes, xd)])
-            inner = float(np.sum(self._a_weights * k_q * xi_q *
-                                 self.kern.beta(md, nv) * nv))
-            decay = float(dec_r.survival(np.asarray([x_m]), t - sv)[0])
-            total += ws * 2.0 * inner * decay
-        return total
-
-    def eval_J(self, record, t: float, m: float) -> float:
-        """Reintroduction outflux integral at (t, m), trapezoid on slice times."""
-        svals, w_s = self._past_slices(t, "eval_J")
-        if svals.size == 1:
-            return 0.0
-        dec_r, _ = self._ensure_tables(t)
-        log_x = float(self.flow.log_h(m))
-        x_m = math.exp(log_x) if np.isfinite(log_x) else 0.0
-        total = 0.0
-        for sv, ws in zip(svals, w_s):
-            ly = log_x - (t - sv)
-            y = float(self.flow.h_inv_log(np.asarray(ly)))
-            xq = math.exp(ly) if np.isfinite(ly) else 0.0
-            nv = float(record.lookup(sv, np.asarray([xq]))[0])
-            decay = float(dec_r.survival(np.asarray([x_m]), t - sv)[0])
-            total += ws * decay * float(self.kern.beta(np.asarray(y), np.asarray(nv))) * nv
-        return total
 
     # -- windowed solve ----------------------------------------------------------
 
@@ -1021,16 +957,18 @@ class Solver:
             raise win.failed[1]             # held back until iterate k + 1 was due
 
     def _advance_band(self, st: _RunState, i0: int, steps: int) -> None:
-        """Transport-decay march of the upper band across one window."""
-        stage_m = self._band_stage_m
-        stage_psi = tuple(self.kern.psi_resting(mm) for mm in stage_m)
+        """Transport-decay march of the upper band across one window, on the
+        tails of the full shift and of the stage table."""
+        tail = self.grid.m_nodes.size - 1
+        stage_m = tuple(mm[tail:] for mm in self._stage_m)
+        stage_psi = tuple(p[tail:] for p in self._stage_psi_r)
         beta = self.kern.beta
 
         def rhs(stage, u):
             return -(stage_psi[stage] + beta(stage_m[stage], u)) * u
 
         for r in range(1, steps + 1):
-            u0 = self._shift_band(st.ring.row(i0 + r - 1), st.window_index)
+            u0 = self._shift_full(st.ring.row(i0 + r - 1), st.window_index)[tail:]
             st.band[i0 + r] = _rk4_step(u0, self.grid.dt, rhs)
 
     def solve(self, history: InitialHistory, T: float) -> SolutionField:
@@ -1079,15 +1017,13 @@ class Solver:
         flow = self.flow
         g = self.params.maturity
         beta = self.kern.beta
-        psi = self.kern.psi_resting
         M = grid.m_nodes.size
         x_full = grid.x_full
         m_full = grid.m_full
         n_full = x_full.size
 
-        stage_m = self._full_stage_m              # maturities at s-offsets dt, dt/2, 0
-        stage_psi = tuple(psi(mm) for mm in stage_m)
-        # main-node views of the stage maturities, for the source terms
+        stage_m, stage_psi = self._stage_m, self._stage_psi_r
+        # the table's head, the main nodes, for the source terms
         stage_main = tuple(mm[:M] for mm in stage_m)
         stage_lgi = tuple(flow.log_h(g.inverse(mm)) for mm in stage_main)
         stage_xgi = tuple(np.exp(lg) for lg in stage_lgi)
@@ -1176,16 +1112,15 @@ class Solver:
         dec_r, dec_g = self._ensure_tables(float(field.times[-1]) + tau_up)
         flow = self.flow
         beta = self.kern.beta
-        psi = self.kern.psi_proliferating
         has_band = field.upper is not None
         x_act = grid.x_full if has_band else grid.x_nodes
         m_act = grid.m_full if has_band else grid.m_nodes
         M = grid.m_nodes.size
         nodes = field._store(has_band).nodes
 
-        stage_x = tuple(x_act * math.exp(-s) for s in (dt, 0.5 * dt, 0.0))
-        stage_m = tuple(np.asarray(flow.h_inv(sx)) for sx in stage_x)
-        stage_psi = tuple(psi(mm) for mm in stage_m)
+        # the stage table, whole with a band, else its head
+        stage_x, stage_m, stage_psi = (tuple(a[:x_act.size] for a in part) for part in
+                                       (self._stage_x, self._stage_m, self._stage_psi_p))
         with np.errstate(divide="ignore"):
             stage_lx = tuple(np.where(sx > 0.0, np.log(np.maximum(sx, 1e-300)), -np.inf)
                              for sx in stage_x)
@@ -1250,6 +1185,15 @@ class Solver:
         return field
 
     # -- a-posteriori residual -------------------------------------------------------
+
+    def _aligned_index(self, t: float) -> int:
+        pos = float(t) / self.grid.dt
+        if not math.isfinite(pos):
+            raise DomainError(f"t = {t} does not give a finite slice position")
+        i = round(pos)
+        if abs(pos - i) > 1e-6:
+            raise DomainError(f"t = {t:.9g} must align with the slice times")
+        return i
 
     def residual(self, field: SolutionField, t: float, m: float) -> float:
         """Defect of the strong-form balance at an interior grid point.

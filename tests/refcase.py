@@ -1,11 +1,13 @@
-"""Shared model constructors for the test suite."""
+"""Shared model constructors and reference forms for the test suite."""
+
+import math
 
 import numpy as np
 
 from hemaflow import (ConstantReintroduction, CustomReintroduction,
-                      CustomVelocity, HillReintroduction, LinearMaturityMap,
-                      ModelParams, PowerLawVelocity, RateFunctions,
-                      SeparableUniformKernel)
+                      CustomVelocity, DomainError, HillReintroduction,
+                      LinearMaturityMap, ModelParams, PowerLawVelocity,
+                      RateFunctions, SeparableUniformKernel)
 
 TAU_LOWER = 1.0
 TAU_UPPER = 2.0
@@ -71,8 +73,6 @@ def proliferating_by_steps(solver, field, data):
     sink read from the field at one time, on raw points, as two lookups per
     stage. The oracle for ``Solver.proliferating``; returns P on the main
     nodes and, with a band, P on the band nodes (else None)."""
-    import math
-
     from hemaflow.quadrature import gauss_legendre
     from hemaflow.solver import _TIME_SNAP, _eval_two_arg, _rk4_step
 
@@ -126,3 +126,94 @@ def proliferating_by_steps(solver, field, data):
         P[i] = _rk4_step(shift(P[i - 1]), dt,
                          lambda stage, u: -stage_psi[stage] * u + src[stage] - drain[stage])
     return P[:, :M], (P[:, M - 1:] if has_band else None)
+
+
+# ---------------------------------------------------------------------------
+# reference forms the library does not run: the oracles of its fast paths
+# ---------------------------------------------------------------------------
+
+def _past_slices(solver, t, name):
+    """Slice times s in [tau_upper, t] with trapezoid weights, for the direct
+    forms; a single slice means t = tau_upper, where both vanish."""
+    it = solver._aligned_index(t)
+    if it < solver.grid.n_history:
+        raise DomainError(f"{name} needs t >= tau_upper")
+    svals = np.arange(solver.grid.n_history, it + 1) * solver.grid.dt
+    w_s = np.full(svals.size, solver.grid.dt)
+    w_s[0] = w_s[-1] = 0.5 * solver.grid.dt
+    return svals, w_s
+
+
+def eval_G(solver, record, t, m):
+    """Division influx integral at (t, m), trapezoid in s and 16-node
+    Gauss-Legendre in division age, evaluated from scratch: the slow direct
+    form of the solver's windowed influx."""
+    svals, w_s = _past_slices(solver, t, "eval_G")
+    if svals.size == 1:
+        return 0.0
+    dec_r, dec_g = solver._ensure_tables(t + solver.grid.tau_upper)
+    flow, a_nodes = solver.flow, solver._a_nodes
+    log_x = float(flow.log_h(m))
+    x_m = math.exp(log_x) if np.isfinite(log_x) else 0.0
+    total = 0.0
+    for sv, ws in zip(svals, w_s):
+        ly = log_x - (t - sv)
+        y = float(flow.h_inv_log(np.asarray(ly)))
+        lgy = float(flow.log_h(flow.maturity.inverse(np.asarray(y))))
+        k_q = solver.params.division.k(np.full(16, y), a_nodes, flow.g1)
+        xi_q = np.exp(dec_g.log_survival(
+            np.full(16, math.exp(lgy) if np.isfinite(lgy) else 0.0), a_nodes))
+        xd = np.exp(lgy - a_nodes) if np.isfinite(lgy) else np.zeros(16)
+        md = flow.h_inv_log(lgy - a_nodes) if np.isfinite(lgy) else np.zeros(16)
+        nv = np.array([float(record.lookup(sv - a, np.asarray([xq]))[0])
+                       for a, xq in zip(a_nodes, xd)])
+        inner = float(np.sum(solver._a_weights * k_q * xi_q *
+                             solver.kern.beta(md, nv) * nv))
+        decay = float(dec_r.survival(np.asarray([x_m]), t - sv)[0])
+        total += ws * 2.0 * inner * decay
+    return total
+
+
+def eval_J(solver, record, t, m):
+    """Reintroduction outflux integral at (t, m), trapezoid on slice times:
+    the slow direct form of the solver's windowed outflux."""
+    svals, w_s = _past_slices(solver, t, "eval_J")
+    if svals.size == 1:
+        return 0.0
+    dec_r, _ = solver._ensure_tables(t)
+    flow = solver.flow
+    log_x = float(flow.log_h(m))
+    x_m = math.exp(log_x) if np.isfinite(log_x) else 0.0
+    total = 0.0
+    for sv, ws in zip(svals, w_s):
+        ly = log_x - (t - sv)
+        y = float(flow.h_inv_log(np.asarray(ly)))
+        xq = math.exp(ly) if np.isfinite(ly) else 0.0
+        nv = float(record.lookup(sv, np.asarray([xq]))[0])
+        decay = float(dec_r.survival(np.asarray([x_m]), t - sv)[0])
+        total += ws * decay * float(solver.kern.beta(np.asarray(y), np.asarray(nv))) * nv
+    return total
+
+
+def K(kern, t, m):
+    """Resting-phase attenuation over time t ending at maturity m, by direct
+    path quadrature: the oracle of the resting decay table."""
+    if t < 0.0:
+        raise DomainError("K needs t >= 0")
+    m_arr = np.asarray(m, dtype=float)
+    if np.any(m_arr < 0.0) or np.any(m_arr > 1.0):
+        raise DomainError("maturity must lie in [0, 1]")
+    out = np.exp(-kern._path_integral(kern.psi_resting, float(t), m_arr))
+    return float(out[0]) if np.ndim(m) == 0 else out
+
+
+def adaptive_interval(f, a, b):
+    """One panel of ``adaptive_panels`` on its own: the panel's rule against
+    its bisection, split where they disagree. The per-panel oracle of the
+    batched rule."""
+    from hemaflow.quadrature import N_NODES, _bisect, mapped_rule
+
+    if b == a:
+        return 0.0
+    x0, w0 = mapped_rule(a, b, N_NODES)
+    return _bisect(f, a, b, float(f(x0) @ w0), 0)

@@ -147,9 +147,9 @@ def test_criterion_5_positivity_sweep():
     start = time.perf_counter()
     solver = Solver(reference_params(beta0=1.0, delta=0.05),
                     m_nodes=512, dt_divisor=64)
-    rep = exp_positivity(solver, n_runs=20, seed=0, horizon=5.0 * TAU_U,
-                         floor=1e-8)
+    rep = exp_positivity(solver, n_runs=20, seed=0, horizon=5.0 * TAU_U)
     assert rep.verdict
+    assert rep.worst_floor >= -1e-8
     assert rep.n_runs == 20
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
@@ -165,7 +165,8 @@ def test_criterion_6_stem_cell_uniqueness():
 
     bump = smooth_bump(0.35, 0.09, 0.4)
     phi2 = lambda t, m: smooth_history(t, m) + bump(m) + 0.0 * np.asarray(t)
-    rep = exp_uniqueness(solver, smooth_history, phi2, 0.2, tol_match=1e-6)
+    rep = exp_uniqueness(solver, smooth_history, phi2, 0.2)
+    assert rep.tol_match == 1e-6
     assert rep.verdict
     assert rep.difference_at_history_edge >= 1e-2 * rep.scale
     max_tail = float(np.max(rep.divergence[rep.times >= rep.t_bar - 1e-9]))
@@ -184,7 +185,8 @@ def test_criterion_7_extinction_with_control():
     bump = smooth_bump(0.35, 0.09, 1.0)
     phi = lambda t, m: bump(m) * (1.0 + 0.1 * np.sin(np.asarray(t)))
     control = lambda t, m: bump(m) * (1.0 + 0.1 * np.sin(np.asarray(t))) + 0.5
-    rep = exp_extinction(solver, phi, 0.2, control_phi=control, tol_match=1e-6)
+    rep = exp_extinction(solver, phi, 0.2, control_phi=control)
+    assert rep.tol_match == 1e-6
     assert rep.verdict
     max_tail = float(np.max(rep.sup_profile[rep.times >= rep.t_bar - 1e-9]))
     assert max_tail <= 1e-6 * rep.scale
@@ -208,7 +210,8 @@ def test_criterion_8_invariance_bound():
 
     bump = smooth_bump(0.35, 0.09, 2.0)
     phi = lambda t, m: 0.1 + bump(m) + 0.0 * np.asarray(t)
-    rep = exp_invariance(solver, phi, 0.2, tol=1e-6)
+    rep = exp_invariance(solver, phi, 0.2)
+    assert rep.tol == 1e-6
     assert not rep.skipped
     assert rep.verdict_global and rep.verdict_small_m
     max_ratio = float(np.max(rep.sup_ratio[rep.times >= rep.t_bar - 1e-9]))

@@ -10,10 +10,9 @@ from scipy.special import roots_jacobi, roots_legendre
 from hemaflow import (ConfigurationError, CustomVelocity, DomainError,
                       FlowMap, LinearMaturityMap, PowerLawVelocity)
 from hemaflow.cubic import HermiteCubic
-from hemaflow.quadrature import (adaptive_interval, adaptive_panels, gauss_jacobi,
-                                 gauss_legendre)
+from hemaflow.quadrature import adaptive_panels, gauss_jacobi, gauss_legendre
 
-from refcase import quadratic_h, quadratic_velocity
+from refcase import adaptive_interval, quadratic_h, quadratic_velocity
 
 G_HALF = LinearMaturityMap(c=0.5)
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hemaflow import solver as solver_module
 from hemaflow.cubic import HermiteCubic
 from hemaflow.solver import Located
 
-from refcase import nan_band_params, reference_params, smooth_history
+from refcase import eval_G, eval_J, nan_band_params, reference_params, smooth_history
 
 NONFINITE_TIMES = [float("nan"), float("inf"), float("-inf"), 1e308]
 
@@ -525,20 +526,58 @@ class TestHistoryField:
                 ring.lookup(times, xq)
 
     @pytest.mark.parametrize("keep", [math.inf, 4])
-    def test_shared_points_read_as_the_scalar_lookup_at_each_time(self, keep):
-        # one point set at every time reads each slice once and blends the
-        # rows; at keep = 4 the span of 9 slices is read in turns
+    def test_shared_points_read_as_the_scalar_lookup_at_each_time(self, keep, monkeypatch):
+        # one point set at times that are not consecutive slices, or that lie
+        # between slices for some times and on them for others, gathers the
+        # slices of every time in one read; at keep = 4 the span of 9 slices
+        # is read in turns
         rng = np.random.default_rng(21)
         values = np.cumsum(rng.normal(size=(10, 9)), axis=1)
         values[9] = np.nan                  # not filled yet: building it would raise
         ring = HistoryField(self.x, 0.25, values, filled=9, keep=keep)
-        times = np.array([0.0, 0.5, 2.0,                    # on slices, the last filled one
-                          0.3, 1.1, 0.25 + 1e-12, 1.9999999, 0.125])
         xq = np.linspace(-0.05, 0.55, 13)                   # NaN outside the nodes
-        for points in (xq, Located(self.x, xq)):
-            got = ring.lookup(times, points)
-            _assert_same_bits(got, np.array([ring.lookup(t, xq) for t in times.tolist()]))
-        assert np.array_equal(np.isnan(got), np.broadcast_to((xq < 0.0) | (xq > 0.5), got.shape))
+        reads, read = [], HistoryField._read_rows
+        monkeypatch.setattr(HistoryField, "_read_rows",
+                            lambda self, rows, index, q: reads.append(index.shape[0])
+                            or read(self, rows, index, q))
+        for times in (np.array([0.0, 0.5, 2.0,              # on slices, the last filled one
+                                0.3, 1.1, 0.25 + 1e-12, 1.9999999, 0.125]),
+                      np.array([0.0, 0.5, 2.0, 1.0]),       # on slices, scattered
+                      np.array([0.3, 1.1, 0.6, 1.9999999]),  # between slices, scattered
+                      np.array([0.25, 0.6, 0.75, 1.1])):    # consecutive slices, mixed
+            expected = np.array([ring.lookup(t, xq) for t in times.tolist()])
+            for points in (xq, Located(self.x, xq)):
+                reads.clear()
+                got = ring.lookup(times, points)
+                assert reads == [1]         # one read, one row of intervals
+                _assert_same_bits(got, expected)
+            assert np.array_equal(np.isnan(got),
+                                  np.broadcast_to((xq < 0.0) | (xq > 0.5), got.shape))
+
+    def test_empty_times_read_an_empty_block(self, field_ref):
+        ring = HistoryField(np.linspace(0.0, 1.0, 9), 0.25, np.ones((3, 9)))
+        xq = np.linspace(0.0, 1.0, 5)
+        for points in (xq, Located(ring.x, xq), np.empty((0, 5))):
+            got = ring.lookup(np.array([]), points)
+            assert got.shape == (0, 5) and got.dtype == float
+        for combined in (False, True):
+            assert field_ref.lookup(np.array([]), field_ref.x[:5],
+                                    combined=combined).shape == (0, 5)
+            assert field_ref.lookup(np.array([]), np.empty((0, 5)),
+                                    combined=combined).shape == (0, 5)
+
+    @pytest.mark.parametrize("far", [1e200, -1e200])
+    def test_far_points_read_nan_without_warning(self, far):
+        ring = HistoryField(self.x, 0.25, np.cumsum(
+            np.random.default_rng(25).normal(size=(3, 9)), axis=1))
+        xq = np.array([far, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [ring.lookup(0.25, xq), ring.lookup(0.3, Located(self.x, xq)),
+                   ring.lookup(np.array([0.0, 0.3]), np.stack([xq, xq]))]
+        for block in got:
+            block = block.reshape(-1, 2)
+            assert np.isnan(block[:, 0]).all() and np.isfinite(block[:, 1]).all()
 
     def test_batched_slot_builds_equal_single_builds_with_a_band(self, monkeypatch):
         rng = np.random.default_rng(22)
@@ -729,12 +768,12 @@ class TestNonFiniteTimes:
     @pytest.mark.parametrize("t", NONFINITE_TIMES)
     def test_eval_G(self, solver_ref, field_ref, t):
         with pytest.raises(DomainError, match="finite"):
-            solver_ref.eval_G(field_ref, t, 0.3)
+            eval_G(solver_ref, field_ref, t, 0.3)
 
     @pytest.mark.parametrize("t", NONFINITE_TIMES)
     def test_eval_J(self, solver_ref, field_ref, t):
         with pytest.raises(DomainError, match="finite"):
-            solver_ref.eval_J(field_ref, t, 0.3)
+            eval_J(solver_ref, field_ref, t, 0.3)
 
 
 class TestSolveBasics:
@@ -947,22 +986,22 @@ class TestWaveGrouping:
 
 class TestDirectFormEvaluators:
     def test_trivial_zeros(self, solver_ref, field_ref):
-        assert solver_ref.eval_G(field_ref, TAU, 0.3) == 0.0
-        assert solver_ref.eval_J(field_ref, TAU, 0.3) == 0.0
+        assert eval_G(solver_ref, field_ref, TAU, 0.3) == 0.0
+        assert eval_J(solver_ref, field_ref, TAU, 0.3) == 0.0
 
     def test_no_reintroduction_zeroes_both(self):
         solver = Solver(reference_params(beta_form="constant", beta0=0.0),
                         m_nodes=64, dt_divisor=16)
         hist = InitialHistory.from_callable(smooth_history, solver.grid)
         field = solver.solve(hist, T=5.0)
-        assert solver.eval_G(field, 4.0, 0.3) == 0.0
-        assert solver.eval_J(field, 4.0, 0.3) == 0.0
+        assert eval_G(solver, field, 4.0, 0.3) == 0.0
+        assert eval_J(solver, field, 4.0, 0.3) == 0.0
 
     def test_no_division_zeroes_influx(self):
         solver = Solver(reference_params(kappa=0.0), m_nodes=64, dt_divisor=16)
         hist = InitialHistory.from_callable(smooth_history, solver.grid)
         field = solver.solve(hist, T=5.0)
-        assert solver.eval_G(field, 4.0, 0.3) == 0.0
+        assert eval_G(solver, field, 4.0, 0.3) == 0.0
 
     def test_constant_field_outflux_closed_form(self):
         # N = c and beta = b constant: J = b c (1 - e^-(r (t - tau)))/r
@@ -977,7 +1016,7 @@ class TestDirectFormEvaluators:
                             N=np.full((n_slices, grid.m_nodes.size), c0))
         for t in (2.5, 3.5):
             expect = b0 * c0 * (1.0 - np.exp(-r * (t - TAU))) / r
-            got = solver.eval_J(rec, t, 0.31)
+            got = eval_J(solver, rec, t, 0.31)
             assert got == pytest.approx(expect, rel=2e-4)
 
     def test_fixed_point_relation_against_direct_forms(self, solver_ref, field_ref):
@@ -994,8 +1033,8 @@ class TestDirectFormEvaluators:
             back = t - TAU
             phiK = (field.lookup(TAU, np.asarray([grid.x_nodes[j] * np.exp(-back)]))[0]
                     * float(dec_r.survival(np.asarray([grid.x_nodes[j]]), back)[0]))
-            recomputed = (phiK + solver.eval_G(field, t, m)
-                          - solver.eval_J(field, t, m))
+            recomputed = (phiK + eval_G(solver, field, t, m)
+                          - eval_J(solver, field, t, m))
             assert abs(recomputed - field.N[it, j]) < 2e-5 * scale
 
 
@@ -1145,6 +1184,19 @@ class TestUpperBand:
             expected = PchipInterpolator(x_full, row, extrapolate=False)(xq)
             assert np.array_equal(field.lookup(field.times[i], xq, combined=True),
                                   expected)
+
+    @pytest.mark.parametrize("c, m_nodes", [(0.3, 128), (0.5, 600)])
+    def test_band_shift_is_the_tail_of_the_full_shift(self, c, m_nodes):
+        # the band march reads the tail of the full shift: bit for bit the
+        # shift onto the band nodes alone (at 600 nodes the full feet are
+        # located by arithmetic, the band's by a search)
+        solver = Solver(reference_params(c=c), m_nodes=m_nodes, dt_divisor=16)
+        grid = solver.grid
+        band = solver_module._Shift(grid.x_full, grid.band_x, grid.dt)
+        tail = grid.m_nodes.size - 1
+        rows = np.cumsum(np.random.default_rng(26).normal(size=(5, grid.x_full.size)), axis=1)
+        for y in (rows[0], rows):
+            _assert_same_bits(solver._shift_full(y)[..., tail:], band(y))
 
     def test_short_delay_requires_band_history(self):
         # tau_lower below the crossing time at g(1): ancestry reaches above

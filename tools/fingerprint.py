@@ -18,7 +18,11 @@ imported, never copied), so the digests cover what the benchmark runs:
   age-dependent Gamma);
 * ``tables``: a model read by the CLI's builder with a tabulated V
   (m + m^2 / 2, 17 rows) and a linear tabulated g (c = 0.5, 5 rows), solved
-  on 64 x 8 to T = 5 (N, tau0, Lipschitz l, invariance lhs, flow nodes).
+  on 64 x 8 to T = 5 (N, tau0, Lipschitz l, invariance lhs, flow nodes);
+* ``warmup``: the warmup history alone (main and band) for the benchmark's
+  seed-0 ``hemaflow run`` model and grid, with a Gamma that depends on age;
+* ``experiments``: ``to_dict()`` and the profile of ``exp_extinction`` with a
+  control and of ``exp_invariance`` (the acceptance models, on 128 x 16).
 
 Run from the root of a checkout; it imports that checkout's ``src``:
 
@@ -152,11 +156,36 @@ def tables() -> dict:
             "x_nodes": _sha(solver.grid.x_nodes)}
 
 
+def warmup() -> dict:
+    spec = SIZES["full"]["cli_run"]
+    solver = hf.Solver(build_params(cli_config(REFERENCE_SEED, spec)),
+                       m_nodes=spec["m_nodes"], dt_divisor=spec["dt_divisor"])
+    data = hf.WarmupData(Gamma=lambda m, a: (0.1 + m) * np.exp(-0.7 * np.asarray(a)),
+                         N0=lambda m: 0.5 - 0.2 * m)
+    hist = solver.warmup(data)
+    return {"values": _sha(hist.values), "upper": _sha(hist.upper)}
+
+
+def experiments() -> dict:
+    solver = hf.Solver(reference_params(1.8), m_nodes=128, dt_divisor=16)
+    bump = xp.smooth_bump(0.35, 0.09, 1.0)
+    ext = xp.exp_extinction(solver, lambda t, m: bump(m) * (1.0 + 0.1 * np.sin(t)), 0.2,
+                            control_phi=lambda t, m: bump(m) + 0.5 + 0.0 * t)
+    params = dataclasses.replace(reference_params(0.2),
+                                 rates=hf.RateFunctions(delta=1.2, gamma=0.0))
+    bump = xp.smooth_bump(0.35, 0.09, 2.0)
+    inv = xp.exp_invariance(hf.Solver(params, m_nodes=128, dt_divisor=16),
+                            lambda t, m: 0.1 + bump(m) + 0.0 * t, 0.2)
+    assert not inv.skipped
+    return {"extinction": _sha(ext.to_dict(), ext.sup_profile),
+            "invariance": _sha(inv.to_dict(), inv.sup_ratio)}
+
+
 def main() -> int:
     result = {"ref_solve": ref_solve(), "positivity": positivity(),
               "uniqueness": uniqueness(), "band_solve": band_solve(),
               "cli_run": cli_run(), "proliferating": proliferating(),
-              "tables": tables()}
+              "tables": tables(), "warmup": warmup(), "experiments": experiments()}
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 

@@ -364,24 +364,26 @@ def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
     if "residuals" in emit and solver.grid.steps_to(horizon) < 2:
         raise ConfigurationError(f"run.horizon: {horizon:g} is below tau_upper + 2 dt, "
                                  "the least horizon for residuals in run.emit")
-    warmup = _warmup_data(run.get("warmup", {}), "run.warmup")
+    # P reads only Gamma, so run.warmup holds nothing else
+    warmup = run.get("warmup", {})
+    _reject_unknown(warmup, {"Gamma"}, "run.warmup")
+    gamma = _warmup_data(warmup, "run.warmup").Gamma
     hist_spec = run.get("history", {"kind": "zero"})
     if isinstance(hist_spec, dict) and hist_spec.get("kind") == "warmup":
         # P is rebuilt with the Gamma that made the history
         given = {k: v for k, v in hist_spec.items() if k != "kind"}
         const = lambda g: g.get("const", g) if isinstance(g, dict) else g
-        gamma = run.get("warmup", {}).get("Gamma")
-        if gamma is not None and const(gamma) != const(given.get("Gamma", 0.0)):
+        if "Gamma" in warmup and const(warmup["Gamma"]) != const(given.get("Gamma", 0.0)):
             raise ConfigurationError(
                 "run.warmup.Gamma: differs from run.history.Gamma, the Gamma that "
                 "made the warmup history; give it once, in run.history")
-        warmup = _warmup_data(given, "run.history")
+        gamma = _warmup_data(given, "run.history").Gamma
     history = build_history(hist_spec, solver, seed)
 
     t0 = time.perf_counter()
     field = solver.solve(history, horizon)
     if "P" in emit:
-        field = solver.proliferating(field, warmup)
+        field = solver.proliferating(field, gamma)
     wall = time.perf_counter() - t0
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -91,11 +91,6 @@ class TbarResult:
     t_sequence: np.ndarray
     M: int
 
-    def to_dict(self):
-        return {"b": self.b, "t_bar": self.t_bar, "M": self.M,
-                "b_sequence": self.b_sequence.tolist(),
-                "t_sequence": self.t_sequence.tolist()}
-
 
 def compute_tbar(kern: Kernels, b: float) -> TbarResult:
     """Iterate the ancestry inverse until it reaches g(1).
@@ -428,25 +423,20 @@ def exp_invariance(solver: Solver, phi, b: float, *,
 
 
 def exp_positivity(solver: Solver, *, n_runs: int = 20, seed: int = 0,
-                   horizon: Optional[float] = None,
-                   histories=None) -> PositivityReport:
-    """Nonnegative seeded histories must produce nonnegative populations."""
+                   horizon: Optional[float] = None) -> PositivityReport:
+    """Nonnegative histories must produce nonnegative populations: ``n_runs``
+    solves from ``random_nonneg_history(seed + i)``, each to ``horizon``
+    (default 5 tau_upper)."""
     grid = solver.grid
     probe = np.linspace(0.0, solver.flow.g1, 1025)
     if float(np.min(solver.kern.psi_resting(probe))) <= 0.0:
         raise PreconditionError(
             "positivity requires delta + V' > 0 on [0, g(1)]")
     T = horizon if horizon is not None else 5.0 * grid.tau_upper
-    if histories is None:
-        histories = [random_nonneg_history(seed + i) for i in range(n_runs)]
     per_run = []
     worst = np.inf
-    for i, phi in enumerate(histories):
-        hist = _as_history(phi, grid)
-        if float(np.min(hist.values)) < 0.0:
-            raise PreconditionError(
-                f"history {i} takes negative values; positivity makes no "
-                "claim for signed data")
+    for i in range(n_runs):
+        hist = InitialHistory.from_callable(random_nonneg_history(seed + i), grid)
         f = solver.solve(hist, T)
         lo = float(np.min(f.N))
         hi = float(np.max(np.abs(f.N)))

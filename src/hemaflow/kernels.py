@@ -19,7 +19,7 @@ import numpy as np
 from .cubic import HermiteCubic
 from .errors import ConfigurationError, DomainError
 from .flow import FlowMap
-from .params import ModelParams, golden_section_max
+from .params import ModelParams, scan_max
 from .quadrature import RTOL, gauss_legendre
 
 _PATH_POINTS_MAX = 2 ** 24   # quadrature points one _path_integral pass may hold
@@ -231,14 +231,9 @@ class Kernels:
         n_m, n_a = 257, 65
 
         m = np.linspace(0.0, g1, n_m)
-        vals = self.psi_resting(m)
-        j = int(np.argmin(vals))
         # the minimum is the negated maximum of -psi (exact); tol 0 lets the
         # search run its full 80 steps
-        polished = -golden_section_max(
-            lambda v: -float(self.psi_resting(np.array([v]))[0]),
-            m[max(j - 1, 0)], m[min(j + 1, n_m - 1)], max_iter=80, tol=0.0)
-        I = min(float(np.min(vals)), polished)
+        I = -scan_max(lambda v: -self.psi_resting(v), m, max_iter=80, tol=0.0)
 
         def zeta_grid(ms, ages):
             return np.abs(self.zeta(ms[:, None], ages[None, :]))

@@ -273,13 +273,20 @@ def golden_section_max(f: Callable, a: float, b: float, *, max_iter: int,
     return max(fc, fd)
 
 
-def _max_field(f: Callable, lo: float, hi: float) -> float:
-    m = np.linspace(lo, hi, 2049)
-    vals = f(m)
+def scan_max(f: Callable, grid: np.ndarray, *, max_iter: int, tol: float) -> float:
+    """Maximum of f, vectorized over the 1-D array ``grid``: the best grid
+    value, or the golden-section polish of the bracket around the best node
+    (``golden_section_max`` with ``max_iter`` and ``tol``) if that is larger."""
+    vals = f(grid)
     j = int(np.argmax(vals))
-    polished = golden_section_max(lambda v: float(f(v)), m[max(j - 1, 0)],
-                                  m[min(j + 1, m.size - 1)], max_iter=80, tol=1e-13)
+    polished = golden_section_max(lambda v: float(f(v)), grid[max(j - 1, 0)],
+                                  grid[min(j + 1, grid.size - 1)],
+                                  max_iter=max_iter, tol=tol)
     return max(float(np.max(vals)), polished)
+
+
+def _max_field(f: Callable, lo: float, hi: float) -> float:
+    return scan_max(f, np.linspace(lo, hi, 2049), max_iter=80, tol=1e-13)
 
 
 @dataclass(frozen=True)
@@ -527,10 +534,6 @@ class ModelParams:
     @property
     def tau_upper(self) -> float:
         return self.division.tau_upper
-
-    @property
-    def g1(self) -> float:
-        return self.maturity.g1
 
     def describe(self) -> dict:
         return {

@@ -368,12 +368,10 @@ class HistoryField:
             out, nxt = block[:R], block[R:]
         else:
             out = self._read_rows(i, index, xq)
-        if ahead.all():
+        if ahead.any():
+            # a row at theta = 0 read slice i twice, and v + 0.0 * v is v
             theta = theta[:, None]
             out = (1.0 - theta) * out + theta * nxt
-        elif ahead.any():
-            theta = theta[:, None]
-            out = np.where(ahead[:, None], (1.0 - theta) * out + theta * nxt, out)
         return out.reshape(xq.shape) if single else out
 
     def _read_rows(self, rows: np.ndarray, index: np.ndarray, q: Located) -> np.ndarray:
@@ -505,9 +503,6 @@ class SolutionField:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.N)))
 
     def lookup(self, t: float, xq, *, combined: bool = False) -> np.ndarray:
         """N at time t (linear between slices) and flow coordinates xq, raw or
@@ -643,7 +638,6 @@ class _RunState:
         self.G_carry = None       # running influx integral at the last finalized slice
         self.J_carry = None       # running outflux integral at the last finalized slice
         self.dec_r = None         # resting-phase decay table
-        self.dec_g = None         # proliferating-phase decay table
         self.zeta_qa = None       # division weights on the age Gauss nodes
         self.K_step = None        # per-node one-step attenuation
         self.alpha_bar = 1.0      # sup of K over one window span
@@ -698,20 +692,17 @@ class Solver:
         self._stage_m = tuple(np.asarray(flow.h_inv(sx)) for sx in self._stage_x)
         self._stage_psi_r = tuple(self.kern.psi_resting(mm) for mm in self._stage_m)
         self._stage_psi_p = tuple(self.kern.psi_proliferating(mm) for mm in self._stage_m)
-        self._tables = None
 
     # -- attenuation tables ----------------------------------------------------
 
     def _ensure_tables(self, depth: float):
-        """Resting/proliferating decay tables deep enough for ``depth`` of pullback."""
+        """Resting/proliferating decay tables deep enough for ``depth`` of
+        pullback, from the kernels' cache (tables agree where they overlap)."""
         x1 = self.grid.x_nodes[1]
         lg = self._log_gi[np.isfinite(self._log_gi)]
         u_min = min(math.log(x1), float(np.min(lg))) - depth - 1.0
-        if self._tables is None or self._tables[0] > u_min:
-            dec_r = self.kern.decay_table("resting", u_min)
-            dec_g = self.kern.decay_table("proliferating", u_min)
-            self._tables = (u_min, dec_r, dec_g)
-        return self._tables[1], self._tables[2]
+        return (self.kern.decay_table("resting", u_min),
+                self.kern.decay_table("proliferating", u_min))
 
     def _zeta_matrix(self, dec_g) -> np.ndarray:
         """zeta(m_j, a_q) on the Gauss nodes, with the factor 2 folded in."""
@@ -770,7 +761,7 @@ class Solver:
 
         depth = n_steps * grid.dt + grid.tau_upper
         dec_r, dec_g = self._ensure_tables(depth)
-        st.dec_r, st.dec_g = dec_r, dec_g
+        st.dec_r = dec_r
         st.zeta_qa = self._zeta_matrix(dec_g)
         st.K_step = dec_r.survival(grid.x_nodes, grid.dt)
         u_probe = np.linspace(0.0, grid.tau_lower, 33)
@@ -1001,19 +992,20 @@ class Solver:
 
     # -- warmup from age densities ------------------------------------------------
 
-    def warmup(self, data: WarmupData, *, check_positive: bool = False) -> InitialHistory:
+    def warmup(self, data: WarmupData) -> InitialHistory:
         """Produce the history phi on [0, tau_upper] from (Gamma, N0).
 
         Integrates the pre-horizon transport-reaction equations along
         characteristics with classic fourth-order one-step stages; the
         delayed reintroduction feedback appearing after tau_lower reads
-        earlier warmup slices, which time marching makes available.
+        earlier warmup slices, which time marching makes available. Signed
+        data is carried through; N0 and every slice must be finite.
         """
         grid = self.grid
         dt = grid.dt
         nh = grid.n_history
         tau_lo, tau_up = grid.tau_lower, grid.tau_upper
-        dec_r, dec_g = self._ensure_tables(2.0 * tau_up)
+        _, dec_g = self._ensure_tables(2.0 * tau_up)
         flow = self.flow
         g = self.params.maturity
         beta = self.kern.beta
@@ -1027,7 +1019,6 @@ class Solver:
         stage_main = tuple(mm[:M] for mm in stage_m)
         stage_lgi = tuple(flow.log_h(g.inverse(mm)) for mm in stage_main)
         stage_xgi = tuple(np.exp(lg) for lg in stage_lgi)
-        z16, w16 = gauss_legendre(16)
 
         def source(sigma: float, stage: int, record: HistoryField) -> np.ndarray:
             """Division influx at warmup time sigma on main nodes."""
@@ -1037,9 +1028,7 @@ class Solver:
             # boundary part: mothers already proliferating at t = 0
             a_lo = max(sigma, tau_lo)
             if a_lo < tau_up - 1e-14:
-                half_len = 0.5 * (tau_up - a_lo)
-                a_nodes = a_lo + half_len * (z16 + 1.0)
-                a_w = half_len * w16
+                a_nodes, a_w = mapped_rule(a_lo, tau_up, 16)
                 mothers_now = flow.h_inv_log(lgi - sigma)       # Delta(sigma, m)
                 gam = _eval_two_arg(data.Gamma, mothers_now[None, :],
                                     (a_nodes - sigma)[:, None])
@@ -1048,9 +1037,7 @@ class Solver:
                 out += 2.0 * xi_now * np.einsum("q,qj->j", a_w, k_qa * gam)
             # delayed part: daughters of cells reintroduced after t = 0
             if sigma > tau_lo + 1e-14:
-                half_len = 0.5 * (sigma - tau_lo)
-                a_nodes = tau_lo + half_len * (z16 + 1.0)
-                a_w = half_len * w16
+                a_nodes, a_w = mapped_rule(tau_lo, sigma, 16)
                 k_qa = self.params.division.k(mm[None, :], a_nodes[:, None], flow.g1)
                 xi_qa = np.exp(dec_g.log_survival(stage_xgi[stage][None, :],
                                                   a_nodes[:, None]))
@@ -1086,17 +1073,15 @@ class Solver:
                     "check Gamma and N0")
             record.filled = i + 1
 
-        if check_positive and float(np.min(values)) < -1e-12 * max(1.0, float(np.max(np.abs(values)))):
-            raise ConfigurationError("warmup produced negative densities")
-
         times = np.arange(nh + 1) * dt
         return InitialHistory(times=times, values=values[:, :M].copy(),
                               upper=values[:, M - 1:].copy())
 
     # -- proliferating phase reconstruction ----------------------------------------
 
-    def proliferating(self, field: SolutionField, data: WarmupData) -> SolutionField:
-        """Reconstruct P along characteristics and attach it to the field.
+    def proliferating(self, field: SolutionField, Gamma: Callable) -> SolutionField:
+        """Reconstruct P along characteristics from the initial age density
+        ``Gamma(m, a)`` of the proliferating phase and attach it to the field.
 
         The sink switches regime at tau_upper: before, it drains the initial
         age density reaching the division deadline; after, it drains the
@@ -1109,7 +1094,7 @@ class Solver:
         grid = self.grid
         dt = grid.dt
         tau_up = grid.tau_upper
-        dec_r, dec_g = self._ensure_tables(float(field.times[-1]) + tau_up)
+        _, dec_g = self._ensure_tables(float(field.times[-1]) + tau_up)
         flow = self.flow
         beta = self.kern.beta
         has_band = field.upper is not None
@@ -1136,7 +1121,7 @@ class Solver:
             if early.any():
                 s = sigma[early, None]
                 mothers = flow.h_inv_log(stage_lx[stage] - s)
-                gam = _eval_two_arg(data.Gamma, mothers, tau_up - s)
+                gam = _eval_two_arg(Gamma, mothers, tau_up - s)
                 out[early] = gam * np.exp(dec_g.log_survival(stage_x[stage], s))
             if not early.all():
                 late = ~early
@@ -1155,7 +1140,7 @@ class Solver:
         for lo, hi in zip(edges[:-1], edges[1:]):
             half = 0.5 * (hi - lo)
             a_nodes = lo + half * (z + 1.0)
-            gam = _eval_two_arg(data.Gamma, m_act[None, :], a_nodes[:, None])
+            gam = _eval_two_arg(Gamma, m_act[None, :], a_nodes[:, None])
             P0 += half * np.einsum("q,qj->j", w, gam)
 
         n_slices = field.times.size
@@ -1233,12 +1218,11 @@ class Solver:
         nv_here = here[:, jj]
         delta = self.params.rates.delta_fn()(mj)
         decay = -(delta + self.kern.beta(mj, nv_here)) * nv_here
-        lgi = self.flow.log_h(self.params.maturity.inverse(mj))[:, None]
         a = self._a_nodes
-        md = self.flow.h_inv_log(lgi - a)                           # (J, 16)
-        xd = np.exp(lgi - a).T                                      # (16, J)
+        md = self._mdelta[:, jj].T                                  # (J, 16)
+        xd = self._xdelta[:, jj]                                    # (16, J)
         # math.exp, not np.exp: the two differ in the last bit on some inputs
-        xg = np.array([math.exp(v) for v in lgi.ravel().tolist()])[:, None]
+        xg = np.array([math.exp(v) for v in self._log_gi[jj].tolist()])[:, None]
         weight = (self._a_weights * self.params.division.k(mj[:, None], a, self.flow.g1)
                   * np.exp(dec_g.log_survival(xg, a)))
         # one read of main plus band (as the solve reads it) per sample time, its

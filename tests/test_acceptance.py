@@ -267,7 +267,7 @@ def test_criterion_10_proliferating_consistency():
                       N0=lambda m: 0.0 * np.asarray(m))
     hist0 = solver0.warmup(zero)
     field0 = solver0.solve(hist0, T=3.0 * TAU_U)
-    field0 = solver0.proliferating(field0, zero)
+    field0 = solver0.proliferating(field0, zero.Gamma)
     assert np.max(np.abs(field0.P)) == 0.0
     assert np.max(np.abs(field0.upper.P)) == 0.0
 
@@ -282,7 +282,7 @@ def test_criterion_10_proliferating_consistency():
                           N=np.tile(n_star, (n_slices, 1)))
     data = WarmupData(Gamma=lambda m, a: 0.3 + 0.0 * np.asarray(m) * np.asarray(a),
                       N0=lambda m: 0.8 + 0.0 * np.asarray(m))
-    synth = solver.proliferating(synth, data)
+    synth = solver.proliferating(synth, data.Gamma)
     P_inf = synth.P[-1]
     assert np.max(np.abs(synth.P[-1] - synth.P[-2])) < 1e-12
 

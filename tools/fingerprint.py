@@ -136,7 +136,7 @@ def proliferating() -> str:
     field = solver.solve(hist, spec["T"])
     data = hf.WarmupData(Gamma=lambda m, a: (1.0 + m) * np.exp(-0.7 * np.asarray(a)),
                          N0=lambda m: 0.0 * m)
-    solver.proliferating(field, data)
+    solver.proliferating(field, data.Gamma)
     assert field.upper is None
     return _sha(field.P)
 

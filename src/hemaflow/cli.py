@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -351,7 +352,43 @@ def _run_seed(run: dict, seed_override) -> int:
     return _integer(seed_override, "--seed", 0)
 
 
+def _make_out(out_dir: Path) -> None:
+    """Create the output directory; one that cannot be made exits 2 as --out."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"--out: {exc}")
+
+
+def _start_worker(task, *args):
+    """Run ``task(*args)`` on a worker thread. The returned ``join`` waits for
+    it and raises in the caller what it raised."""
+    raised = []
+
+    def work():
+        try:
+            task(*args)
+        except BaseException as exc:  # noqa: BLE001 - handed to join
+            raised.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+
+    def join():
+        worker.join()
+        if raised:
+            raise raised[0]
+    return join
+
+
 def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
+    """Solve the config's run and write ``solution.csv``, ``solution.npz``,
+    ``solution.meta.json`` and, with ``residuals`` in ``run.emit``,
+    ``residuals.json`` to ``out_dir``. The directory is made once every
+    config key has been read, before the solve. The CSV is formatted on a
+    worker thread while this one compresses the npz and samples the
+    residuals (zlib releases the GIL); the worker is joined before return
+    or raise, and what it raised is raised here."""
     solver = _make_solver(cfg)
     run = _run_section(cfg)
     horizon = _horizon(run.get("horizon", 5.0 * solver.grid.tau_upper), solver,
@@ -379,6 +416,7 @@ def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
                 "made the warmup history; give it once, in run.history")
         gamma = _warmup_data(given, "run.history").Gamma
     history = build_history(hist_spec, solver, seed)
+    _make_out(out_dir)
 
     t0 = time.perf_counter()
     field = solver.solve(history, horizon)
@@ -386,15 +424,16 @@ def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
         field = solver.proliferating(field, gamma)
     wall = time.perf_counter() - t0
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "solution.csv"
-    field.to_csv(csv_path)
-    field.save(out_dir / "solution")
-    if "residuals" in emit:
-        stats = solver.residual_stats(field)
-        field.metadata["residuals"] = stats
-        with open(out_dir / "residuals.json", "w") as fh:
-            json.dump(stats, fh, indent=2)
+    join_csv = _start_worker(field.to_csv, csv_path)
+    try:
+        field.save(out_dir / "solution")
+        if "residuals" in emit:
+            stats = solver.residual_stats(field)
+            with open(out_dir / "residuals.json", "w") as fh:
+                json.dump(stats, fh, indent=2)
+    finally:
+        join_csv()
     meta = field.metadata
     print(f"wrote {csv_path}")
     print(f"  N in [{field.N.min():.6g}, {field.N.max():.6g}]  "
@@ -419,8 +458,9 @@ def _experiment_section(cfg: dict, kind: str) -> dict:
 
 
 def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> int:
+    """Run one verification experiment and write its report (and profile
+    CSV) to ``out_dir``, made once every config key has been read."""
     exp = _experiment_section(cfg, kind)
-    out_dir.mkdir(parents=True, exist_ok=True)
     run = _run_section(cfg)
     seed = _run_seed(run, seed_override)
 
@@ -428,6 +468,7 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> i
         solver = _make_solver(cfg)
         lambdas = _numbers(exp.get("lambdas", [0.1, 1.0, 10.0]), "experiment.lambdas")
         n_w = _integer(exp.get("n_w", 100), "experiment.n_w", 1, MAX_W)
+        _make_out(out_dir)
         rng = np.random.default_rng(seed)
         reports = []
         verdict = True
@@ -453,15 +494,17 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> i
     horizon = exp.get("horizon")
     horizon = None if horizon is None else _horizon(horizon, solver, "experiment.horizon")
 
+    # each kind reads its keys first; ``experiment`` runs once the out dir is
+    # made, and ``profile`` is (file, report attribute, header) of its CSV
+    profile = None
     if kind == "picard-rate":
         history = build_history(hist_spec, solver, seed)
         T = horizon if horizon is not None else 5.0 * solver.grid.tau_upper
-        field = solver.solve(history, T)
-        report = xp.picard_rate_check(field)
+        experiment = lambda: xp.picard_rate_check(solver.solve(history, T))
     elif kind == "positivity":
         n_runs = _integer(exp.get("n_runs", 20), "experiment.n_runs", 1, MAX_RUNS)
-        report = xp.exp_positivity(solver, n_runs=n_runs, seed=seed,
-                                   horizon=horizon)
+        experiment = lambda: xp.exp_positivity(solver, n_runs=n_runs, seed=seed,
+                                               horizon=horizon)
     else:
         b = _number(_need(exp, "b", "experiment"), "experiment.b")
         history = build_history(hist_spec, solver, seed)
@@ -471,9 +514,9 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> i
             phi2 = InitialHistory(times=history.times.copy(),
                                   values=history.values + pert(solver.grid.m_nodes)[None, :],
                                   upper=None if history.upper is None else history.upper.copy())
-            report = xp.exp_uniqueness(solver, history, phi2, b, horizon=horizon)
-            _write_profile(out_dir / "divergence.csv", report.times, report.divergence,
-                           "t,sup_diff")
+            experiment = lambda: xp.exp_uniqueness(solver, history, phi2, b,
+                                                   horizon=horizon)
+            profile = ("divergence.csv", "divergence", "t,sup_diff")
         elif kind == "extinction":
             control = None
             if "control" in exp:
@@ -482,21 +525,24 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> i
                 control = InitialHistory(times=history.times.copy(),
                                          values=history.values + cprof(solver.grid.m_nodes)[None, :],
                                          upper=None)
-            report = xp.exp_extinction(solver, history, b, control_phi=control,
-                                       horizon=horizon)
-            _write_profile(out_dir / "population.csv", report.times,
-                           report.sup_profile, "t,sup_N")
+            experiment = lambda: xp.exp_extinction(solver, history, b, control_phi=control,
+                                                   horizon=horizon)
+            profile = ("population.csv", "sup_profile", "t,sup_N")
         elif kind == "invariance":
-            report = xp.exp_invariance(solver, history, b, horizon=horizon)
-            if not report.skipped:
-                _write_profile(out_dir / "ratio.csv", report.times,
-                               report.sup_ratio, "t,sup_ratio")
+            experiment = lambda: xp.exp_invariance(solver, history, b, horizon=horizon)
+            profile = ("ratio.csv", "sup_ratio", "t,sup_ratio")
         else:
             raise ConfigurationError(f"experiment.kind: unknown kind {kind!r}")
 
+    _make_out(out_dir)
+    report = experiment()
+    skipped = getattr(report, "skipped", False)
+    if profile is not None and not skipped:
+        name, attr, header = profile
+        _write_profile(out_dir / name, report.times, getattr(report, attr), header)
     xp.write_report(report, out_dir / "report.json", out_dir / "report.txt")
     print(report.to_text())
-    if getattr(report, "skipped", False):
+    if skipped:
         return EXIT_OK
     return EXIT_OK if report.verdict else EXIT_VERDICT
 
@@ -559,7 +605,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except HemaflowError as exc:
+    except (HemaflowError, OSError) as exc:
+        # an OSError is an output file that cannot be written; it names the file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

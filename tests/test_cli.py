@@ -2,6 +2,7 @@
 
 import copy
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -91,6 +92,70 @@ class TestRun:
                          write_config(tmp_path, cfg, f"c{k}.json")]) == 0
             P.append(SolutionField.load(out / "solution").P)
         assert np.array_equal(P[0], P[1])
+
+
+class TestOutputs:
+    def test_concurrent_writers_give_the_serial_bytes(self, tmp_path):
+        # the CSV is formatted on a worker while the npz compresses; each file
+        # holds what to_csv and then save write for the reloaded field
+        from hemaflow import SolutionField
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["run"]["emit"] = ["N", "P", "residuals"]
+        cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.2, "N0": 0.4}
+        assert run_cli(tmp_path, "run", write_config(tmp_path, cfg)) == 0
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        field = SolutionField.load(out / "solution")
+        assert field.upper is not None and field.P is not None
+        ref.mkdir()
+        field.to_csv(ref / "solution.csv")
+        field.save(ref / "solution")
+        for name in ("solution.csv", "solution.meta.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+        with np.load(out / "solution.npz") as got, np.load(ref / "solution.npz") as want:
+            assert sorted(got.files) == sorted(want.files)
+            for key in want.files:
+                assert np.array_equal(got[key], want[key]), key
+        meta = json.loads((out / "solution.meta.json").read_text())
+        assert "residuals" not in meta
+        assert set(json.loads((out / "residuals.json").read_text())) >= {"median"}
+
+    def test_csv_worker_failure_reaches_the_caller(self, tmp_path, capsys):
+        (tmp_path / "out" / "solution.csv").mkdir(parents=True)
+        threads = threading.active_count()
+        assert run_cli(tmp_path, "run", write_config(tmp_path, BASE_CONFIG)) == 2
+        assert threading.active_count() == threads
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "solution.csv" in err
+
+    @pytest.mark.parametrize("args,experiment,expensive", [
+        (("run",), None, "hemaflow.solver.Solver.solve"),
+        (("experiment", "extinction"), {"kind": "extinction", "b": 0.2},
+         "hemaflow.experiments.exp_extinction"),
+        (("experiment", "resolvent"), {"kind": "resolvent"},
+         "hemaflow.experiments.resolvent_check"),
+    ])
+    def test_unwritable_out_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                   args, experiment, expensive):
+        def reached(*a, **k):
+            raise AssertionError("an unwritable --out reached the work")
+        monkeypatch.setattr(expensive, reached)
+        cfg = copy.deepcopy(BASE_CONFIG)
+        if experiment is not None:
+            cfg["experiment"] = experiment
+        (tmp_path / "file").write_text("")
+        bad = tmp_path / "file" / "out"
+        assert main(["--out", str(bad), *args, write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and str(bad) in err
+
+    def test_rejected_experiment_config_makes_no_out_dir(self, tmp_path, capsys):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["run"]["bogus"] = 1
+        cfg["experiment"] = {"kind": "extinction", "b": 0.2}
+        assert run_cli(tmp_path, "experiment", "extinction",
+                       write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err.startswith("error: run.bogus")
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigRejection:

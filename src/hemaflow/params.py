@@ -33,14 +33,12 @@ def as_field(f: ScalarField) -> Callable:
         def wrapped(m):
             m = np.asarray(m, dtype=float)
             return fit_shape(f(m), m.shape)
-        wrapped.base = f
         return wrapped
     value = float(f)
 
     def const(m):
         m = np.asarray(m, dtype=float)
         return np.full(m.shape, value)
-    const.base = value
     return const
 
 

@@ -37,9 +37,13 @@ deltas and iteration counts are those of one sweep at a time, bit for bit.
 
 Every read at (t, x) -- the solve's ring, phi(tau_upper, .), the warmup
 record, ``SolutionField.lookup`` -- goes through one store, ``HistoryField``,
-which wraps the solver's own slice arrays and reads them monotone-cubically in
-x and linearly in t. Every read is a block read over an array of times; a
-scalar time is a block of one.
+which wraps slice arrays and reads them monotone-cubically in x and linearly
+in t. Every read is a block read over an array of times; a scalar time is a
+block of one. The solver builds the stores it reads a field through by one
+recipe, ``Solver._slices``: main plus band on its own grid, holding
+n_history + 2 slices. The solve's ring is one, and so are the readers of
+``proliferating`` and the residual, which first check that the field lies on
+the solver's grid.
 
 Transport and the store build through ``PchipInterpolator``, the slice form of
 the package's one cubic (``hemaflow.cubic``), with the constants of each node
@@ -112,11 +116,6 @@ def _eval_two_arg(fn: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # grid
 # ---------------------------------------------------------------------------
 
-def history_steps(tau_upper: float, dt: float) -> int:
-    """Time steps of the history [-tau_upper, 0] at step dt (Grid.n_history)."""
-    return round(tau_upper / dt)
-
-
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform-in-x maturity grid plus the time step.
@@ -151,7 +150,7 @@ class Grid:
 
     @property
     def n_history(self) -> int:
-        return history_steps(self.tau_upper, self.dt)
+        return round(self.tau_upper / self.dt)
 
     def steps_to(self, T: float) -> int:
         """Time steps a solve to horizon T takes past the history."""
@@ -466,16 +465,13 @@ class UpperBand:
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")   # names np.loadtxt would decompress
 
 
-def _store_depth(metadata) -> float:
-    """Slices a field's store holds: one history depth plus two when the
-    metadata records the grid, as a solve's and its reload's does (the solver's
-    own reads of a field, the sink of P and the residual's division ages, reach
-    back no further), else every slice."""
-    grid = metadata.get("grid") if isinstance(metadata, dict) else None
-    try:
-        return history_steps(grid["tau_upper"], grid["dt"]) + 2
-    except (TypeError, KeyError, ValueError, OverflowError, ZeroDivisionError):
-        return math.inf
+def _flow_coordinates(field: "SolutionField") -> np.ndarray:
+    """The field's flow coordinates, which a field read back from CSV lacks."""
+    if field.x is None:
+        raise DomainError(
+            "this field carries no flow coordinates (CSV stores maturities "
+            "only); reload it with SolutionField.load to look it up")
+    return field.x
 
 
 class SolutionField:
@@ -483,9 +479,9 @@ class SolutionField:
 
     ``x`` holds the flow coordinates of the maturity nodes; it is None for a
     field read back from CSV, which stores maturities only, and such a field
-    refuses lookups in flow coordinates. Lookups read through ``HistoryField``
-    stores that hold ``n_history + 2`` slices when ``metadata["grid"]`` records
-    the grid (a solve's field and its reload), else every slice.
+    refuses lookups in flow coordinates. ``lookup`` reads main plus band, as
+    the solve does, through one ``HistoryField`` built on the first lookup that
+    keeps every slice. The solver reads a field through its own stores.
     """
 
     def __init__(self, times, x, m, N, P=None, upper: Optional[UpperBand] = None,
@@ -497,32 +493,24 @@ class SolutionField:
         self.P = None if P is None else np.asarray(P, dtype=float)
         self.upper = upper
         self.metadata = metadata or {}
-        self._stores: dict = {}           # combined -> HistoryField, built on first lookup
-        self._keep = _store_depth(self.metadata)   # slices each store holds
+        self._history: Optional[HistoryField] = None     # built on the first lookup
 
     @property
     def dt(self) -> float:
+        if self.times.size < 2:
+            raise DomainError(f"a field of {self.times.size} time slice(s) has no time step")
         return float(self.times[1] - self.times[0])
 
-    def lookup(self, t: float, xq, *, combined: bool = False) -> np.ndarray:
-        """N at time t (linear between slices) and flow coordinates xq, raw or
-        ``Located`` on the nodes of ``_store(combined)``."""
-        return self._store(combined).lookup(t, xq)
-
-    def _store(self, combined: bool = False) -> HistoryField:
-        """The store that reads N, or N and the band's N when ``combined`` and
-        the field has a band; built on first use."""
-        if self.x is None:
-            raise DomainError(
-                "this field carries no flow coordinates (CSV stores maturities "
-                "only); reload it with SolutionField.load to look it up")
-        combined = combined and self.upper is not None
-        if combined not in self._stores:
-            x, upper = ((np.concatenate([self.x, self.upper.x[1:]]), self.upper.N)
-                        if combined else (self.x, None))
-            self._stores[combined] = HistoryField(x, self.dt, self.N, upper=upper,
-                                                  keep=self._keep)
-        return self._stores[combined]
+    def lookup(self, t: float, xq) -> np.ndarray:
+        """N, joined by the band's N when there is one, at time t (linear
+        between slices) and flow coordinates xq."""
+        if self._history is None:
+            x, band = _flow_coordinates(self), self.upper
+            if band is not None:
+                x = np.concatenate([x, band.x[1:]])
+            self._history = HistoryField(x, self.dt, self.N,
+                                         upper=None if band is None else band.N)
+        return self._history.lookup(t, xq)
 
     # -- serialization -------------------------------------------------------
 
@@ -546,12 +534,24 @@ class SolutionField:
 
     @classmethod
     def from_csv(cls, path) -> "SolutionField":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        """The field of a ``to_csv`` table: a complete time x maturity grid of
+        two or more slices, with no flow coordinates."""
+        import warnings
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)    # no rows: refused below
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as err:
+            raise ConfigurationError(f"{path}: {err}") from None
+        if data.shape[1] not in (3, 4):
+            raise ConfigurationError(f"{path}: expected the columns t, m, N[, P], "
+                                     f"got {data.shape[1]} in {data.shape[0]} rows")
         times = np.unique(data[:, 0])
         m = np.unique(data[:, 1])
         n_t, n_m = times.size, m.size
-        if n_t * n_m != data.shape[0]:
-            raise ConfigurationError("CSV is not a complete time x maturity table")
+        if n_t < 2 or n_t * n_m != data.shape[0]:
+            raise ConfigurationError(f"{path}: not a complete time x maturity table "
+                                     "of two or more time slices")
         N = data[:, 2].reshape(n_t, n_m)
         P = data[:, 3].reshape(n_t, n_m) if data.shape[1] > 3 else None
         return cls(times=times, x=None, m=m, N=N, P=P)
@@ -573,20 +573,25 @@ class SolutionField:
     def load(cls, path_prefix) -> "SolutionField":
         import json
         import os
-        data = np.load(str(path_prefix) + ".npz")
         meta_path = str(path_prefix) + ".meta.json"
         metadata = {}
         if os.path.exists(meta_path):
             with open(meta_path) as fh:
-                metadata = json.load(fh)
+                try:
+                    metadata = json.load(fh)
+                except ValueError as err:
+                    raise ConfigurationError(f"{meta_path}: not JSON ({err})") from None
+            if not isinstance(metadata, dict):
+                raise ConfigurationError(f"{meta_path}: expected a JSON object, "
+                                         f"got {type(metadata).__name__}")
+        with np.load(str(path_prefix) + ".npz") as data:
+            arrays = {key: data[key] for key in data.files}
         upper = None
-        if "upper_x" in data:
-            upper = UpperBand(x=data["upper_x"], m=data["upper_m"], N=data["upper_N"],
-                              P=data["upper_P"] if "upper_P" in data else None)
-        return cls(times=data["times"], x=data["x"] if "x" in data else None,
-                   m=data["m"], N=data["N"],
-                   P=data["P"] if "P" in data else None, upper=upper,
-                   metadata=metadata)
+        if "upper_x" in arrays:
+            upper = UpperBand(x=arrays["upper_x"], m=arrays["upper_m"], N=arrays["upper_N"],
+                              P=arrays.get("upper_P"))
+        return cls(times=arrays["times"], x=arrays.get("x"), m=arrays["m"], N=arrays["N"],
+                   P=arrays.get("P"), upper=upper, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +692,7 @@ class Solver:
         # the stage table of a characteristic step: points x e^-s on main plus
         # band at s = dt, dt/2, 0, their maturities and the resting and
         # proliferating decay rates there; main nodes read the head [:M], the
-        # band nodes the tail [M - 1:]
+        # band's own nodes the tail [M:]
         self._stage_x = tuple(x_full * math.exp(-s) for s in (grid.dt, 0.5 * grid.dt, 0.0))
         self._stage_m = tuple(np.asarray(flow.h_inv(sx)) for sx in self._stage_x)
         self._stage_psi_r = tuple(self.kern.psi_resting(mm) for mm in self._stage_m)
@@ -708,9 +713,36 @@ class Solver:
         """zeta(m_j, a_q) on the Gauss nodes, with the factor 2 folded in."""
         k_qa = self.params.division.k(self.grid.m_nodes[None, :],
                                       self._a_nodes[:, None], self.flow.g1)
-        xi_qa = np.exp(dec_g.log_survival(np.exp(self._log_gi)[None, :],
-                                          self._a_nodes[:, None]))
+        xi_qa = dec_g.survival(np.exp(self._log_gi)[None, :], self._a_nodes[:, None])
         return 2.0 * k_qa * xi_qa
+
+    # -- reading slices ------------------------------------------------------------
+
+    def _slices(self, N: np.ndarray, band: Optional[np.ndarray],
+                filled: Optional[int] = None) -> HistoryField:
+        """The store the solver reads slices through: N, joined by the band's N
+        when there is one, on this grid, holding n_history + 2 slices. A
+        window's reaches t - a, a in (tau_lower, tau_upper), P's sink and the
+        residual's division ages each span at most n_history + 1 slices, so no
+        slice is rebuilt while still needed."""
+        grid = self.grid
+        return HistoryField(grid.x_nodes if band is None else grid.x_full, grid.dt, N,
+                            upper=band, filled=filled, keep=grid.n_history + 2)
+
+    def _reader(self, field: "SolutionField") -> HistoryField:
+        """``_slices`` over a solved field, which must lie on this grid: the same
+        nodes, the same band nodes and slices dt apart from t = 0."""
+        grid, band = self.grid, field.upper
+        n = field.times.size
+        if not (np.array_equal(_flow_coordinates(field), grid.x_nodes)
+                and field.N.shape == (n, grid.x_nodes.size)
+                and np.allclose(field.times, np.arange(n) * grid.dt, rtol=0.0,
+                                atol=_TIME_SNAP * grid.dt)
+                and (band is None or (np.array_equal(band.x, grid.band_x)
+                                      and band.N.shape == (n, grid.band_x.size)))):
+            raise DomainError("the field does not lie on this solver's grid (its nodes, "
+                              "band nodes or slice times differ)")
+        return self._slices(field.N, None if band is None else band.N)
 
     # -- windowed solve ----------------------------------------------------------
 
@@ -744,11 +776,8 @@ class Solver:
         if use_band:
             st.band = np.empty((st.n_slices, grid.band_m.size))
             st.band[:nh + 1] = history.upper
-        x_active = grid.x_full if use_band else grid.x_nodes
-        # a window's reaches t - a, a in (tau_lower, tau_upper), span at most
-        # n_history + 1 slices, so no slice is rebuilt while still needed
-        st.ring = HistoryField(x_active, grid.dt, st.N, upper=st.band, filled=nh + 1,
-                               keep=nh + 2)
+            st.band[:nh + 1, 0] = history.values[:, -1]     # one value at g(1)
+        st.ring = self._slices(st.N, st.band, filled=nh + 1)
         st.history = HistoryField(grid.x_nodes, grid.dt, st.N, filled=nh + 1, keep=1)
         st.age_points = tuple(Located(st.ring.x, xd) for xd in self._xdelta)
         M = grid.m_nodes.size
@@ -948,9 +977,10 @@ class Solver:
             raise win.failed[1]             # held back until iterate k + 1 was due
 
     def _advance_band(self, st: _RunState, i0: int, steps: int) -> None:
-        """Transport-decay march of the upper band across one window, on the
-        tails of the full shift and of the stage table."""
-        tail = self.grid.m_nodes.size - 1
+        """Transport-decay march of the upper band's own nodes across one
+        window, on the tails of the full shift and of the stage table; the
+        band's node g(1) is the main grid's last node."""
+        tail = self.grid.m_nodes.size
         stage_m = tuple(mm[tail:] for mm in self._stage_m)
         stage_psi = tuple(p[tail:] for p in self._stage_psi_r)
         beta = self.kern.beta
@@ -960,7 +990,8 @@ class Solver:
 
         for r in range(1, steps + 1):
             u0 = self._shift_full(st.ring.row(i0 + r - 1), st.window_index)[tail:]
-            st.band[i0 + r] = _rk4_step(u0, self.grid.dt, rhs)
+            st.band[i0 + r, 1:] = _rk4_step(u0, self.grid.dt, rhs)
+        st.band[i0 + 1:i0 + steps + 1, 0] = st.N[i0 + 1:i0 + steps + 1, -1]
 
     def solve(self, history: InitialHistory, T: float) -> SolutionField:
         """Run the method of steps to horizon T and assemble the record."""
@@ -1033,14 +1064,13 @@ class Solver:
                 gam = _eval_two_arg(data.Gamma, mothers_now[None, :],
                                     (a_nodes - sigma)[:, None])
                 k_qa = self.params.division.k(mm[None, :], a_nodes[:, None], flow.g1)
-                xi_now = np.exp(dec_g.log_survival(stage_xgi[stage], sigma))
+                xi_now = dec_g.survival(stage_xgi[stage], sigma)
                 out += 2.0 * xi_now * np.einsum("q,qj->j", a_w, k_qa * gam)
             # delayed part: daughters of cells reintroduced after t = 0
             if sigma > tau_lo + 1e-14:
                 a_nodes, a_w = mapped_rule(tau_lo, sigma, 16)
                 k_qa = self.params.division.k(mm[None, :], a_nodes[:, None], flow.g1)
-                xi_qa = np.exp(dec_g.log_survival(stage_xgi[stage][None, :],
-                                                  a_nodes[:, None]))
+                xi_qa = dec_g.survival(stage_xgi[stage][None, :], a_nodes[:, None])
                 lg = lgi[None, :] - a_nodes[:, None]
                 nv = record.lookup(sigma - a_nodes, np.exp(lg))
                 rate = beta(flow.h_inv_log(lg), nv)
@@ -1087,9 +1117,9 @@ class Solver:
         age density reaching the division deadline; after, it drains the
         reintroduction flux delayed by the full proliferation span. Slice
         times at the switch use the early regime. Each stage's points are
-        located once on the field's store; a chunk of steps reads its influx
-        and its sink with one lookup per stage, and only the march itself
-        advances a slice at a time.
+        located once on the solver's store over the field; a chunk of steps
+        reads its influx and its sink with one lookup per stage, and only the
+        march itself advances a slice at a time.
         """
         grid = self.grid
         dt = grid.dt
@@ -1097,46 +1127,46 @@ class Solver:
         _, dec_g = self._ensure_tables(float(field.times[-1]) + tau_up)
         flow = self.flow
         beta = self.kern.beta
+        reader = self._reader(field)
         has_band = field.upper is not None
-        x_act = grid.x_full if has_band else grid.x_nodes
+        n_act = reader.x.size
         m_act = grid.m_full if has_band else grid.m_nodes
         M = grid.m_nodes.size
-        nodes = field._store(has_band).nodes
 
         # the stage table, whole with a band, else its head
-        stage_x, stage_m, stage_psi = (tuple(a[:x_act.size] for a in part) for part in
+        stage_x, stage_m, stage_psi = (tuple(a[:n_act] for a in part) for part in
                                        (self._stage_x, self._stage_m, self._stage_psi_p))
         with np.errstate(divide="ignore"):
             stage_lx = tuple(np.where(sx > 0.0, np.log(np.maximum(sx, 1e-300)), -np.inf)
                              for sx in stage_x)
-        stage_xi_up = tuple(np.exp(dec_g.log_survival(sx, tau_up)) for sx in stage_x)
+        stage_xi_up = tuple(dec_g.survival(sx, tau_up) for sx in stage_x)
         stage_x_back = tuple(np.exp(lx - tau_up) for lx in stage_lx)
         stage_m_back = tuple(np.asarray(flow.h_inv_log(lx - tau_up)) for lx in stage_lx)
-        at_x = tuple(Located(nodes, sx) for sx in stage_x)
-        at_back = tuple(Located(nodes, sx) for sx in stage_x_back)
+        at_x = tuple(Located(reader.nodes, sx) for sx in stage_x)
+        at_back = tuple(Located(reader.nodes, sx) for sx in stage_x_back)
 
         def sink(sigma: np.ndarray, stage: int) -> np.ndarray:
-            out = np.empty((sigma.size, x_act.size))
+            out = np.empty((sigma.size, n_act))
             early = (sigma < tau_up) | (np.abs(sigma - tau_up) < _TIME_SNAP)
             if early.any():
                 s = sigma[early, None]
                 mothers = flow.h_inv_log(stage_lx[stage] - s)
                 gam = _eval_two_arg(Gamma, mothers, tau_up - s)
-                out[early] = gam * np.exp(dec_g.log_survival(stage_x[stage], s))
+                out[early] = gam * dec_g.survival(stage_x[stage], s)
             if not early.all():
                 late = ~early
-                nv = field.lookup(sigma[late] - tau_up, at_back[stage], combined=has_band)
+                nv = reader.lookup(sigma[late] - tau_up, at_back[stage])
                 out[late] = stage_xi_up[stage] * beta(stage_m_back[stage], nv) * nv
             return out
 
         def influx(sigma: np.ndarray, stage: int) -> np.ndarray:
-            nv = field.lookup(sigma, at_x[stage], combined=has_band)
+            nv = reader.lookup(sigma, at_x[stage])
             return beta(stage_m[stage], nv) * nv
 
         # initial proliferating load: age integral of Gamma
         z, w = gauss_legendre(16)
         edges = np.linspace(0.0, tau_up, 9)
-        P0 = np.zeros(x_act.size)
+        P0 = np.zeros(n_act)
         for lo, hi in zip(edges[:-1], edges[1:]):
             half = 0.5 * (hi - lo)
             a_nodes = lo + half * (z + 1.0)
@@ -1144,12 +1174,12 @@ class Solver:
             P0 += half * np.einsum("q,qj->j", w, gam)
 
         n_slices = field.times.size
-        P = np.empty((n_slices, x_act.size))
+        P = np.empty((n_slices, n_act))
         P[0] = P0
         shift = self._shift_full if has_band else self._shift_main
         # at most a history depth of steps per chunk: with the sink read before
         # the influx, a store holding n_history + 2 slices builds each slice once
-        chunk = max(1, min(grid.n_history, _CHUNK_BYTES // (8 * x_act.size)))
+        chunk = max(1, min(grid.n_history, _CHUNK_BYTES // (8 * n_act)))
 
         def rhs(stage: int, u: np.ndarray) -> np.ndarray:
             # row r of the chunk's sources, as the march below sets r
@@ -1202,6 +1232,7 @@ class Solver:
         """``residual`` at the times ``t`` (on the slices ``ti``) times the
         interior nodes ``jj``, as one ``(len(ti), len(jj))`` block."""
         grid = self.grid
+        reader = self._reader(field)
         if not (grid.n_history < ti.min() and ti.max() < field.times.size - 1):
             raise DomainError("residual needs tau_upper + dt <= t <= T - dt")
         _, dec_g = self._ensure_tables(float(field.times[-1]) + grid.tau_upper)
@@ -1224,10 +1255,10 @@ class Solver:
         # math.exp, not np.exp: the two differ in the last bit on some inputs
         xg = np.array([math.exp(v) for v in self._log_gi[jj].tolist()])[:, None]
         weight = (self._a_weights * self.params.division.k(mj[:, None], a, self.flow.g1)
-                  * np.exp(dec_g.log_survival(xg, a)))
+                  * dec_g.survival(xg, a))
         # one read of main plus band (as the solve reads it) per sample time, its
         # 16 ages as rows: no read spans a history depth, so no slice is built twice
-        nv = np.stack([field.lookup(tk - a, xd, combined=True) for tk in t.tolist()])
+        nv = np.stack([reader.lookup(tk - a, xd) for tk in t.tolist()])
         nv = np.ascontiguousarray(nv.transpose(0, 2, 1))
         # the age sum along a contiguous last axis adds as np.sum of 16 values does
         gain = 2.0 * np.sum(weight * self.kern.beta(md, nv) * nv, axis=-1)
@@ -1242,6 +1273,6 @@ class Solver:
         hi_i = field.times.size - 2
         t_idx = np.unique(np.linspace(lo_i, hi_i, 12, dtype=int))
         j_idx = np.unique(rng.integers(1, grid.m_nodes.size - 1, size=24))
-        vals = np.abs(self._residuals(field, field.times[t_idx], t_idx, j_idx)).ravel()
+        vals = np.abs(self._residuals(field, t_idx * grid.dt, t_idx, j_idx)).ravel()
         return {"max": float(vals.max()), "median": float(np.median(vals)),
                 "n_samples": int(vals.size)}

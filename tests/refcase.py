@@ -102,11 +102,11 @@ def proliferating_by_steps(solver, field, data):
             mothers = flow.h_inv_log(stage_lx[stage] - sigma)
             gam = _eval_two_arg(data.Gamma, mothers, np.asarray(tau_up - sigma))
             return gam * np.exp(dec_g.log_survival(stage_x[stage], sigma))
-        nv = field.lookup(sigma - tau_up, stage_x_back[stage], combined=has_band)
+        nv = field.lookup(sigma - tau_up, stage_x_back[stage])
         return stage_xi_up[stage] * beta(stage_m_back[stage], nv) * nv
 
     def influx(sigma, stage):
-        nv = field.lookup(sigma, stage_x[stage], combined=has_band)
+        nv = field.lookup(sigma, stage_x[stage])
         return beta(stage_m[stage], nv) * nv
 
     z, w = gauss_legendre(16)

@@ -14,7 +14,8 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 from hemaflow import (ConfigurationError, ConvergenceError, CustomReintroduction,
                       DomainError, FlowMap, Grid,
                       HistoryField, HistoryWindowError, InitialHistory,
-                      Kernels, LinearMaturityMap, PowerLawVelocity, SolutionField, Solver)
+                      Kernels, LinearMaturityMap, PowerLawVelocity, SolutionField, Solver,
+                      WarmupData)
 from hemaflow import cli as cli_module
 from hemaflow import solver as solver_module
 from hemaflow.cubic import HermiteCubic
@@ -25,6 +26,11 @@ from refcase import eval_G, eval_J, nan_band_params, reference_params, smooth_hi
 NONFINITE_TIMES = [float("nan"), float("inf"), float("-inf"), 1e308]
 
 TAU = 2.0  # history depth of the reference model
+
+
+def age_gamma(m, a):
+    """An age-dependent initial proliferating density."""
+    return (1.0 + m) * np.exp(-0.7 * np.asarray(a))
 
 
 @pytest.fixture(scope="module")
@@ -559,11 +565,8 @@ class TestHistoryField:
         for points in (xq, Located(ring.x, xq), np.empty((0, 5))):
             got = ring.lookup(np.array([]), points)
             assert got.shape == (0, 5) and got.dtype == float
-        for combined in (False, True):
-            assert field_ref.lookup(np.array([]), field_ref.x[:5],
-                                    combined=combined).shape == (0, 5)
-            assert field_ref.lookup(np.array([]), np.empty((0, 5)),
-                                    combined=combined).shape == (0, 5)
+        assert field_ref.lookup(np.array([]), field_ref.x[:5]).shape == (0, 5)
+        assert field_ref.lookup(np.array([]), np.empty((0, 5))).shape == (0, 5)
 
     @pytest.mark.parametrize("far", [1e200, -1e200])
     def test_far_points_read_nan_without_warning(self, far):
@@ -707,46 +710,86 @@ class TestWindowBlockReads:
 
 
 class TestSolvedFieldStore:
+    """The solver reads a field through its own store, ``Solver._slices``;
+    ``SolutionField.lookup`` reads through one that keeps every slice."""
+
     def test_holds_one_history_depth_and_reads_as_an_unbounded_store(self, solver_ref,
                                                                       field_ref):
-        assert field_ref._keep == solver_ref.grid.n_history + 2
-        field = SolutionField(field_ref.times, field_ref.x, field_ref.m, field_ref.N)
-        field._keep = field_ref._keep       # a fresh store, bounded as the solve's
-        unbounded = HistoryField(field.x, field.dt, field.N)
-        xq = np.linspace(0.0, field.x[-1], 37)
+        reader = solver_ref._reader(field_ref)
+        assert reader.capacity == solver_ref.grid.n_history + 2
+        assert reader._block.shape[0] == reader.capacity
+        unbounded = HistoryField(field_ref.x, field_ref.dt, field_ref.N)
+        xq = np.linspace(0.0, field_ref.x[-1], 37)
         for t in (7.9, 0.3, 4.1, 7.95, 2.0, 0.3):
-            assert np.array_equal(field.lookup(t, xq), unbounded.lookup(t, xq))
-        assert field._stores[False].capacity == field._keep
+            assert np.array_equal(reader.lookup(t, xq), unbounded.lookup(t, xq))
 
-    def test_reloaded_field_holds_one_history_depth(self, solver_ref, field_ref, tmp_path):
-        field_ref.save(tmp_path / "field")
+    def test_reloaded_field_holds_one_history_depth(self, tmp_path):
+        # a band field saved and loaded reads through a store of one history
+        # depth, and its P and residual are the in-memory field's bit for bit
+        solver = Solver(reference_params(c=0.3), m_nodes=64, dt_divisor=16)
+        field = solver.solve(InitialHistory.from_callable(
+            smooth_history, solver.grid, upper=smooth_history), T=5.0)
+        field.save(tmp_path / "field")
         back = SolutionField.load(tmp_path / "field")
-        depth = solver_ref.grid.n_history + 2
-        assert back._keep == depth
-        stats = solver_ref.residual_stats(back)
-        assert back._stores[False].capacity == depth
-        assert back._stores[False]._block.shape[0] == depth
-        assert _hex(stats) == _hex(solver_ref.residual_stats(field_ref))
+        assert solver._reader(back).capacity == solver.grid.n_history + 2
+        assert _hex(solver.residual_stats(back)) == _hex(solver.residual_stats(field))
+        for f in (field, back):
+            solver.proliferating(f, age_gamma)
+        for got, want in ((back.P, field.P), (back.upper.P, field.upper.P)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_fields_without_a_recorded_grid_keep_every_slice(self, field_ref, tmp_path):
-        bare = SolutionField(field_ref.times, field_ref.x, field_ref.m, field_ref.N)
-        assert bare._keep == math.inf
-        field_ref.to_csv(tmp_path / "field.csv")
-        assert SolutionField.from_csv(tmp_path / "field.csv")._keep == math.inf
-        bare.lookup(4.0, field_ref.x[:3])
-        assert bare._stores[False].capacity == field_ref.times.size
+    def test_fields_without_a_recorded_grid_keep_every_slice(self, field_ref):
+        xq = field_ref.x[:3]
+        for meta in (None, field_ref.metadata):
+            field = SolutionField(field_ref.times, field_ref.x, field_ref.m, field_ref.N,
+                                  metadata=meta)
+            assert np.array_equal(field.lookup(4.0, xq), field_ref.lookup(4.0, xq))
+            assert field._history.capacity == field_ref.times.size
 
-    @pytest.mark.parametrize("meta", ["[1, 2]", '"grid"', "3", '{"grid": [1, 2]}',
+    @pytest.mark.parametrize("meta", ['{"grid": [1, 2]}',
                                       '{"grid": {"dt": 0, "tau_upper": 1}}'])
     def test_metadata_without_a_usable_grid_keeps_every_slice(self, field_ref, tmp_path,
                                                               meta):
         field_ref.save(tmp_path / "field")
         (tmp_path / "field.meta.json").write_text(meta)
         back = SolutionField.load(tmp_path / "field")
-        assert back._keep == math.inf
         assert np.array_equal(back.lookup(4.0, field_ref.x[:3]),
                               field_ref.lookup(4.0, field_ref.x[:3]))
-        assert back._stores[False].capacity == field_ref.times.size
+        assert back._history.capacity == field_ref.times.size
+
+
+class TestForeignField:
+    """``proliferating`` and the residual read a field only on the solver's grid."""
+
+    @pytest.mark.parametrize("other", [{"m_nodes": 48}, {"dt_divisor": 16}],
+                             ids=["48-nodes", "dt-divisor-16"])
+    def test_field_of_another_grid_is_refused(self, other):
+        grid = {"m_nodes": 32, "dt_divisor": 8}
+        solved = Solver(reference_params(), **grid)
+        field = solved.solve(InitialHistory.from_callable(smooth_history, solved.grid), 4.0)
+        solver = Solver(reference_params(), **{**grid, **other})
+        with pytest.raises(DomainError, match="grid"):
+            solver.proliferating(field, age_gamma)
+        assert field.P is None
+        with pytest.raises(DomainError, match="grid"):
+            solver.residual_stats(field)
+        solved.proliferating(field, age_gamma)
+        solved.residual_stats(field)
+
+    def test_csv_field_asks_for_a_reload(self, tmp_path):
+        solver = Solver(reference_params(), m_nodes=32, dt_divisor=8)
+        solver.solve(InitialHistory.from_callable(smooth_history, solver.grid),
+                     4.0).to_csv(tmp_path / "field.csv")
+        back = SolutionField.from_csv(tmp_path / "field.csv")
+        for read in (lambda: solver.proliferating(back, age_gamma),
+                     lambda: solver.residual_stats(back)):
+            with pytest.raises(DomainError, match="SolutionField.load"):
+                read()
+
+
+def _small_field() -> SolutionField:
+    x = np.linspace(0.0, 1.0, 4)
+    return SolutionField(np.arange(3) * 0.5, x, x, np.ones((3, 4)))
 
 
 def _hex(stats: dict) -> dict:
@@ -1108,7 +1151,7 @@ def _residual_one_sample(solver, field, t, m):
     md = solver.flow.h_inv_log(lgi - a_nodes)
     k_q = solver.params.division.k(np.full(16, mj), a_nodes, solver.flow.g1)
     xi_q = np.exp(dec_g.log_survival(np.full(16, math.exp(lgi)), a_nodes))
-    nv = np.array([float(field.lookup(t - a, np.asarray([xq]), combined=True)[0])
+    nv = np.array([float(field.lookup(t - a, np.asarray([xq]))[0])
                    for a, xq in zip(a_nodes, xd)])
     gain = 2.0 * float(np.sum(solver._a_weights * k_q * xi_q *
                               solver.kern.beta(md, nv) * nv))
@@ -1182,6 +1225,17 @@ class TestUpperBand:
         err = np.max(np.abs(field.upper.N[sel] - closed)) / np.max(closed)
         assert err < 1e-6
 
+    @pytest.mark.parametrize("warmup", [False, True], ids=["band-history", "warmup"])
+    def test_band_node_at_g1_is_the_main_grid_last_node(self, warmup):
+        solver = Solver(reference_params(c=0.3), m_nodes=128, dt_divisor=16)
+        hist = (solver.warmup(WarmupData(Gamma=age_gamma, N0=lambda m: 0.5 - 0.2 * m))
+                if warmup else InitialHistory.from_callable(
+                    smooth_history, solver.grid, upper=lambda t, m: smooth_history(t, m)
+                    + 0.01 * m))
+        field = solver.solve(hist, T=6.0)
+        assert np.array_equal(field.upper.N[:, 0].view(np.uint64),
+                              field.N[:, -1].view(np.uint64))
+
     def test_combined_lookup_reads_the_joined_row(self):
         par = reference_params(c=0.3, tau_lower=1.0, tau_upper=2.0)
         solver = Solver(par, m_nodes=64, dt_divisor=8)
@@ -1192,8 +1246,7 @@ class TestUpperBand:
         for i in (0, 17, field.times.size - 1):
             row = np.concatenate([field.N[i], field.upper.N[i][1:]])
             expected = PchipInterpolator(x_full, row, extrapolate=False)(xq)
-            assert np.array_equal(field.lookup(field.times[i], xq, combined=True),
-                                  expected)
+            assert np.array_equal(field.lookup(field.times[i], xq), expected)
 
     @pytest.mark.parametrize("c, m_nodes", [(0.3, 128), (0.5, 600)])
     def test_band_shift_is_the_tail_of_the_full_shift(self, c, m_nodes):
@@ -1281,6 +1334,36 @@ class TestSerialization:
         assert np.array_equal(loaded.lookup(2.5, xq), field.lookup(2.5, xq))
         back.save(tmp_path / "from_csv")
         assert SolutionField.load(tmp_path / "from_csv").x is None
+
+    @pytest.mark.parametrize("rows", ["", "0,0,1\n"], ids=["no-rows", "one-row"])
+    def test_csv_of_fewer_than_two_slices_is_refused(self, tmp_path, rows):
+        (tmp_path / "field.csv").write_text("t,m,N\n" + rows)
+        with pytest.raises(ConfigurationError, match="field.csv"):
+            SolutionField.from_csv(tmp_path / "field.csv")
+
+    def test_csv_with_a_non_numeric_cell_is_refused(self, tmp_path):
+        (tmp_path / "field.csv").write_text("t,m,N\n0,0,1\n0,1,x\n1,0,1\n1,1,1\n")
+        with pytest.raises(ConfigurationError, match="field.csv"):
+            SolutionField.from_csv(tmp_path / "field.csv")
+
+    def test_load_refuses_malformed_metadata(self, tmp_path):
+        _small_field().save(tmp_path / "field")
+        (tmp_path / "field.meta.json").write_text('{"grid": ')
+        with pytest.raises(ConfigurationError, match="field.meta.json: not JSON"):
+            SolutionField.load(tmp_path / "field")
+
+    @pytest.mark.parametrize("meta", ["[1, 2]", '"grid"', "3"])
+    def test_load_refuses_metadata_that_is_not_an_object(self, tmp_path, meta):
+        _small_field().save(tmp_path / "field")
+        (tmp_path / "field.meta.json").write_text(meta)
+        with pytest.raises(ConfigurationError, match="field.meta.json: expected a JSON object"):
+            SolutionField.load(tmp_path / "field")
+
+    def test_one_slice_field_has_no_time_step(self):
+        field = SolutionField([0.0], np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 4),
+                              np.ones((1, 4)))
+        with pytest.raises(DomainError, match="time step"):
+            field.lookup(0.0, np.array([0.5]))
 
     def test_binary_round_trip(self, field_ref, tmp_path):
         prefix = tmp_path / "field"

@@ -11,6 +11,8 @@ imported, never copied), so the digests cover what the benchmark runs:
 * ``uniqueness``: the ``exp_uniqueness`` divergence profile (192 x 16);
 * ``band_solve``: a solve with c = 0.3 that needs the upper band (N and the
   band's N);
+* ``reload``: that band field saved and loaded, then P (an age-dependent
+  Gamma) and ``residual_stats`` run on the loaded field;
 * ``cli_run``: every file the benchmark's seed-0 ``hemaflow run`` writes
   (its P is reconstructed on main plus band);
 * ``proliferating``: P reconstructed on a field without a band (the
@@ -95,14 +97,29 @@ def uniqueness() -> str:
     return _sha(rep.times, rep.divergence)
 
 
-def band_solve() -> dict:
+def _band_solve():
     params = reference_params(0.3)
     params = dataclasses.replace(params, maturity=hf.LinearMaturityMap(c=0.3))
     solver = hf.Solver(params, m_nodes=128, dt_divisor=16)
     phi = xp.random_nonneg_history(REFERENCE_SEED)
     hist = hf.InitialHistory.from_callable(phi, solver.grid, upper=phi)
-    field = solver.solve(hist, 6.0)
+    return solver, solver.solve(hist, 6.0)
+
+
+def band_solve() -> dict:
+    _, field = _band_solve()
     return {"N": _sha(field.N), "upper_N": _sha(field.upper.N)}
+
+
+def reload() -> dict:
+    solver, field = _band_solve()
+    with tempfile.TemporaryDirectory() as tmp:
+        field.save(os.path.join(tmp, "band"))
+        back = hf.SolutionField.load(os.path.join(tmp, "band"))
+    solver.proliferating(back, lambda m, a: (1.0 + m) * np.exp(-0.7 * np.asarray(a)))
+    return {"P": _sha(back.P), "upper_P": _sha(back.upper.P),
+            "residual_stats": _sha({k: float.hex(float(v)) for k, v in
+                                    solver.residual_stats(back).items()})}
 
 
 def cli_run() -> dict:
@@ -183,7 +200,7 @@ def experiments() -> dict:
 
 def main() -> int:
     result = {"ref_solve": ref_solve(), "positivity": positivity(),
-              "uniqueness": uniqueness(), "band_solve": band_solve(),
+              "uniqueness": uniqueness(), "band_solve": band_solve(), "reload": reload(),
               "cli_run": cli_run(), "proliferating": proliferating(),
               "tables": tables(), "warmup": warmup(), "experiments": experiments()}
     print(json.dumps(result, indent=1, sort_keys=True))

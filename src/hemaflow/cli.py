@@ -45,8 +45,18 @@ EXIT_VERDICT = 4
 MAX_RUNS = 1000           # experiment.n_runs: one full solve per run
 MAX_W = 10000             # experiment.n_w: one resolvent check per lambda each
 
-EXPERIMENT_KINDS = ("uniqueness", "extinction", "invariance", "positivity",
-                    "resolvent", "picard-rate")
+# each experiment kind: the experiment keys it reads besides ``kind``, and the
+# profile CSV it writes as (file, report attribute, header), if any
+EXPERIMENTS = {
+    "uniqueness": (("b", "perturbation", "horizon"),
+                   ("divergence.csv", "divergence", "t,sup_diff")),
+    "extinction": (("b", "control", "horizon"),
+                   ("population.csv", "sup_profile", "t,sup_N")),
+    "invariance": (("b", "horizon"), ("ratio.csv", "sup_ratio", "t,sup_ratio")),
+    "positivity": (("n_runs", "horizon"), None),
+    "resolvent": (("lambdas", "n_w"), None),
+    "picard-rate": (("horizon",), None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +107,12 @@ def _fits(path: str, *size) -> None:
         raise ConfigurationError(f"{path}: {exc}")
 
 
-def _horizon(val, solver: Solver, path: str) -> float:
+def _horizon(val, solver: Solver, path: str, band: bool) -> float:
+    """A horizon whose solve fits the slice cap, the band's nodes counted for
+    a history with a ``band``."""
     T, grid = _number(val, path), solver.grid
-    _fits(path, grid.m_nodes.size, grid.n_window, grid.tau_lower, T)
+    _fits(path, (grid.x_full if band else grid.x_nodes).size, grid.n_window,
+          grid.tau_lower, T)
     return T
 
 
@@ -285,6 +298,11 @@ def _warmup_data(spec, path: str) -> WarmupData:
     return WarmupData(Gamma=lambda m, a: gamma(m) + 0.0 * np.asarray(a), N0=n0)
 
 
+def _is_warmup(spec) -> bool:
+    """Whether the history spec is a warmup, the one history with a band."""
+    return isinstance(spec, dict) and spec.get("kind") == "warmup"
+
+
 def build_history(spec: dict, solver: Solver, seed: int, path: str = "run.history"):
     """A random or warmup history, or a maturity profile from
     ``_history_profile`` with an optional time factor."""
@@ -385,8 +403,10 @@ def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
     or raise, and what it raised is raised here."""
     solver = _make_solver(cfg)
     run = _run_section(cfg)
+    hist_spec = run.get("history", {"kind": "zero"})
+    warmup_history = _is_warmup(hist_spec)
     horizon = _horizon(run.get("horizon", 5.0 * solver.grid.tau_upper), solver,
-                       "run.horizon")
+                       "run.horizon", warmup_history)
     seed = _run_seed(run, seed_override)
     emit = run.get("emit", ["N"])
     if not (isinstance(emit, list) and
@@ -399,8 +419,7 @@ def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
     warmup = run.get("warmup", {})
     _reject_unknown(warmup, {"Gamma"}, "run.warmup")
     gamma = _warmup_data(warmup, "run.warmup").Gamma
-    hist_spec = run.get("history", {"kind": "zero"})
-    if isinstance(hist_spec, dict) and hist_spec.get("kind") == "warmup":
+    if warmup_history:
         # P is rebuilt with the Gamma that made the history
         given = {k: v for k, v in hist_spec.items() if k != "kind"}
         const = lambda g: g.get("const", g) if isinstance(g, dict) else g
@@ -438,107 +457,82 @@ def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
 
 
 def _experiment_section(cfg: dict, kind: str) -> dict:
+    """The experiment section: ``kind``, if given, must be the command's, and
+    the other keys must be ones that ``kind`` reads."""
     exp = cfg.get("experiment")
     if exp is None:
         raise ConfigurationError("experiment: section required for this command")
-    _reject_unknown(exp, {"kind", "b", "perturbation", "control", "n_runs",
-                          "lambdas", "n_w", "horizon"}, "experiment")
-    cfg_kind = exp.get("kind", kind)
+    cfg_kind = _object(exp, "experiment").get("kind", kind)
     if cfg_kind != kind:
         raise ConfigurationError(
             f"experiment.kind: config says {cfg_kind!r} but the command asked "
             f"for {kind!r}")
+    _reject_unknown(exp, ("kind",) + EXPERIMENTS[kind][0], "experiment")
     return exp
 
 
-def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> int:
-    """Run one verification experiment and write its report (and profile
-    CSV) to ``out_dir``, made once every config key has been read."""
-    exp = _experiment_section(cfg, kind)
-    run = _run_section(cfg)
-    seed = _run_seed(run, seed_override)
+def _plus_profile(history: InitialHistory, spec, solver: Solver, path: str):
+    """``history`` plus the maturity profile ``spec`` at every slice; a band
+    is kept as it is."""
+    profile = _history_profile(spec, path)
+    return InitialHistory(times=history.times.copy(),
+                          values=history.values + profile(solver.grid.m_nodes)[None, :],
+                          upper=None if history.upper is None else history.upper.copy())
 
+
+def _experiment_call(kind: str, exp: dict, cfg: dict, run: dict, seed: int):
+    """Read every key the experiment ``kind`` reads; the zero-argument call
+    that runs it."""
+    solver = _make_solver(cfg)
     if kind == "resolvent":
-        solver = _make_solver(cfg)
         lambdas = _numbers(exp.get("lambdas", [0.1, 1.0, 10.0]), "experiment.lambdas")
         n_w = _integer(exp.get("n_w", 100), "experiment.n_w", 1, MAX_W)
-        _make_out(out_dir)
-        rng = np.random.default_rng(seed)
-        reports = []
-        verdict = True
-        for i in range(n_w):
-            c = rng.normal(size=4)
-            k = rng.uniform(1.0, 6.0)
-            w = (lambda c, k: lambda m: c[0] + c[1] * np.asarray(m)
-                 + c[2] * np.asarray(m) ** 2 + c[3] * np.sin(k * np.asarray(m)))(c, k)
-            for lam in lambdas:
-                rep = xp.resolvent_check(solver.flow, w, lam)
-                verdict = verdict and rep.verdict
-                reports.append(rep.to_dict())
-        payload = {"kind": "resolvent", "n_w": n_w, "lambdas": lambdas.tolist(),
-                   "verdict": bool(verdict), "checks": len(reports)}
-        with open(out_dir / "report.json", "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"resolvent: {len(reports)} checks, "
-              f"verdict {'PASS' if verdict else 'FAIL'}")
-        return EXIT_OK if verdict else EXIT_VERDICT
-
-    solver = _make_solver(cfg)
+        return lambda: xp.resolvent_sweep(solver.flow, lambdas, n_w, seed)
     hist_spec = run.get("history", {"kind": "zero"})
     horizon = exp.get("horizon")
-    horizon = None if horizon is None else _horizon(horizon, solver, "experiment.horizon")
-
-    # each kind reads its keys first; ``experiment`` runs once the out dir is
-    # made, and ``profile`` is (file, report attribute, header) of its CSV
-    profile = None
+    if horizon is not None:
+        # positivity solves its own random histories, which have no band
+        horizon = _horizon(horizon, solver, "experiment.horizon",
+                           kind != "positivity" and _is_warmup(hist_spec))
+    if kind == "positivity":
+        n_runs = _integer(exp.get("n_runs", 20), "experiment.n_runs", 1, MAX_RUNS)
+        return lambda: xp.exp_positivity(solver, n_runs=n_runs, seed=seed,
+                                         horizon=horizon)
     if kind == "picard-rate":
         history = build_history(hist_spec, solver, seed)
         T = horizon if horizon is not None else 5.0 * solver.grid.tau_upper
-        experiment = lambda: xp.picard_rate_check(solver.solve(history, T))
-    elif kind == "positivity":
-        n_runs = _integer(exp.get("n_runs", 20), "experiment.n_runs", 1, MAX_RUNS)
-        experiment = lambda: xp.exp_positivity(solver, n_runs=n_runs, seed=seed,
-                                               horizon=horizon)
-    else:
-        b = _number(_need(exp, "b", "experiment"), "experiment.b")
-        history = build_history(hist_spec, solver, seed)
-        if kind == "uniqueness":
-            pert_spec = _need(exp, "perturbation", "experiment")
-            pert = _history_profile(pert_spec, "experiment.perturbation")
-            phi2 = InitialHistory(times=history.times.copy(),
-                                  values=history.values + pert(solver.grid.m_nodes)[None, :],
-                                  upper=None if history.upper is None else history.upper.copy())
-            experiment = lambda: xp.exp_uniqueness(solver, history, phi2, b,
-                                                   horizon=horizon)
-            profile = ("divergence.csv", "divergence", "t,sup_diff")
-        elif kind == "extinction":
-            control = None
-            if "control" in exp:
-                cspec = exp["control"]
-                cprof = _history_profile(cspec, "experiment.control")
-                control = InitialHistory(times=history.times.copy(),
-                                         values=history.values + cprof(solver.grid.m_nodes)[None, :],
-                                         upper=None)
-            experiment = lambda: xp.exp_extinction(solver, history, b, control_phi=control,
-                                                   horizon=horizon)
-            profile = ("population.csv", "sup_profile", "t,sup_N")
-        elif kind == "invariance":
-            experiment = lambda: xp.exp_invariance(solver, history, b, horizon=horizon)
-            profile = ("ratio.csv", "sup_ratio", "t,sup_ratio")
-        else:
-            raise ConfigurationError(f"experiment.kind: unknown kind {kind!r}")
+        return lambda: xp.picard_rate_check(solver.solve(history, T))
+    b = _number(_need(exp, "b", "experiment"), "experiment.b")
+    history = build_history(hist_spec, solver, seed)
+    if kind == "uniqueness":
+        phi2 = _plus_profile(history, _need(exp, "perturbation", "experiment"), solver,
+                             "experiment.perturbation")
+        return lambda: xp.exp_uniqueness(solver, history, phi2, b, horizon=horizon)
+    if kind == "extinction":
+        control = None if "control" not in exp else _plus_profile(
+            history, exp["control"], solver, "experiment.control")
+        return lambda: xp.exp_extinction(solver, history, b, control_phi=control,
+                                         horizon=horizon)
+    return lambda: xp.exp_invariance(solver, history, b, horizon=horizon)
 
+
+def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> int:
+    """Run one verification experiment and write its profile CSV, if the kind
+    has one, and its report to ``out_dir``, made once every config key has
+    been read."""
+    exp = _experiment_section(cfg, kind)
+    run = _run_section(cfg)
+    experiment = _experiment_call(kind, exp, cfg, run, _run_seed(run, seed_override))
     _make_out(out_dir)
     report = experiment()
     skipped = getattr(report, "skipped", False)
+    profile = EXPERIMENTS[kind][1]
     if profile is not None and not skipped:
         name, attr, header = profile
         _write_profile(out_dir / name, report.times, getattr(report, attr), header)
     xp.write_report(report, out_dir / "report.json", out_dir / "report.txt")
     print(report.to_text())
-    if skipped:
-        return EXIT_OK
-    return EXIT_OK if report.verdict else EXIT_VERDICT
+    return EXIT_OK if skipped or report.verdict else EXIT_VERDICT
 
 
 def _write_profile(path, times, values, header):
@@ -576,7 +570,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="solve and emit the solution table")
     p_run.add_argument("config")
     p_exp = sub.add_parser("experiment", help="run a verification experiment")
-    p_exp.add_argument("kind", choices=EXPERIMENT_KINDS)
+    p_exp.add_argument("kind", choices=EXPERIMENTS)
     p_exp.add_argument("config")
     p_chk = sub.add_parser("check", help="validate config and print constants")
     p_chk.add_argument("config")

@@ -12,6 +12,7 @@ Each experiment turns one structural property into a falsifiable check:
                          is dominated by the small-maturity history norm,
 * ``exp_positivity``     nonnegative histories stay nonnegative,
 * ``resolvent_check``    the contraction property of the transport resolvent,
+* ``resolvent_sweep``    that check for seeded smooth data at several lambdas,
 * ``picard_rate_check``  recorded Picard deltas sit under the factorial
                          envelope.
 """
@@ -283,20 +284,20 @@ class ResolventReport:
     def verdict(self) -> bool:
         return bool(self.bound_ok and self.residual_ok and self.u0_ok)
 
+
+@dataclass
+class ResolventSweepReport:
+    n_w: int
+    lambdas: list
+    checks: int
+    verdict: bool
+
     def to_dict(self):
-        return {"kind": "resolvent", "lambda": self.lam, "sup_w": self.sup_w,
-                "sup_u": self.sup_u, "bound_ok": bool(self.bound_ok),
-                "residual_max": self.residual_max,
-                "residual_ok": bool(self.residual_ok),
-                "u0_ok": bool(self.u0_ok), "verdict": self.verdict}
+        return {"kind": "resolvent", "n_w": self.n_w, "lambdas": self.lambdas,
+                "verdict": bool(self.verdict), "checks": self.checks}
 
     def to_text(self):
-        return (f"resolvent check  lambda = {self.lam:g}\n"
-                f"  sup|u| = {self.sup_u:.9g}  sup|w| = {self.sup_w:.9g}"
-                f"  contraction {'ok' if self.bound_ok else 'VIOLATED'}\n"
-                f"  ODE residual max = {self.residual_max:.3e}"
-                f"  ({'ok' if self.residual_ok else 'VIOLATED'})\n"
-                f"  verdict: {'PASS' if self.verdict else 'FAIL'}")
+        return f"resolvent: {self.checks} checks, verdict {'PASS' if self.verdict else 'FAIL'}"
 
 
 @dataclass
@@ -501,6 +502,26 @@ def resolvent_check(flow: FlowMap, w: Callable, lam: float) -> ResolventReport:
     return ResolventReport(lam=lam, sup_w=sup_w, sup_u=sup_u, bound_ok=bound_ok,
                            residual_max=residual_max, residual_ok=residual_ok,
                            u0_ok=u0_ok, m_grid=ms, u=u)
+
+
+def resolvent_sweep(flow: FlowMap, lambdas, n_w: int, seed: int) -> ResolventSweepReport:
+    """``resolvent_check`` of ``n_w`` seeded data w(m) = c0 + c1 m + c2 m^2 +
+    c3 sin(k m), c standard normal and k uniform on [1, 6], each at every
+    lambda in ``lambdas``; the verdict holds when every check passes."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    rng = np.random.default_rng(seed)
+    verdict = True
+    for _ in range(n_w):
+        c = rng.normal(size=4)
+        k = rng.uniform(1.0, 6.0)
+
+        def w(m, c=c, k=k):
+            m = np.asarray(m)
+            return c[0] + c[1] * m + c[2] * m ** 2 + c[3] * np.sin(k * m)
+        for lam in lambdas:
+            verdict = resolvent_check(flow, w, lam).verdict and verdict
+    return ResolventSweepReport(n_w=n_w, lambdas=lambdas.tolist(),
+                                checks=n_w * lambdas.size, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

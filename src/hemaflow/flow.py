@@ -18,7 +18,7 @@ import numpy as np
 from .cubic import HermiteCubic
 from .errors import ConfigurationError, DomainError
 from .params import (CustomVelocity, MaturityMap, PowerLawVelocity,
-                     VelocityModel, golden_section_max)
+                     VelocityModel, scan_max)
 from .quadrature import adaptive_panels
 
 _EPS = 1e-12
@@ -243,23 +243,18 @@ class FlowMap:
         """Supremum over (0, g(1)] of the crossing time.
 
         Scans 512 log-spaced maturities and polishes the best bracket by
-        golden-section search. Values beyond 100 are treated as a diverging
-        supremum and rejected: the stem-cell uniqueness results need this
-        supremum finite.
+        golden-section search (``scan_max``). A result beyond 100, or not
+        finite, is treated as a diverging supremum and rejected: the stem-cell
+        uniqueness results need this supremum finite.
         """
         if self._tau0 is not None:
             return self._tau0
-        cap, n_scan = 100.0, 512
-        m_lo = self.g1 * 1e-12
-        grid = np.logspace(math.log10(m_lo), math.log10(self.g1), n_scan)
-        vals = np.asarray(self.crossing_time(grid))
-        if np.max(vals) > cap or not np.all(np.isfinite(vals)):
+        cap = 100.0
+        grid = np.logspace(math.log10(self.g1 * 1e-12), math.log10(self.g1), 512)
+        tau0 = scan_max(self.crossing_time, grid, max_iter=200, tol=1e-14)
+        if not tau0 <= cap:         # a NaN or inf crossing time fails this too
             raise ConfigurationError(
                 "crossing-time supremum appears unbounded "
                 f"(exceeds {cap} within the scan); tau0 undefined")
-        j = int(np.argmax(vals))
-        polished = golden_section_max(
-            lambda m: float(self.crossing_time(m)), grid[max(j - 1, 0)],
-            grid[min(j + 1, n_scan - 1)], max_iter=200, tol=1e-14)
-        self._tau0 = max(float(np.max(vals)), polished)
-        return self._tau0
+        self._tau0 = tau0
+        return tau0

@@ -35,8 +35,8 @@ count from the factorial envelope), and the rows of any that turn out not
 to be needed are dropped. Each row keeps its arithmetic, so the iterates,
 deltas and iteration counts are those of one sweep at a time, bit for bit.
 
-Every read at (t, x) -- the solve's ring, phi(tau_upper, .), the warmup
-record, ``SolutionField.lookup`` -- goes through one store, ``HistoryField``,
+Every read at (t, x) -- the solve's ring, the warmup record,
+``SolutionField.lookup`` -- goes through one store, ``HistoryField``,
 which wraps slice arrays and reads them monotone-cubically in x and linearly
 in t. Every read is a block read over an array of times; a scalar time is a
 block of one. The solver builds the stores it reads a field through by one
@@ -52,12 +52,12 @@ gives the same bits sooner. The store keeps the slices' coefficients in one
 block, slot i % capacity for slice i, builds the slices a read lacks in
 batches, and reads many times in one call: a window's division influx is one
 read and one ``beta`` call per age node over all its rows, each slice of its
-span read once, and its history pull is one read. ``proliferating`` reads the
-sources of a chunk of steps the same way, one read per stage, and marches
-only the RK4 steps one at a time. The transport feet, the 16 division-age
-points and P's stage points are ``Located`` once, so a read is a gather plus
-a cubic; a large point set on a uniform node set is located by arithmetic
-instead of a binary search.
+span read once, and its history pull is one read of the cubic through
+phi(tau_upper, .). ``proliferating`` reads the sources of a chunk of steps
+the same way, one read per stage, and marches only the RK4 steps one at a
+time. The transport feet, the 16 division-age points and P's stage points
+are ``Located`` once, so a read is a gather plus a cubic; a large point set
+on a uniform node set is located by arithmetic instead of a binary search.
 """
 
 from __future__ import annotations
@@ -573,6 +573,7 @@ class SolutionField:
     def load(cls, path_prefix) -> "SolutionField":
         import json
         import os
+        import zipfile
         meta_path = str(path_prefix) + ".meta.json"
         metadata = {}
         if os.path.exists(meta_path):
@@ -584,8 +585,17 @@ class SolutionField:
             if not isinstance(metadata, dict):
                 raise ConfigurationError(f"{meta_path}: expected a JSON object, "
                                          f"got {type(metadata).__name__}")
-        with np.load(str(path_prefix) + ".npz") as data:
-            arrays = {key: data[key] for key in data.files}
+        npz_path = str(path_prefix) + ".npz"
+        try:
+            with np.load(npz_path) as data:
+                arrays = {key: data[key] for key in data.files}
+        except (ValueError, zipfile.BadZipFile):
+            # numpy reads a file that is not a zip as pickled data, and refuses it
+            raise ConfigurationError(f"{npz_path}: not an npz archive") from None
+        need = {"times", "m", "N"} | ({"upper_m", "upper_N"} if "upper_x" in arrays else set())
+        if not need <= arrays.keys():
+            raise ConfigurationError(f"{npz_path}: missing the array(s) "
+                                     f"{', '.join(sorted(need - arrays.keys()))}")
         upper = None
         if "upper_x" in arrays:
             upper = UpperBand(x=arrays["upper_x"], m=arrays["upper_m"], N=arrays["upper_N"],
@@ -637,7 +647,7 @@ class _RunState:
         self.N = None             # (n_slices, M) main field, filled as we go
         self.band = None          # (n_slices, NB) or None
         self.ring = None          # HistoryField over N (and band); filled = finalized slices
-        self.history = None       # HistoryField over the history slices of N
+        self.edge = None          # PchipInterpolator through phi(tau_upper, .)
         self.age_points = ()      # the 16 age-node queries, Located on ring.x
         self.n_slices = 0
         self.G_carry = None       # running influx integral at the last finalized slice
@@ -751,7 +761,10 @@ class Solver:
         nh = grid.n_history
         if T < grid.tau_upper - 1e-12:
             raise ConfigurationError("horizon T must be at least tau_upper")
-        check_slice_bytes(grid.m_nodes.size, grid.n_window, grid.tau_lower, T)
+        use_band = history.upper is not None
+        # a band solve holds the band's own nodes as well
+        check_slice_bytes((grid.x_full if use_band else grid.x_nodes).size,
+                          grid.n_window, grid.tau_lower, T)
         for name, arr, nodes in (("history", history.values, grid.m_nodes.size),
                                  ("upper-band history", history.upper, grid.band_m.size)):
             if arr is not None and arr.shape != (nh + 1, nodes):
@@ -762,7 +775,6 @@ class Solver:
             raise ConfigurationError("history values must be finite")
         n_steps = grid.steps_to(T)
 
-        use_band = history.upper is not None
         x_reach = math.exp(-grid.tau_lower)
         if x_reach > grid.x_nodes[-1] * (1.0 + 1e-12) and not use_band:
             raise ConfigurationError(
@@ -778,7 +790,7 @@ class Solver:
             st.band[:nh + 1] = history.upper
             st.band[:nh + 1, 0] = history.values[:, -1]     # one value at g(1)
         st.ring = self._slices(st.N, st.band, filled=nh + 1)
-        st.history = HistoryField(grid.x_nodes, grid.dt, st.N, filled=nh + 1, keep=1)
+        st.edge = PchipInterpolator(self._shift_main.nodes, st.N[nh])
         st.age_points = tuple(Located(st.ring.x, xd) for xd in self._xdelta)
         M = grid.m_nodes.size
         st.G_carry = np.zeros(M)
@@ -826,8 +838,7 @@ class Solver:
         back = np.arange(i0 - nh, i0 - nh + steps + 1) * grid.dt
         # math.exp, not np.exp: the two differ in the last bit on some inputs
         shrink = np.array([math.exp(-b) for b in back.tolist()])
-        pulled = st.history.lookup(np.full(steps + 1, nh * grid.dt),
-                                   grid.x_nodes * shrink[:, None])
+        pulled = st.edge(grid.x_nodes * shrink[:, None])
         win.pulled = pulled * st.dec_r.survival(grid.x_nodes, back[:, None])
         n0 = st.N[i0]
         win.half_w0 = half * (self.kern.beta(grid.m_nodes, n0) * n0)

@@ -280,6 +280,25 @@ class TestConfigRejection:
         assert run_cli(tmp_path, *args, write_config(tmp_path, cfg)) == 2
         assert capsys.readouterr().err.startswith(f"error: {'.'.join(keys)}")
 
+    @pytest.mark.parametrize("command", ["run", "picard-rate"])
+    def test_horizon_counts_the_warmup_band(self, tmp_path, capsys, monkeypatch, command):
+        # 96 main nodes fit 1 GiB of slices to T = 6e4, main plus band (191
+        # nodes) do not: refused before the warmup, which would make the band
+        def reached(*args, **kwargs):
+            raise AssertionError("a horizon too long for main plus band was not refused")
+        for target in ("hemaflow.solver.Solver.start", "hemaflow.solver.Solver.warmup"):
+            monkeypatch.setattr(target, reached)
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.2}
+        if command == "run":
+            cfg["run"]["horizon"] = 6e4
+            args, path = ["run"], "run.horizon"
+        else:
+            cfg["experiment"] = {"kind": command, "horizon": 6e4}
+            args, path = ["experiment", command], "experiment.horizon"
+        assert run_cli(tmp_path, *args, write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_conflicting_gamma_names_both_paths(self, tmp_path, capsys):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.1}
@@ -321,12 +340,33 @@ MUTATION_MODEL = {
     "tau_lower": 1.0,
     "tau_upper": 2.0,
 }
+MUTATION_GRID = {"m_nodes": 8, "dt_divisor": 2}
+
+
+def _experiment_base(kind, history, **keys):
+    return (("experiment", kind),
+            {"model": MUTATION_MODEL, "grid": MUTATION_GRID,
+             "run": {"seed": 0, "history": history},
+             "experiment": {"kind": kind, **keys}})
+
+
+MUTATION_BUMP = {"kind": "bump", "center": 0.35, "width": 0.09, "amplitude": 0.3}
 MUTATION_BASES = (
-    ("check", {"model": MUTATION_MODEL}),
-    ("run", {"model": MUTATION_MODEL, "grid": {"m_nodes": 8, "dt_divisor": 2},
-             "run": {"horizon": 2.0, "emit": ["N", "P"], "seed": 0,
-                     "history": {"kind": "warmup", "Gamma": 0.2,
-                                 "N0": {"const": 0.5}}}}),
+    (("check",), {"model": MUTATION_MODEL}),
+    (("run",), {"model": MUTATION_MODEL, "grid": MUTATION_GRID,
+                "run": {"horizon": 2.0, "emit": ["N", "P"], "seed": 0,
+                        "history": {"kind": "warmup", "Gamma": 0.2,
+                                    "N0": {"const": 0.5}}}}),
+    _experiment_base("uniqueness", {"kind": "constant", "value": 0.5}, b=0.2,
+                     perturbation=MUTATION_BUMP, horizon=3.0),
+    _experiment_base("extinction", {"kind": "zero"}, b=0.2,
+                     control={"kind": "constant", "value": 0.5}, horizon=3.0),
+    _experiment_base("invariance", {"kind": "constant", "value": 0.5}, b=0.2,
+                     horizon=3.0),
+    _experiment_base("positivity", {"kind": "zero"}, n_runs=1, horizon=3.0),
+    _experiment_base("resolvent", {"kind": "zero"}, n_w=1, lambdas=[1.0]),
+    _experiment_base("picard-rate", {"kind": "poly_m", "coeffs": [0.3, 0.7]},
+                     horizon=3.0),
 )
 BAD_VALUES = (None, True, "1", [], {}, [1.0], -1, 0, 1e-300, 1e308,
               float("nan"), float("-inf"))
@@ -343,12 +383,12 @@ def _leaf_paths(node, path=()):
 
 class TestConfigMutation:
     def test_every_mutated_leaf_exits_cleanly(self, tmp_path, capsys):
-        # each leaf of a check and a run config (8 nodes, horizon tau_upper)
-        # takes each bad value in turn: the CLI runs (0), refuses the config
-        # (2) or reports a solver failure (3), and never raises nor prints
-        # numpy's floating-point warnings first
+        # each leaf of a check, a run and each experiment kind's config (8
+        # nodes) takes each bad value in turn: the CLI runs (0), refuses the
+        # config (2), reports a solver failure (3) or a failed verdict (4), and
+        # never raises nor prints numpy's floating-point warnings first
         for command, base in MUTATION_BASES:
-            assert run_cli(tmp_path, command, write_config(tmp_path, base)) == 0
+            assert run_cli(tmp_path, *command, write_config(tmp_path, base)) == 0
         escaped = []
         for command, base in MUTATION_BASES:
             for path in _leaf_paths(base):
@@ -359,10 +399,10 @@ class TestConfigMutation:
                         node = node[key]
                     node[path[-1]] = bad
                     try:
-                        code = run_cli(tmp_path, command, write_config(tmp_path, cfg))
+                        code = run_cli(tmp_path, *command, write_config(tmp_path, cfg))
                     except Exception as exc:  # noqa: BLE001 - the defect under test
                         code = repr(exc)
-                    if code not in (0, 2, 3):
+                    if code not in (0, 2, 3, 4):
                         escaped.append((command, ".".join(map(str, path)), bad, code))
         capsys.readouterr()
         assert not escaped, escaped
@@ -456,13 +496,31 @@ class TestExperimentCommand:
         assert run_cli(tmp_path, "run", write_config(tmp_path, cfg)) == 3
         assert "non-finite" in capsys.readouterr().err
 
-    def test_resolvent_command(self, tmp_path):
+    def test_resolvent_command(self, tmp_path, capsys):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["experiment"] = {"kind": "resolvent", "lambdas": [0.5, 2.0], "n_w": 5}
         cfg_path = write_config(tmp_path, cfg)
         assert run_cli(tmp_path, "experiment", "resolvent", cfg_path) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["verdict"] is True and report["checks"] == 10
+        assert report == {"kind": "resolvent", "n_w": 5, "lambdas": [0.5, 2.0],
+                          "verdict": True, "checks": 10}
+        text = (tmp_path / "out" / "report.txt").read_text()
+        assert text == "resolvent: 10 checks, verdict PASS\n" == capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("uniqueness", "n_runs", 2),
+        ("extinction", "perturbation", {"kind": "zero"}),
+        ("invariance", "control", {"kind": "zero"}),
+        ("positivity", "b", 0.2),
+        ("resolvent", "horizon", 5.0),
+        ("picard-rate", "lambdas", [1.0]),
+    ])
+    def test_key_of_another_kind_exit_2(self, tmp_path, capsys, kind, key, value):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["experiment"] = {"kind": kind, key: value}
+        assert run_cli(tmp_path, "experiment", kind, write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err.startswith(f"error: experiment.{key}: unknown key")
+        assert not (tmp_path / "out").exists()
 
     def test_picard_rate_command(self, tmp_path):
         cfg = copy.deepcopy(BASE_CONFIG)

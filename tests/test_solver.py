@@ -884,6 +884,21 @@ class TestSolveBasics:
         with pytest.raises(ConfigurationError, match="cap"):
             solver_ref.solve(InitialHistory.zeros(solver_ref.grid), T=T)
 
+    def test_slice_cap_counts_the_band(self, monkeypatch):
+        # a band solve to T = 6 holds main plus band: a cap between the main
+        # slices and those is refused, one of exactly those passes (start, not
+        # solve, so a few hundred kB are allocated at most)
+        solver = Solver(reference_params(c=0.3), m_nodes=64, dt_divisor=8)
+        grid = solver.grid
+        rows = 6.0 / grid.tau_lower * grid.n_window + 1.0
+        band = InitialHistory.from_callable(smooth_history, grid, upper=smooth_history)
+        monkeypatch.setattr(solver_module, "MAX_SLICE_BYTES",
+                            4.0 * (grid.x_nodes.size + grid.x_full.size) * rows)
+        with pytest.raises(ConfigurationError, match="cap"):
+            solver.start(band, 6.0)
+        monkeypatch.setattr(solver_module, "MAX_SLICE_BYTES", 8.0 * grid.x_full.size * rows)
+        solver.start(band, 6.0)
+
     def test_history_shape_checked(self, solver_ref):
         hist = InitialHistory(times=np.arange(3) * solver_ref.grid.dt,
                               values=np.zeros((3, 8)))
@@ -1357,6 +1372,19 @@ class TestSerialization:
         _small_field().save(tmp_path / "field")
         (tmp_path / "field.meta.json").write_text(meta)
         with pytest.raises(ConfigurationError, match="field.meta.json: expected a JSON object"):
+            SolutionField.load(tmp_path / "field")
+
+    def test_load_refuses_an_npz_without_times(self, tmp_path):
+        field = _small_field()
+        np.savez_compressed(tmp_path / "field.npz", x=field.x, m=field.m, N=field.N)
+        with pytest.raises(ConfigurationError, match=r"field.npz: missing the array\(s\) times"):
+            SolutionField.load(tmp_path / "field")
+
+    @pytest.mark.parametrize("content", [b"t,m,N\n0,0,1\n", b"PK\x03\x04cut short"],
+                             ids=["text", "broken-zip"])
+    def test_load_refuses_a_file_that_is_not_an_npz(self, tmp_path, content):
+        (tmp_path / "field.npz").write_bytes(content)
+        with pytest.raises(ConfigurationError, match="field.npz: not an npz archive"):
             SolutionField.load(tmp_path / "field")
 
     def test_one_slice_field_has_no_time_step(self):

@@ -24,7 +24,10 @@ imported, never copied), so the digests cover what the benchmark runs:
 * ``warmup``: the warmup history alone (main and band) for the benchmark's
   seed-0 ``hemaflow run`` model and grid, with a Gamma that depends on age;
 * ``experiments``: ``to_dict()`` and the profile of ``exp_extinction`` with a
-  control and of ``exp_invariance`` (the acceptance models, on 128 x 16).
+  control and of ``exp_invariance`` (the acceptance models, on 128 x 16);
+* ``experiment_cli``: each ``hemaflow experiment`` kind on the benchmark's
+  tiny ``cli_run`` model and grid (64 x 8), its exit code and the bytes of
+  every file it writes (``report.json``, ``report.txt`` and the profile CSV).
 
 Run from the root of a checkout; it imports that checkout's ``src``:
 
@@ -198,11 +201,46 @@ def experiments() -> dict:
             "invariance": _sha(inv.to_dict(), inv.sup_ratio)}
 
 
+def experiment_cli() -> dict:
+    base = cli_config(REFERENCE_SEED, SIZES["tiny"]["cli_run"])
+    bump = {"kind": "bump", "center": 0.35, "width": 0.09, "amplitude": 1.0}
+    kinds = {
+        "uniqueness": ({"kind": "constant", "value": 0.5},
+                       {"b": 0.2, "perturbation": dict(bump, amplitude=0.3)}),
+        "extinction": (bump, {"b": 0.2, "control": {"kind": "constant", "value": 0.5}}),
+        # a model whose invariance margin holds, so the experiment makes its claim
+        "invariance": ({"kind": "sum", "terms": [{"kind": "constant", "value": 0.1},
+                                                 dict(bump, amplitude=2.0)]}, {"b": 0.2}),
+        "positivity": ({"kind": "zero"}, {"n_runs": 2, "horizon": 4.0}),
+        "resolvent": ({"kind": "zero"}, {"n_w": 3, "lambdas": [0.5, 2.0]}),
+        "picard-rate": ({"kind": "random"}, {"horizon": 4.0}),
+    }
+    digests = {}
+    for kind, (history, keys) in kinds.items():
+        cfg = {"model": dict(base["model"]), "grid": base["grid"],
+               "run": {"seed": REFERENCE_SEED, "history": history},
+               "experiment": {"kind": kind, **keys}}
+        if kind == "invariance":
+            cfg["model"].update(delta=1.2, gamma=0.0, beta=dict(cfg["model"]["beta"], beta0=0.2))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            out = os.path.join(tmp, "out")
+            with contextlib.redirect_stdout(io.StringIO()):
+                digests[f"{kind}:exit"] = cli_main(["--out", out, "experiment", kind, path])
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    digests[f"{kind}:{name}"] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
 def main() -> int:
     result = {"ref_solve": ref_solve(), "positivity": positivity(),
               "uniqueness": uniqueness(), "band_solve": band_solve(), "reload": reload(),
               "cli_run": cli_run(), "proliferating": proliferating(),
-              "tables": tables(), "warmup": warmup(), "experiments": experiments()}
+              "tables": tables(), "warmup": warmup(), "experiments": experiments(),
+              "experiment_cli": experiment_cli()}
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0
 

@@ -489,21 +489,26 @@ def _experiment_call(kind: str, exp: dict, cfg: dict, run: dict, seed: int):
         n_w = _integer(exp.get("n_w", 100), "experiment.n_w", 1, MAX_W)
         return lambda: xp.resolvent_sweep(solver.flow, lambdas, n_w, seed)
     hist_spec = run.get("history", {"kind": "zero"})
-    horizon = exp.get("horizon")
+    b = (_number(_need(exp, "b", "experiment"), "experiment.b")
+         if "b" in EXPERIMENTS[kind][0] else None)
+    horizon, path = exp.get("horizon"), "experiment.horizon"
+    # an unset horizon is checked too, unless the run solves nothing: an
+    # invariance run whose margin fails only reports it
+    if horizon is None and (kind != "invariance"
+                            or solver.kern.invariance_margin().satisfied):
+        horizon = xp.default_horizon(solver, b)
+        path = f"experiment.horizon (unset, so {horizon:g})"
     if horizon is not None:
         # positivity solves its own random histories, which have no band
-        horizon = _horizon(horizon, solver, "experiment.horizon",
+        horizon = _horizon(horizon, solver, path,
                            kind != "positivity" and _is_warmup(hist_spec))
     if kind == "positivity":
         n_runs = _integer(exp.get("n_runs", 20), "experiment.n_runs", 1, MAX_RUNS)
         return lambda: xp.exp_positivity(solver, n_runs=n_runs, seed=seed,
                                          horizon=horizon)
-    if kind == "picard-rate":
-        history = build_history(hist_spec, solver, seed)
-        T = horizon if horizon is not None else 5.0 * solver.grid.tau_upper
-        return lambda: xp.picard_rate_check(solver.solve(history, T))
-    b = _number(_need(exp, "b", "experiment"), "experiment.b")
     history = build_history(hist_spec, solver, seed)
+    if kind == "picard-rate":
+        return lambda: xp.picard_rate_check(solver.solve(history, horizon))
     if kind == "uniqueness":
         phi2 = _plus_profile(history, _need(exp, "perturbation", "experiment"), solver,
                              "experiment.perturbation")

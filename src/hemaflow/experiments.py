@@ -3,7 +3,8 @@
 Each experiment turns one structural property into a falsifiable check:
 
 * ``compute_tbar``       the stem-cell synchronization horizon built from the
-                         ancestry recursion b_{n+1} = Lambda(b_n),
+                         ancestry recursion b_{n+1} = Lambda(b_n), and
+                         ``default_horizon`` the solves' horizon built on it,
 * ``exp_uniqueness``     two histories agreeing at small maturities produce
                          the same population past the horizon,
 * ``exp_extinction``     no stem cells initially means extinction by the
@@ -130,6 +131,15 @@ def compute_tbar(kern: Kernels, b: float) -> TbarResult:
                       for n, bn in enumerate(b_seq)])
     return TbarResult(b=b, t_bar=float(t_seq[-1]), b_sequence=b_seq,
                       t_sequence=t_seq, M=len(bs) - 2)
+
+
+def default_horizon(solver: Solver, b: Optional[float] = None) -> float:
+    """The horizon an experiment solves to when given none: t_bar(b) +
+    2 tau_upper for an experiment about maturities below b, else 5 tau_upper."""
+    tau_up = solver.grid.tau_upper
+    if b is None:
+        return 5.0 * tau_up
+    return compute_tbar(solver.kern, b).t_bar + 2.0 * tau_up
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +351,7 @@ def exp_uniqueness(solver: Solver, phi1, phi2, b: float, *,
             f"histories differ on [0, b] by {gap:.3e}; the uniqueness "
             "experiment requires exact agreement below b")
     tb = compute_tbar(solver.kern, b)
-    T = horizon if horizon is not None else tb.t_bar + 2.0 * grid.tau_upper
+    T = horizon if horizon is not None else default_horizon(solver, b)
     f1, f2 = (solver.solve(h, T) for h in (h1, h2))
     divergence = np.max(np.abs(f1.N - f2.N), axis=1)
     times = f1.times
@@ -373,7 +383,7 @@ def exp_extinction(solver: Solver, phi, b: float, *, control_phi=None,
             f"history is not zero on [0, b] (max {gap:.3e}); the aplastic "
             "scenario requires an empty stem-cell compartment")
     tb = compute_tbar(solver.kern, b)
-    T = horizon if horizon is not None else tb.t_bar + 2.0 * grid.tau_upper
+    T = horizon if horizon is not None else default_horizon(solver, b)
     runs = [hist]
     if control_phi is not None:
         runs.append(_as_history(control_phi, grid))
@@ -406,7 +416,7 @@ def exp_invariance(solver: Solver, phi, b: float, *,
     grid = solver.grid
     hist = _as_history(phi, grid)
     tb = compute_tbar(solver.kern, b)
-    T = horizon if horizon is not None else tb.t_bar + 2.0 * grid.tau_upper
+    T = horizon if horizon is not None else default_horizon(solver, b)
     field = solver.solve(hist, T)
     sel = _agreement_nodes(grid, b)
     phi_norm = float(np.max(np.abs(hist.values[:, sel])))
@@ -433,7 +443,7 @@ def exp_positivity(solver: Solver, *, n_runs: int = 20, seed: int = 0,
     if float(np.min(solver.kern.psi_resting(probe))) <= 0.0:
         raise PreconditionError(
             "positivity requires delta + V' > 0 on [0, g(1)]")
-    T = horizon if horizon is not None else 5.0 * grid.tau_upper
+    T = horizon if horizon is not None else default_horizon(solver)
     per_run = []
     worst = np.inf
     for i in range(n_runs):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -63,20 +63,33 @@ class CumulativeDecay:
         return np.where(below, self._phi_floor + self._slope_floor * (u - self._u_min),
                         inside)
 
-    def log_survival(self, x, elapsed):
-        """log of the attenuation over ``elapsed`` time ending at coordinate x."""
+    def _anchor(self, x):
+        """ln x, Phi(ln x) and where x is 0: the end points' share of the factor."""
         x = np.asarray(x, dtype=float)
-        elapsed = np.asarray(elapsed, dtype=float)
         with np.errstate(divide="ignore"):
             u = np.log(np.maximum(x, 1e-300))
-        out = self._phi_at(u) - self._phi_at(u - elapsed)
-        zero = x == 0.0
+        return u, self._phi_at(u), x == 0.0
+
+    def _log_survival(self, anchor, elapsed):
+        u, phi_u, zero = anchor
+        elapsed = np.asarray(elapsed, dtype=float)
+        out = phi_u - self._phi_at(u - elapsed)
         if np.any(zero):
             out = np.where(zero, -self.psi_at_zero * elapsed, out)
         return out
 
+    def log_survival(self, x, elapsed):
+        """log of the attenuation over ``elapsed`` time ending at coordinate x."""
+        return self._log_survival(self._anchor(x), elapsed)
+
     def survival(self, x, elapsed):
         return np.exp(self.log_survival(x, elapsed))
+
+    def survival_to(self, x) -> Callable:
+        """``survival(x, .)`` for end points x that stay fixed: ln x and Phi
+        there are computed once, a call reads Phi only at ln x - elapsed."""
+        anchor = self._anchor(x)
+        return lambda elapsed: np.exp(self._log_survival(anchor, elapsed))
 
 
 @dataclass
@@ -106,6 +119,7 @@ class Kernels:
         self._delta = params.rates.delta_fn()
         self._gamma = params.rates.gamma_fn()
         self._decay_cache: dict = {}
+        self._margin: Optional[InvarianceMargin] = None     # sought on first use
 
     # -- pointwise ingredients ------------------------------------------------
 
@@ -224,8 +238,13 @@ class Kernels:
 
         I is the infimum of delta + V' on [0, g(1)] (scan plus golden-section
         polish); zeta_tilde the supremum of |zeta| on [0, g(1)] x
-        [tau_lower, tau_upper] (scan plus local refinement).
+        [tau_lower, tau_upper] (scan plus local refinement). Computed once.
         """
+        if self._margin is None:
+            self._margin = self._invariance_margin()
+        return self._margin
+
+    def _invariance_margin(self) -> InvarianceMargin:
         g1 = self.flow.g1
         lo, hi = self.params.tau_lower, self.params.tau_upper
         n_m, n_a = 257, 65

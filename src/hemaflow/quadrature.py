@@ -45,23 +45,28 @@ def adaptive_panels(f, edges: np.ndarray) -> np.ndarray:
     a panel's value is compared against its bisection and split where they
     disagree, which suits integrands with localized stiffness (1/V near zero
     maturity). Every panel's top rule and first bisection come from one call
-    of f on a 1-D array, and only panels that do not settle there recurse."""
+    of f on a 1-D array and one stacked dot, ``_settle``'s test runs on all
+    panels at once, and only panels that do not settle there recurse."""
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
-    n = N_NODES
-    z, w = gauss_legendre(n)
-    # mapped_rule's expressions, one row per panel: the whole, left and right rules
+    z, w = gauss_legendre(N_NODES)
+    # mapped_rule's expressions, one (3, n) block per panel: the whole, left and right rules
     starts = (lo, lo, mid)
     halves = [0.5 * (b - a) for a, b in zip(starts, (hi, mid, hi))]
-    x = np.concatenate([a[:, None] + h[:, None] * (z + 1.0)
-                        for a, h in zip(starts, halves)], axis=1)
-    wts = np.concatenate([h[:, None] * w for h in halves], axis=1)
+    x = np.stack([a[:, None] + h[:, None] * (z + 1.0)
+                  for a, h in zip(starts, halves)], axis=1)
+    wts = np.stack([h[:, None] * w for h in halves], axis=1)
+    # a stacked (1, n) @ (n, 1) per rule: the 1-D ``@`` of its values and weights
     fx = f(x.ravel()).reshape(x.shape)
-    out = np.zeros(lo.size)
-    for i in np.flatnonzero(hi != lo).tolist():
-        fi, wi = fx[i], wts[i]
-        out[i] = _settle(f, lo[i], mid[i], hi[i], float(fi[:n] @ wi[:n]),
-                         float(fi[n:2 * n] @ wi[n:2 * n]), float(fi[2 * n:] @ wi[2 * n:]), 0)
+    whole, left, right = np.matmul(fx[..., None, :], wts[..., None])[..., 0, 0].T
+    with np.errstate(over="ignore", invalid="ignore"):     # as Python floats would
+        both = left + right
+        settled = ~np.isfinite(both) | (np.abs(both - whole)
+                                        <= RTOL * np.maximum(np.abs(both), 1e-300))
+    out = np.where(hi != lo, both, 0.0)
+    for i in np.flatnonzero(~settled & (hi != lo)).tolist():
+        out[i] = _settle(f, lo[i], mid[i], hi[i], float(whole[i]), float(left[i]),
+                         float(right[i]), 0)
     return out
 
 

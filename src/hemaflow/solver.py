@@ -463,6 +463,10 @@ class UpperBand:
 
 
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")   # names np.loadtxt would decompress
+# zlib level of the npz: on solution arrays level 2 deflates in about two
+# thirds of the default level 6's time to a slightly smaller file; level 1
+# writes a larger one
+_DEFLATE_LEVEL = 2
 
 
 def _flow_coordinates(field: "SolutionField") -> np.ndarray:
@@ -557,15 +561,22 @@ class SolutionField:
         return cls(times=times, x=None, m=m, N=N, P=P)
 
     def save(self, path_prefix) -> None:
-        """Compact binary table plus a JSON sidecar with run metadata."""
+        """Compact binary table plus a JSON sidecar with run metadata. The npz
+        is the archive ``np.savez_compressed`` writes (members ``<key>.npy`` in
+        the same order, zip64 forced), deflated at ``_DEFLATE_LEVEL``."""
         import json
+        import zipfile
         arrays = {"times": self.times, "x": self.x, "m": self.m, "N": self.N,
                   "P": self.P}
         if self.upper is not None:
             arrays.update(upper_x=self.upper.x, upper_m=self.upper.m,
                           upper_N=self.upper.N, upper_P=self.upper.P)
-        np.savez_compressed(str(path_prefix) + ".npz",
-                            **{k: v for k, v in arrays.items() if v is not None})
+        with zipfile.ZipFile(str(path_prefix) + ".npz", "w", zipfile.ZIP_DEFLATED,
+                             allowZip64=True, compresslevel=_DEFLATE_LEVEL) as zf:
+            for key, val in arrays.items():
+                if val is not None:
+                    with zf.open(key + ".npy", "w", force_zip64=True) as fh:
+                        np.lib.format.write_array(fh, np.asanyarray(val))
         with open(str(path_prefix) + ".meta.json", "w") as fh:
             json.dump(self.metadata, fh, indent=2, sort_keys=True, default=float)
 
@@ -587,7 +598,10 @@ class SolutionField:
                                          f"got {type(metadata).__name__}")
         npz_path = str(path_prefix) + ".npz"
         try:
-            with np.load(npz_path) as data:
+            data = np.load(npz_path)
+            if not isinstance(data, np.lib.npyio.NpzFile):      # one plain .npy array
+                raise ValueError
+            with data:
                 arrays = {key: data[key] for key in data.files}
         except (ValueError, zipfile.BadZipFile):
             # numpy reads a file that is not a zip as pickled data, and refuses it
@@ -1060,10 +1074,14 @@ class Solver:
         # the table's head, the main nodes, for the source terms
         stage_main = tuple(mm[:M] for mm in stage_m)
         stage_lgi = tuple(flow.log_h(g.inverse(mm)) for mm in stage_main)
-        stage_xgi = tuple(np.exp(lg) for lg in stage_lgi)
+        # survival(x_gi, .) at each stage's points, their ln x and Phi read once
+        stage_xi = tuple(dec_g.survival_to(np.exp(lg)) for lg in stage_lgi)
+        # steps per block: the boundary part's factors that depend on sigma
+        # alone are read for a block of steps at once, six (steps, M) arrays
+        block = max(1, min(nh, _CHUNK_BYTES // (8 * M)))
 
-        def source(sigma: float, stage: int, record: HistoryField) -> np.ndarray:
-            """Division influx at warmup time sigma on main nodes."""
+        def source(sigma: float, stage: int, r: int, record: HistoryField) -> np.ndarray:
+            """Division influx at warmup time sigma, row r of the block, on main nodes."""
             out = np.zeros(M)
             lgi = stage_lgi[stage]
             mm = stage_main[stage]
@@ -1071,17 +1089,15 @@ class Solver:
             a_lo = max(sigma, tau_lo)
             if a_lo < tau_up - 1e-14:
                 a_nodes, a_w = mapped_rule(a_lo, tau_up, 16)
-                mothers_now = flow.h_inv_log(lgi - sigma)       # Delta(sigma, m)
-                gam = _eval_two_arg(data.Gamma, mothers_now[None, :],
+                gam = _eval_two_arg(data.Gamma, mothers_now[stage][r][None, :],
                                     (a_nodes - sigma)[:, None])
                 k_qa = self.params.division.k(mm[None, :], a_nodes[:, None], flow.g1)
-                xi_now = dec_g.survival(stage_xgi[stage], sigma)
-                out += 2.0 * xi_now * np.einsum("q,qj->j", a_w, k_qa * gam)
+                out += 2.0 * xi_now[stage][r] * np.einsum("q,qj->j", a_w, k_qa * gam)
             # delayed part: daughters of cells reintroduced after t = 0
             if sigma > tau_lo + 1e-14:
                 a_nodes, a_w = mapped_rule(tau_lo, sigma, 16)
                 k_qa = self.params.division.k(mm[None, :], a_nodes[:, None], flow.g1)
-                xi_qa = dec_g.survival(stage_xgi[stage][None, :], a_nodes[:, None])
+                xi_qa = stage_xi[stage](a_nodes[:, None])
                 lg = lgi[None, :] - a_nodes[:, None]
                 nv = record.lookup(sigma - a_nodes, np.exp(lg))
                 rate = beta(flow.h_inv_log(lg), nv)
@@ -1097,22 +1113,28 @@ class Solver:
             raise ConfigurationError("N0 must be finite")
         record = HistoryField(x_full, dt, values, filled=1)
 
-        for i in range(1, nh + 1):
-            t0 = (i - 1) * dt
+        def rhs(stage: int, u: np.ndarray) -> np.ndarray:
+            out = -(stage_psi[stage] + beta(stage_m[stage], u)) * u
+            out[:M] += src[stage]
+            return out
+
+        for i0 in range(1, nh + 1, block):
+            t0 = np.arange(i0 - 1, min(i0 + block, nh + 1) - 1) * dt
             sigmas = (t0, t0 + 0.5 * dt, t0 + dt)
-            src = tuple(source(sigma, stage, record) for stage, sigma in enumerate(sigmas))
-
-            def rhs(stage: int, u: np.ndarray) -> np.ndarray:
-                out = -(stage_psi[stage] + beta(stage_m[stage], u)) * u
-                out[:M] += src[stage]
-                return out
-
-            values[i] = _rk4_step(self._shift_full(values[i - 1]), dt, rhs)
-            if not np.all(np.isfinite(values[i])):
-                raise ConfigurationError(
-                    f"warmup produced non-finite densities at t = {i * dt:.6g}; "
-                    "check Gamma and N0")
-            record.filled = i + 1
+            # Delta(sigma, m) and the survival to x_gi over sigma, row r for step i0 + r
+            mothers_now = [flow.h_inv_log(lgi - s[:, None])
+                           for lgi, s in zip(stage_lgi, sigmas)]
+            xi_now = [xi(s[:, None]) for xi, s in zip(stage_xi, sigmas)]
+            for r, stage_sigmas in enumerate(zip(*(s.tolist() for s in sigmas))):
+                i = i0 + r
+                src = tuple(source(sigma, stage, r, record)
+                            for stage, sigma in enumerate(stage_sigmas))
+                values[i] = _rk4_step(self._shift_full(values[i - 1]), dt, rhs)
+                if not np.all(np.isfinite(values[i])):
+                    raise ConfigurationError(
+                        f"warmup produced non-finite densities at t = {i * dt:.6g}; "
+                        "check Gamma and N0")
+                record.filled = i + 1
 
         times = np.arange(nh + 1) * dt
         return InitialHistory(times=times, values=values[:, :M].copy(),

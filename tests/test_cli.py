@@ -299,6 +299,41 @@ class TestConfigRejection:
         assert run_cli(tmp_path, *args, write_config(tmp_path, cfg)) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("kind, keys", [
+        ("picard-rate", {}),
+        ("positivity", {"n_runs": 1}),
+        ("uniqueness", {"b": 0.2, "perturbation": {"kind": "bump", "center": 0.35,
+                                                   "width": 0.09, "amplitude": 0.3}}),
+        ("extinction", {"b": 0.2}),
+        ("invariance", {"b": 0.2}),
+    ])
+    def test_unset_horizon_is_checked_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                      kind, keys):
+        # at a cap of 1e5 bytes no default horizon fits 96 nodes (t_bar + 2
+        # tau_upper or 5 tau_upper): refused by key before the warmup and the out dir
+        def reached(*args, **kwargs):
+            raise AssertionError("an unset horizon above the slice cap was not refused")
+        for target in ("hemaflow.solver.Solver.start", "hemaflow.solver.Solver.warmup"):
+            monkeypatch.setattr(target, reached)
+        monkeypatch.setattr("hemaflow.solver.MAX_SLICE_BYTES", 1e5)
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.2}
+        cfg["experiment"] = {"kind": kind, **keys}
+        assert run_cli(tmp_path, "experiment", kind, write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err.startswith("error: experiment.horizon (unset, so ")
+        assert not (tmp_path / "out").exists()
+
+    def test_unset_horizon_of_an_invariance_run_that_skips_is_not_checked(
+            self, tmp_path, capsys, monkeypatch):
+        # the margin fails at beta0 = 1: the run solves nothing and reports it
+        monkeypatch.setattr("hemaflow.solver.MAX_SLICE_BYTES", 1e5)
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["model"]["beta"]["beta0"] = 1.0
+        cfg["experiment"] = {"kind": "invariance", "b": 0.2}
+        assert run_cli(tmp_path, "experiment", "invariance", write_config(tmp_path, cfg)) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["skipped"] is True
+
     def test_conflicting_gamma_names_both_paths(self, tmp_path, capsys):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.1}

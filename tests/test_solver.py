@@ -19,7 +19,7 @@ from hemaflow import (ConfigurationError, ConvergenceError, CustomReintroduction
 from hemaflow import cli as cli_module
 from hemaflow import solver as solver_module
 from hemaflow.cubic import HermiteCubic
-from hemaflow.solver import Located
+from hemaflow.solver import Located, UpperBand
 
 from refcase import eval_G, eval_J, nan_band_params, reference_params, smooth_history
 
@@ -1290,6 +1290,29 @@ class TestUpperBand:
         assert np.all(np.isfinite(field.N))
 
 
+def _field_for_npz(band: bool, with_p: bool) -> SolutionField:
+    """A field of signed values over many magnitudes, with or without a band and P."""
+    rng = np.random.default_rng(5)
+    n_t, n_m, n_b = 6, 9, 5
+    values = lambda n: rng.normal(size=(n_t, n)) * 10.0 ** rng.integers(-300, 300, (n_t, n))
+    x = np.linspace(0.0, 1.0, n_m)
+    field = SolutionField(np.arange(n_t) * 0.25, x, x * x, values(n_m),
+                          P=values(n_m) if with_p else None, metadata={"grid": {"m": n_m}})
+    if band:
+        bx = np.linspace(1.0, 1.5, n_b)
+        field.upper = UpperBand(bx, bx * bx, values(n_b), values(n_b) if with_p else None)
+    return field
+
+
+def _npz_arrays(field: SolutionField) -> dict:
+    """The arrays ``save`` writes, by member name, in the archive's order."""
+    arrays = {"times": field.times, "x": field.x, "m": field.m, "N": field.N, "P": field.P}
+    if field.upper is not None:
+        arrays.update(upper_x=field.upper.x, upper_m=field.upper.m,
+                      upper_N=field.upper.N, upper_P=field.upper.P)
+    return {k: v for k, v in arrays.items() if v is not None}
+
+
 class TestSerialization:
     def test_csv_round_trip_bit_exact(self, field_ref, tmp_path):
         path = tmp_path / "field.csv"
@@ -1386,6 +1409,53 @@ class TestSerialization:
         (tmp_path / "field.npz").write_bytes(content)
         with pytest.raises(ConfigurationError, match="field.npz: not an npz archive"):
             SolutionField.load(tmp_path / "field")
+
+    def test_load_refuses_a_plain_npy_array(self, tmp_path):
+        # np.load gives the array itself back, not an archive
+        with open(tmp_path / "field.npz", "wb") as fh:
+            np.save(fh, np.ones(3))
+        with pytest.raises(ConfigurationError, match="field.npz: not an npz archive"):
+            SolutionField.load(tmp_path / "field")
+
+    @pytest.mark.parametrize("band", [False, True], ids=["no-band", "band"])
+    @pytest.mark.parametrize("with_p", [False, True], ids=["no-P", "P"])
+    def test_npz_holds_the_arrays_of_savez_compressed(self, tmp_path, band, with_p):
+        # what np.savez_compressed wrote before: the same members, in the same
+        # order, each deflated, zip64 forced (extract version 4.5), same bits
+        import zipfile
+        field = _field_for_npz(band, with_p)
+        field.save(tmp_path / "field")
+        arrays = _npz_arrays(field)
+        np.savez_compressed(tmp_path / "numpy.npz", **arrays)
+        with zipfile.ZipFile(tmp_path / "field.npz") as got, \
+                zipfile.ZipFile(tmp_path / "numpy.npz") as want:
+            assert ([(i.filename, i.file_size, i.extract_version) for i in got.infolist()]
+                    == [(i.filename, i.file_size, i.extract_version)
+                        for i in want.infolist()])
+            assert {i.compress_type for i in got.infolist()} == {zipfile.ZIP_DEFLATED}
+        with np.load(tmp_path / "field.npz") as data:
+            assert data.files == list(arrays)
+            for key, want in arrays.items():
+                assert data[key].dtype == want.dtype and data[key].shape == want.shape
+                assert np.array_equal(data[key].view(np.uint64), want.view(np.uint64)), key
+
+    @pytest.mark.parametrize("band", [False, True], ids=["no-band", "band"])
+    def test_load_reads_an_archive_of_savez_compressed(self, tmp_path, band):
+        # outputs written before the npz was deflated at level 2 still load
+        field = _field_for_npz(band, True)
+        field.save(tmp_path / "field")
+        np.savez_compressed(tmp_path / "field.npz", **_npz_arrays(field))
+        back = SolutionField.load(tmp_path / "field")
+        assert back.metadata == field.metadata
+        pairs = [(back.times, field.times), (back.x, field.x), (back.m, field.m),
+                 (back.N, field.N), (back.P, field.P)]
+        if band:
+            pairs += [(getattr(back.upper, k), getattr(field.upper, k))
+                      for k in ("x", "m", "N", "P")]
+        else:
+            assert back.upper is None
+        for got, want in pairs:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_one_slice_field_has_no_time_step(self):
         field = SolutionField([0.0], np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 4),

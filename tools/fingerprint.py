@@ -14,7 +14,9 @@ imported, never copied), so the digests cover what the benchmark runs:
 * ``reload``: that band field saved and loaded, then P (an age-dependent
   Gamma) and ``residual_stats`` run on the loaded field;
 * ``cli_run``: every file the benchmark's seed-0 ``hemaflow run`` writes
-  (its P is reconstructed on main plus band);
+  (its P is reconstructed on main plus band); for the npz, each array and
+  one digest of the member list (names in archive order, dtypes, shapes),
+  so a writer that renames, reorders or retypes a member shows;
 * ``proliferating``: P reconstructed on a field without a band (the
   ``ref_solve`` model and history on the ``cli_run`` grid, T = 6, an
   age-dependent Gamma);
@@ -48,6 +50,7 @@ import json
 import os
 import sys
 import tempfile
+import zipfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -137,10 +140,14 @@ def cli_run() -> dict:
         for name in sorted(os.listdir(out)):
             path = os.path.join(out, name)
             if name.endswith(".npz"):
-                # the archive's bytes carry write times: digest its arrays
-                with np.load(path) as data:
-                    for key in sorted(data.files):
+                # the archive's bytes carry write times: digest its arrays, and
+                # its member names in archive order with each one's dtype and shape
+                with zipfile.ZipFile(path) as zf, np.load(path) as data:
+                    members = []
+                    for member, key in zip(zf.namelist(), data.files):
                         digests[f"{name}:{key}"] = _sha(data[key])
+                        members.append([member, data[key].dtype.str, list(data[key].shape)])
+                digests[f"{name}:members"] = _sha(members)
                 continue
             with open(path, "rb") as fh:
                 digests[name] = hashlib.sha256(fh.read()).hexdigest()

@@ -45,17 +45,20 @@ EXIT_VERDICT = 4
 MAX_RUNS = 1000           # experiment.n_runs: one full solve per run
 MAX_W = 10000             # experiment.n_w: one resolvent check per lambda each
 
-# each experiment kind: the experiment keys it reads besides ``kind``, and the
-# profile CSV it writes as (file, report attribute, header), if any
+# each experiment kind: the experiment keys it reads besides ``kind``, the run
+# keys it reads, and the profile CSV it writes as (file, report attribute,
+# header), if any; positivity and resolvent solve no given history
+_SEEDED = ("seed",)
+_HISTORY = ("seed", "history")
 EXPERIMENTS = {
-    "uniqueness": (("b", "perturbation", "horizon"),
+    "uniqueness": (("b", "perturbation", "horizon"), _HISTORY,
                    ("divergence.csv", "divergence", "t,sup_diff")),
-    "extinction": (("b", "control", "horizon"),
+    "extinction": (("b", "control", "horizon"), _HISTORY,
                    ("population.csv", "sup_profile", "t,sup_N")),
-    "invariance": (("b", "horizon"), ("ratio.csv", "sup_ratio", "t,sup_ratio")),
-    "positivity": (("n_runs", "horizon"), None),
-    "resolvent": (("lambdas", "n_w"), None),
-    "picard-rate": (("horizon",), None),
+    "invariance": (("b", "horizon"), _HISTORY, ("ratio.csv", "sup_ratio", "t,sup_ratio")),
+    "positivity": (("n_runs", "horizon"), _SEEDED, None),
+    "resolvent": (("lambdas", "n_w"), _SEEDED, None),
+    "picard-rate": (("horizon",), _HISTORY, None),
 }
 
 
@@ -352,9 +355,10 @@ def _make_solver(cfg: dict) -> Solver:
     return Solver(params, **build_grid(cfg, params))
 
 
-def _run_section(cfg: dict) -> dict:
+def _run_section(cfg: dict, allowed) -> dict:
+    """The run section, holding only keys that the command reads."""
     run = cfg.get("run", {})
-    _reject_unknown(run, {"horizon", "emit", "seed", "history", "warmup"}, "run")
+    _reject_unknown(run, allowed, "run")
     return run
 
 
@@ -402,7 +406,7 @@ def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
     residuals (zlib releases the GIL); the worker is joined before return
     or raise, and what it raised is raised here."""
     solver = _make_solver(cfg)
-    run = _run_section(cfg)
+    run = _run_section(cfg, ("horizon", "emit", "seed", "history", "warmup"))
     hist_spec = run.get("history", {"kind": "zero"})
     warmup_history = _is_warmup(hist_spec)
     horizon = _horizon(run.get("horizon", 5.0 * solver.grid.tau_upper), solver,
@@ -499,9 +503,7 @@ def _experiment_call(kind: str, exp: dict, cfg: dict, run: dict, seed: int):
         horizon = xp.default_horizon(solver, b)
         path = f"experiment.horizon (unset, so {horizon:g})"
     if horizon is not None:
-        # positivity solves its own random histories, which have no band
-        horizon = _horizon(horizon, solver, path,
-                           kind != "positivity" and _is_warmup(hist_spec))
+        horizon = _horizon(horizon, solver, path, _is_warmup(hist_spec))
     if kind == "positivity":
         n_runs = _integer(exp.get("n_runs", 20), "experiment.n_runs", 1, MAX_RUNS)
         return lambda: xp.exp_positivity(solver, n_runs=n_runs, seed=seed,
@@ -526,12 +528,12 @@ def cmd_experiment(kind: str, cfg: dict, out_dir: Path, seed_override=None) -> i
     has one, and its report to ``out_dir``, made once every config key has
     been read."""
     exp = _experiment_section(cfg, kind)
-    run = _run_section(cfg)
+    run = _run_section(cfg, EXPERIMENTS[kind][1])
     experiment = _experiment_call(kind, exp, cfg, run, _run_seed(run, seed_override))
     _make_out(out_dir)
     report = experiment()
     skipped = getattr(report, "skipped", False)
-    profile = EXPERIMENTS[kind][1]
+    profile = EXPERIMENTS[kind][2]
     if profile is not None and not skipped:
         name, attr, header = profile
         _write_profile(out_dir / name, report.times, getattr(report, attr), header)

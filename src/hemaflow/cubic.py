@@ -3,8 +3,10 @@ the tabulated flow coordinate, the attenuation tables and the CLI's tabulated
 laws all read through it. Its arithmetic is scipy 1.17.1's, operation for
 operation, so it gives scipy's bits (``TestHermiteCubic`` pins this). A
 ``NodeSet`` holds what every build on one node set shares and locates many
-points on a uniform set by arithmetic, and ``ppoly_sum`` is the one sum, also
-for the solver's gathers from its coefficient block.
+points on a uniform set by arithmetic. ``hermite_coefficients`` is the one
+statement of a piece's coefficients and ``ppoly_sum`` the one sum, also for
+the solver's gathers from its coefficient block and for its shift, which forms
+the coefficients only at its feet.
 """
 
 from __future__ import annotations
@@ -140,19 +142,40 @@ def _node_slopes(nodes: NodeSet, m: np.ndarray) -> np.ndarray:
     nodes take the secant at both."""
     if m.shape[-1] == 1:
         return np.concatenate([m, m], axis=-1)
-    sm = np.sign(m)
     # a subnormal secant overflows w / m to inf, which makes the mean 0, as in scipy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         harmonic = 1.0 / ((nodes.w1 / m[..., :-1] + nodes.w2 / m[..., 1:]) / nodes.w12)
     d = np.empty(m.shape[:-1] + (m.shape[-1] + 1,))
-    # scipy's "signs differ or either is zero": no secant is NaN once y is finite
-    d[..., 1:-1] = np.where(sm[..., 1:] * sm[..., :-1] <= 0.0, 0.0, harmonic)
+    # the mean where both secants have one strict sign, else scipy's 0 ("signs
+    # differ or either is zero"): no secant is NaN once y is finite
+    pos, neg = m > 0.0, m < 0.0
+    keep = (pos[..., 1:] & pos[..., :-1]) | (neg[..., 1:] & neg[..., :-1])
+    d[..., 1:-1] = np.where(keep, harmonic, 0.0)
     if m.ndim == 1:
         d[0] = _edge_slope(*nodes.head, *m[:2].tolist())
         d[-1] = _edge_slope(*nodes.tail, *m[:-3:-1].tolist())
     else:
         d[:, nodes.END0] = _edge_slopes(nodes, m)
     return d
+
+
+def hermite_coefficients(y0, m, d0, d1, h, out: np.ndarray) -> np.ndarray:
+    """The power-form coefficients, highest first, of the cubic on each interval
+    from its left value y0, secant m, end slopes d0 and d1 (each shaped as m)
+    and width h, written into the rows of ``out``, a ``(4,) + m.shape`` block,
+    in scipy's operations. y0 and d0 may already be out[3] and out[2]."""
+    # scipy's t = (d0 + d1 - 2 m) / h and (m - d0) / h - t, with fewer temporaries
+    t = d0 + d1
+    t -= 2 * m
+    t /= h
+    np.divide(t, h, out=out[0])
+    u = m - d0
+    u /= h
+    np.subtract(u, t, out=out[1])
+    out[2] = d0                             # NumPy skips a copy onto itself
+    # PPoly's sum starts from 0.0, which turns a -0.0 constant term into +0.0
+    np.add(y0, 0.0, out=out[3])
+    return out
 
 
 def ppoly_sum(c, q: Located, extrapolate: bool) -> np.ndarray:
@@ -191,13 +214,8 @@ class HermiteCubic:
         self.x, h = nodes.x, nodes.h
         m = (y[..., 1:] - y[..., :-1]) / h
         d = _node_slopes(nodes, m) if dydx is None else np.asarray(dydx, dtype=float)
-        t = (d[..., :-1] + d[..., 1:] - 2 * m) / h
-        c = self.c = np.empty((4,) + m.shape)
-        np.divide(t, h, out=c[0])
-        np.subtract((m - d[..., :-1]) / h, t, out=c[1])
-        c[2] = d[..., :-1]
-        # PPoly's sum starts from 0.0, which turns a -0.0 constant term into +0.0
-        np.add(y[..., :-1], 0.0, out=c[3])
+        self.c = hermite_coefficients(y[..., :-1], m, d[..., :-1], d[..., 1:], h,
+                                      np.empty((4,) + m.shape))
 
     def derivative(self) -> "HermiteCubic":
         """The piecewise quadratic dy/dx, as ``PPoly.derivative`` builds it."""
@@ -211,9 +229,7 @@ class HermiteCubic:
         """Values at query points located on this interpolant's nodes."""
         if q.x is not self.x:
             raise DomainError("the query points were located on another node set")
-        c = self.c
-        # one row: take; a batch gathers faster by indexing
-        c = c.take(q.index, axis=1) if c.ndim == 2 else c[..., q.index]
+        c = self.c.take(q.index, axis=-1)
         return ppoly_sum(c, q, self.extrapolate).reshape(self.c.shape[1:-1] + q.shape)
 
     def __call__(self, xq) -> np.ndarray:

@@ -45,15 +45,16 @@ n_history + 2 slices. The solve's ring is one, and so are the readers of
 ``proliferating`` and the residual, which first check that the field lies on
 the solver's grid.
 
-Transport and the store build through ``PchipInterpolator``, the slice form of
-the package's one cubic (``hemaflow.cubic``), with the constants of each node
-set computed once; a one-row shift or slot build takes the 1-D path, which
-gives the same bits sooner. The store keeps the slices' coefficients in one
-block, slot i % capacity for slice i, builds the slices a read lacks in
-batches, and reads many times in one call: a window's division influx is one
-read and one ``beta`` call per age node over all its rows, each slice of its
-span read once, and its history pull is one read of the cubic through
-phi(tau_upper, .). ``proliferating`` reads the sources of a chunk of steps
+The store builds through ``PchipInterpolator``, the slice form of the
+package's one cubic (``hemaflow.cubic``), with the constants of each node set
+computed once, and the shift forms that cubic only on its feet's intervals
+with the same coefficient formulas; a one-row shift or slot build takes the
+1-D path, which gives the same bits sooner. The store keeps the slices'
+coefficients in one block, slot i % capacity for slice i, builds the slices a
+read lacks in batches, and reads many times in one call: a window's division
+influx is one read and one ``beta`` call per age node over all its rows, each
+slice of its span read once, and its history pull is one read of the cubic
+through phi(tau_upper, .). ``proliferating`` reads the sources of a chunk of steps
 the same way, one read per stage, and marches only the RK4 steps one at a
 time. The transport feet, the 16 division-age points and P's stage points
 are ``Located`` once, so a read is a gather plus a cubic; a large point set
@@ -68,7 +69,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cubic import HermiteCubic, Located, NodeSet, ppoly_sum
+from .cubic import (HermiteCubic, Located, NodeSet, _node_slopes, hermite_coefficients,
+                    ppoly_sum)
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      HistoryWindowError)
 from .flow import FlowMap
@@ -207,28 +209,48 @@ class PchipInterpolator(HermiteCubic):
     extrapolate = False
 
     def __init__(self, x: np.ndarray, y, window_index: Optional[int] = None):
-        if not np.isfinite(y).all():
-            # the first place a NaN-producing rate law shows up in a solve
-            where = "" if window_index is None else f" in window {window_index}"
-            raise ConvergenceError(
-                f"non-finite values in the transported field{where}; "
-                "check the rate laws for NaN or inf", window_index=window_index)
+        _check_finite(y, window_index)
         super().__init__(x, y)
+
+
+def _check_finite(y, window_index: Optional[int]) -> None:
+    if not np.isfinite(y).all():
+        # the first place a NaN-producing rate law shows up in a solve
+        where = "" if window_index is None else f" in window {window_index}"
+        raise ConvergenceError(
+            f"non-finite values in the transported field{where}; "
+            "check the rate laws for NaN or inf", window_index=window_index)
 
 
 class _Shift:
     """One step dt of transport: values on the nodes ``x``, re-interpolated
-    monotone-cubically at the fixed feet ``x_out * exp(-dt)``."""
+    monotone-cubically at the fixed feet ``x_out * exp(-dt)``. The slice
+    kernel's cubic is formed only on the feet's intervals, from contiguous
+    gathers, with the bits of a ``PchipInterpolator`` build and read."""
 
     def __init__(self, x: np.ndarray, x_out: np.ndarray, dt: float):
-        self.nodes = NodeSet(x)
-        self.feet = Located(self.nodes, x_out * math.exp(-dt))
+        nodes = self.nodes = NodeSet(x)
+        feet = self.feet = Located(nodes, x_out * math.exp(-dt))
+        # the foot in interval i reads y, m and d at i, d at i + 1, and h[i]
+        self._next, self._h = feet.index + 1, nodes.h.take(feet.index)
 
     def __call__(self, values: np.ndarray, window_index: Optional[int] = None) -> np.ndarray:
         if values.ndim == 2 and len(values) == 1:
-            # one row builds and reads faster through the 1-D path, with the same bits
+            # one row runs faster through the 1-D path, with the same bits
             return self(values[0], window_index)[None]
-        return PchipInterpolator(self.nodes, values, window_index).at(self.feet)
+        _check_finite(values, window_index)
+        nodes, i = self.nodes, self.feet.index
+        m = (values[..., 1:] - values[..., :-1]) / nodes.h
+        d = _node_slopes(nodes, m)
+        # take, not indexing, so that each gather is contiguous, as the sum
+        # wants; y and d at i go straight into the block (mode "clip" writes
+        # out unbuffered, and every foot's interval is in range)
+        c = np.empty((4,) + values.shape[:-1] + i.shape)
+        y0 = values.take(i, axis=-1, out=c[3], mode="clip")
+        d0 = d.take(i, axis=-1, out=c[2], mode="clip")
+        hermite_coefficients(y0, m.take(i, axis=-1), d0, d.take(self._next, axis=-1),
+                             self._h, c)
+        return ppoly_sum(c, self.feet, False)
 
 
 def _rk4_step(u0: np.ndarray, dt: float, rhs: Callable) -> np.ndarray:

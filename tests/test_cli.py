@@ -38,6 +38,16 @@ def run_cli(tmp_path, *args):
     return main(["--out", str(tmp_path / "out"), *args])
 
 
+def experiment_config(kind, **keys):
+    """BASE_CONFIG with the experiment section of ``kind`` and only the run keys
+    that ``kind`` reads: the seed, and the history unless it solves none of its own."""
+    cfg = copy.deepcopy(BASE_CONFIG)
+    run_keys = ("seed",) if kind in ("positivity", "resolvent") else ("seed", "history")
+    cfg["run"] = {key: cfg["run"][key] for key in run_keys}
+    cfg["experiment"] = {"kind": kind, **keys}
+    return cfg
+
+
 class TestRun:
     def test_zero_history_emits_zero_table(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)
@@ -139,9 +149,8 @@ class TestOutputs:
         def reached(*a, **k):
             raise AssertionError("an unwritable --out reached the work")
         monkeypatch.setattr(expensive, reached)
-        cfg = copy.deepcopy(BASE_CONFIG)
-        if experiment is not None:
-            cfg["experiment"] = experiment
+        cfg = (copy.deepcopy(BASE_CONFIG) if experiment is None
+               else experiment_config(**experiment))
         (tmp_path / "file").write_text("")
         bad = tmp_path / "file" / "out"
         assert main(["--out", str(bad), *args, write_config(tmp_path, cfg)]) == 2
@@ -149,9 +158,8 @@ class TestOutputs:
         assert err.startswith("error: --out: ") and str(bad) in err
 
     def test_rejected_experiment_config_makes_no_out_dir(self, tmp_path, capsys):
-        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg = experiment_config("extinction", b=0.2)
         cfg["run"]["bogus"] = 1
-        cfg["experiment"] = {"kind": "extinction", "b": 0.2}
         assert run_cli(tmp_path, "experiment", "extinction",
                        write_config(tmp_path, cfg)) == 2
         assert capsys.readouterr().err.startswith("error: run.bogus")
@@ -188,11 +196,9 @@ class TestConfigRejection:
     ])
     def test_bad_integer_names_path(self, tmp_path, capsys, section, key,
                                     value, command):
-        cfg = copy.deepcopy(BASE_CONFIG)
-        args = ["run"]
+        cfg, args = copy.deepcopy(BASE_CONFIG), ["run"]
         if section == "experiment":
-            cfg["experiment"] = {"kind": command}
-            args = ["experiment", command]
+            cfg, args = experiment_config(command), ["experiment", command]
         cfg[section][key] = value
         assert run_cli(tmp_path, *args, write_config(tmp_path, cfg)) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
@@ -239,12 +245,14 @@ class TestConfigRejection:
     ])
     def test_malformed_section_names_path(self, tmp_path, capsys, keys, value,
                                           path, command):
-        cfg = copy.deepcopy(BASE_CONFIG)
+        if command in ("run", "check"):
+            cfg, args = copy.deepcopy(BASE_CONFIG), [command]
+        else:
+            cfg, args = experiment_config(command), ["experiment", command]
         node = cfg
         for key in keys[:-1]:
             node = node[key]
         node[keys[-1]] = value
-        args = [command] if command in ("run", "check") else ["experiment", command]
         assert run_cli(tmp_path, *args, write_config(tmp_path, cfg)) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}")
 
@@ -271,11 +279,9 @@ class TestConfigRejection:
             targets.append("hemaflow.solver.Grid.build")
         for target in targets:
             monkeypatch.setattr(target, reached)
-        cfg = copy.deepcopy(BASE_CONFIG)
-        args = ["run"]
+        cfg, args = copy.deepcopy(BASE_CONFIG), ["run"]
         if command != "run":
-            cfg["experiment"] = {"kind": command}
-            args = ["experiment", command]
+            cfg, args = experiment_config(command), ["experiment", command]
         cfg[keys[0]][keys[1]] = value
         assert run_cli(tmp_path, *args, write_config(tmp_path, cfg)) == 2
         assert capsys.readouterr().err.startswith(f"error: {'.'.join(keys)}")
@@ -288,14 +294,14 @@ class TestConfigRejection:
             raise AssertionError("a horizon too long for main plus band was not refused")
         for target in ("hemaflow.solver.Solver.start", "hemaflow.solver.Solver.warmup"):
             monkeypatch.setattr(target, reached)
-        cfg = copy.deepcopy(BASE_CONFIG)
-        cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.2}
         if command == "run":
+            cfg = copy.deepcopy(BASE_CONFIG)
             cfg["run"]["horizon"] = 6e4
             args, path = ["run"], "run.horizon"
         else:
-            cfg["experiment"] = {"kind": command, "horizon": 6e4}
+            cfg = experiment_config(command, horizon=6e4)
             args, path = ["experiment", command], "experiment.horizon"
+        cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.2}
         assert run_cli(tmp_path, *args, write_config(tmp_path, cfg)) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
@@ -316,9 +322,9 @@ class TestConfigRejection:
         for target in ("hemaflow.solver.Solver.start", "hemaflow.solver.Solver.warmup"):
             monkeypatch.setattr(target, reached)
         monkeypatch.setattr("hemaflow.solver.MAX_SLICE_BYTES", 1e5)
-        cfg = copy.deepcopy(BASE_CONFIG)
-        cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.2}
-        cfg["experiment"] = {"kind": kind, **keys}
+        cfg = experiment_config(kind, **keys)
+        if kind != "positivity":            # positivity solves histories of its own
+            cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.2}
         assert run_cli(tmp_path, "experiment", kind, write_config(tmp_path, cfg)) == 2
         assert capsys.readouterr().err.startswith("error: experiment.horizon (unset, so ")
         assert not (tmp_path / "out").exists()
@@ -327,9 +333,8 @@ class TestConfigRejection:
             self, tmp_path, capsys, monkeypatch):
         # the margin fails at beta0 = 1: the run solves nothing and reports it
         monkeypatch.setattr("hemaflow.solver.MAX_SLICE_BYTES", 1e5)
-        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg = experiment_config("invariance", b=0.2)
         cfg["model"]["beta"]["beta0"] = 1.0
-        cfg["experiment"] = {"kind": "invariance", "b": 0.2}
         assert run_cli(tmp_path, "experiment", "invariance", write_config(tmp_path, cfg)) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["skipped"] is True
@@ -379,9 +384,9 @@ MUTATION_GRID = {"m_nodes": 8, "dt_divisor": 2}
 
 
 def _experiment_base(kind, history, **keys):
+    run = {"seed": 0} if history is None else {"seed": 0, "history": history}
     return (("experiment", kind),
-            {"model": MUTATION_MODEL, "grid": MUTATION_GRID,
-             "run": {"seed": 0, "history": history},
+            {"model": MUTATION_MODEL, "grid": MUTATION_GRID, "run": run,
              "experiment": {"kind": kind, **keys}})
 
 
@@ -398,8 +403,8 @@ MUTATION_BASES = (
                      control={"kind": "constant", "value": 0.5}, horizon=3.0),
     _experiment_base("invariance", {"kind": "constant", "value": 0.5}, b=0.2,
                      horizon=3.0),
-    _experiment_base("positivity", {"kind": "zero"}, n_runs=1, horizon=3.0),
-    _experiment_base("resolvent", {"kind": "zero"}, n_w=1, lambdas=[1.0]),
+    _experiment_base("positivity", None, n_runs=1, horizon=3.0),
+    _experiment_base("resolvent", None, n_w=1, lambdas=[1.0]),
     _experiment_base("picard-rate", {"kind": "poly_m", "coeffs": [0.3, 0.7]},
                      horizon=3.0),
 )
@@ -463,11 +468,10 @@ class TestCheck:
 
 class TestExperimentCommand:
     def test_extinction_passes_and_reports_horizon(self, tmp_path):
-        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg = experiment_config("extinction", b=0.2,
+                                control={"kind": "constant", "value": 0.5})
         cfg["run"]["history"] = {"kind": "bump", "center": 0.35,
                                  "width": 0.09, "amplitude": 1.0}
-        cfg["experiment"] = {"kind": "extinction", "b": 0.2,
-                             "control": {"kind": "constant", "value": 0.5}}
         cfg_path = write_config(tmp_path, cfg)
         assert run_cli(tmp_path, "experiment", "extinction", cfg_path) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -476,11 +480,10 @@ class TestExperimentCommand:
         assert (tmp_path / "out" / "population.csv").exists()
 
     def test_uniqueness_profile_artifacts(self, tmp_path):
-        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg = experiment_config("uniqueness", b=0.2,
+                                perturbation={"kind": "bump", "center": 0.35,
+                                              "width": 0.09, "amplitude": 0.3})
         cfg["run"]["history"] = {"kind": "constant", "value": 0.5}
-        cfg["experiment"] = {"kind": "uniqueness", "b": 0.2,
-                             "perturbation": {"kind": "bump", "center": 0.35,
-                                              "width": 0.09, "amplitude": 0.3}}
         cfg_path = write_config(tmp_path, cfg)
         assert run_cli(tmp_path, "experiment", "uniqueness", cfg_path) == 0
         profile = np.loadtxt(tmp_path / "out" / "divergence.csv",
@@ -489,28 +492,25 @@ class TestExperimentCommand:
         assert np.max(profile[:, 1]) > 0.0
 
     def test_uniqueness_precondition_exit_2(self, tmp_path, capsys):
-        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg = experiment_config("uniqueness", b=0.2,
+                                perturbation={"kind": "bump", "center": 0.15,
+                                              "width": 0.1, "amplitude": 0.3})
         cfg["run"]["history"] = {"kind": "constant", "value": 0.5}
-        cfg["experiment"] = {"kind": "uniqueness", "b": 0.2,
-                             "perturbation": {"kind": "bump", "center": 0.15,
-                                              "width": 0.1, "amplitude": 0.3}}
         cfg_path = write_config(tmp_path, cfg)
         assert run_cli(tmp_path, "experiment", "uniqueness", cfg_path) == 2
         assert "agreement below b" in capsys.readouterr().err
 
     def test_invariance_skip_exits_zero(self, tmp_path):
-        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg = experiment_config("invariance", b=0.2)
         cfg["model"]["beta"]["beta0"] = 2.5
         cfg["run"]["history"] = {"kind": "constant", "value": 0.5}
-        cfg["experiment"] = {"kind": "invariance", "b": 0.2}
         cfg_path = write_config(tmp_path, cfg)
         assert run_cli(tmp_path, "experiment", "invariance", cfg_path) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["skipped"] is True
 
     def test_kind_mismatch_exit_2(self, tmp_path):
-        cfg = copy.deepcopy(BASE_CONFIG)
-        cfg["experiment"] = {"kind": "extinction", "b": 0.2}
+        cfg = experiment_config("extinction", b=0.2)
         cfg_path = write_config(tmp_path, cfg)
         assert run_cli(tmp_path, "experiment", "positivity", cfg_path) == 2
 
@@ -532,8 +532,7 @@ class TestExperimentCommand:
         assert "non-finite" in capsys.readouterr().err
 
     def test_resolvent_command(self, tmp_path, capsys):
-        cfg = copy.deepcopy(BASE_CONFIG)
-        cfg["experiment"] = {"kind": "resolvent", "lambdas": [0.5, 2.0], "n_w": 5}
+        cfg = experiment_config("resolvent", lambdas=[0.5, 2.0], n_w=5)
         cfg_path = write_config(tmp_path, cfg)
         assert run_cli(tmp_path, "experiment", "resolvent", cfg_path) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -551,21 +550,34 @@ class TestExperimentCommand:
         ("picard-rate", "lambdas", [1.0]),
     ])
     def test_key_of_another_kind_exit_2(self, tmp_path, capsys, kind, key, value):
-        cfg = copy.deepcopy(BASE_CONFIG)
-        cfg["experiment"] = {"kind": kind, key: value}
+        cfg = experiment_config(kind, **{key: value})
         assert run_cli(tmp_path, "experiment", kind, write_config(tmp_path, cfg)) == 2
         assert capsys.readouterr().err.startswith(f"error: experiment.{key}: unknown key")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind, key, value", [
+        (kind, key, value)
+        for kind in ("uniqueness", "extinction", "invariance", "positivity", "resolvent",
+                     "picard-rate")
+        for key, value in (("horizon", 5.0), ("emit", ["N"]), ("warmup", {"Gamma": 0.2}),
+                           ("history", {"kind": "bogus"}))
+        # the kinds that solve a given history read run.history
+        if key != "history" or kind in ("positivity", "resolvent")])
+    def test_run_key_the_kind_does_not_read_exit_2(self, tmp_path, capsys, kind, key,
+                                                   value):
+        cfg = experiment_config(kind)
+        cfg["run"][key] = value
+        assert run_cli(tmp_path, "experiment", kind, write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err.startswith(f"error: run.{key}: unknown key")
+        assert not (tmp_path / "out").exists()
+
     def test_picard_rate_command(self, tmp_path):
-        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg = experiment_config("picard-rate")
         cfg["run"]["history"] = {"kind": "poly_m", "coeffs": [0.3, 0.7]}
-        cfg["experiment"] = {"kind": "picard-rate"}
         cfg_path = write_config(tmp_path, cfg)
         assert run_cli(tmp_path, "experiment", "picard-rate", cfg_path) == 0
 
     def test_positivity_command(self, tmp_path):
-        cfg = copy.deepcopy(BASE_CONFIG)
-        cfg["experiment"] = {"kind": "positivity", "n_runs": 2, "horizon": 5.0}
+        cfg = experiment_config("positivity", n_runs=2, horizon=5.0)
         cfg_path = write_config(tmp_path, cfg)
         assert run_cli(tmp_path, "experiment", "positivity", cfg_path) == 0

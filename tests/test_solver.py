@@ -280,6 +280,70 @@ class TestMonotoneCubic:
         assert len(built) > 0
 
 
+class TestShift:
+    """The one-step shift reads the slice kernel only at its feet x_out e^-dt,
+    with scipy's ``PchipInterpolator(x, row, extrapolate=False)`` bits for
+    every row, whatever the number of rows. A zero step puts the feet on the
+    nodes, where a -0.0 row value must read +0.0 as scipy's does."""
+
+    DT = 1.0 / 64.0
+    STEPS = pytest.mark.parametrize("dt", [DT, 0.0], ids=["dt", "zero-step"])
+
+    @staticmethod
+    def outs(x):
+        """The nodes themselves, their tail (as the band march reads the full
+        shift) and points past both ends, whose feet partly fall outside."""
+        span = x[-1] - x[0]
+        return [x, x[x.size // 2:], np.linspace(x[0] - 0.25 * span, x[-1] + 0.25 * span, 17)]
+
+    @staticmethod
+    def expected(x, x_out, dt, row):
+        return PchipInterpolator(x, row, extrapolate=False)(x_out * math.exp(-dt))
+
+    @STEPS
+    @pytest.mark.parametrize("x, y", _kernel_rows())
+    def test_one_row_bit_equal_to_scipy(self, x, y, dt):
+        for x_out in self.outs(x):
+            shift, expected = solver_module._Shift(x, x_out, dt), self.expected(x, x_out, dt, y)
+            _assert_same_bits(shift(y), expected)
+            _assert_same_bits(shift(y[None]), expected[None])
+
+    @STEPS
+    @pytest.mark.parametrize("x, rows", _batch_rows())
+    def test_batch_bit_equal_to_scipy(self, x, rows, dt):
+        # sign changes, zero runs of both signs and every end-slope branch
+        for x_out in self.outs(x):
+            shift = solver_module._Shift(x, x_out, dt)
+            got = shift(rows)
+            assert got.shape == (len(rows), x_out.size)
+            for row, out in zip(rows, got):
+                expected = self.expected(x, x_out, dt, row)
+                _assert_same_bits(out, expected)
+                _assert_same_bits(shift(row), expected)
+                _assert_same_bits(shift(row[None]), expected[None])
+
+    def test_feet_outside_the_nodes_read_nan(self):
+        x = np.linspace(0.2, 0.5, 12)
+        rows = np.stack([np.sin(7.0 * x), np.cos(5.0 * x), -x])
+        # feet 0.2 e^-dt below x[0] and 0.6 e^-dt above x[-1]
+        x_out = np.array([0.2, 0.3, 0.45, 0.5, 0.6])
+        for values in (rows, rows[:1], rows[0]):
+            got = solver_module._Shift(x, x_out, self.DT)(values)
+            assert np.isnan(got[..., [0, 4]]).all()
+            assert not np.isnan(got[..., 1:4]).any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", ["1-D", "one-row", "batch"])
+    def test_nonfinite_values_raise_convergence_error(self, bad, shape):
+        x = np.linspace(0.0, 0.5, 12)
+        rows = np.stack([np.sin(x), np.cos(x), x])
+        rows[1, 5] = bad
+        values = {"1-D": rows[1], "one-row": rows[1:2], "batch": rows}[shape]
+        with pytest.raises(ConvergenceError, match="non-finite.*in window 4") as err:
+            solver_module._Shift(x, x, self.DT)(values, window_index=4)
+        assert err.value.window_index == 4
+
+
 def _uniform_sets():
     """Uniform node sets of 9 to 12,289 nodes, and the tabulated flow's u = ln m
     table, which is log-spaced m and so uniform to rounding."""

@@ -218,14 +218,17 @@ def experiment_cli() -> dict:
         # a model whose invariance margin holds, so the experiment makes its claim
         "invariance": ({"kind": "sum", "terms": [{"kind": "constant", "value": 0.1},
                                                  dict(bump, amplitude=2.0)]}, {"b": 0.2}),
-        "positivity": ({"kind": "zero"}, {"n_runs": 2, "horizon": 4.0}),
-        "resolvent": ({"kind": "zero"}, {"n_w": 3, "lambdas": [0.5, 2.0]}),
+        # these two solve no given history, so their configs hold none
+        "positivity": (None, {"n_runs": 2, "horizon": 4.0}),
+        "resolvent": (None, {"n_w": 3, "lambdas": [0.5, 2.0]}),
         "picard-rate": ({"kind": "random"}, {"horizon": 4.0}),
     }
     digests = {}
     for kind, (history, keys) in kinds.items():
-        cfg = {"model": dict(base["model"]), "grid": base["grid"],
-               "run": {"seed": REFERENCE_SEED, "history": history},
+        run = {"seed": REFERENCE_SEED}
+        if history is not None:
+            run["history"] = history
+        cfg = {"model": dict(base["model"]), "grid": base["grid"], "run": run,
                "experiment": {"kind": kind, **keys}}
         if kind == "invariance":
             cfg["model"].update(delta=1.2, gamma=0.0, beta=dict(cfg["model"]["beta"], beta0=0.2))

@@ -4,8 +4,8 @@ Three subcommands:
 
 * ``run <config>``                solve and emit the solution table,
 * ``experiment <kind> <config>``  run one verification experiment,
-* ``check <config>``              validate the config and print the model
-                                  constants (tau0, Lipschitz l, margin).
+* ``check <config>``              validate the model and grid and print the
+                                  model constants (tau0, Lipschitz l, margin).
 
 The configuration is a single strict JSON document: unknown keys are
 rejected with their path so that a misspelled rate cannot silently fall
@@ -72,10 +72,10 @@ def _object(obj, path: str) -> dict:
     return obj
 
 
-def _reject_unknown(obj: dict, allowed, path: str) -> None:
+def _reject_unknown(obj: dict, allowed, path: str, why: str = "unknown key") -> None:
     for key in _object(obj, path):
         if key not in allowed:
-            raise ConfigurationError(f"{path}.{key}: unknown key")
+            raise ConfigurationError(f"{path}.{key}: {why}")
 
 
 def _need(obj: dict, key: str, path: str):
@@ -170,42 +170,44 @@ def _table(spec, columns, path: str, increasing) -> list:
 
 
 def _build_velocity(spec: dict, path: str):
-    _reject_unknown(spec, {"alpha", "p", "table"}, path)
-    if "table" in spec:
+    if "table" in _object(spec, path):
+        _reject_unknown(spec, {"table"}, path, "not read next to a table")
         m, v = _table(spec["table"], ("m", "V"), f"{path}.table", ("m",))
         interp = HermiteCubic(m, v)
         return CustomVelocity(V=interp, V_prime=interp.derivative(), name="table")
+    _reject_unknown(spec, {"alpha", "p"}, path)
     alpha = _number(_need(spec, "alpha", path), f"{path}.alpha")
     p = _number(spec.get("p", 1.0), f"{path}.p")
     return PowerLawVelocity(alpha=alpha, p=p)
 
 
 def _build_maturity(spec: dict, path: str):
-    _reject_unknown(spec, {"c", "table"}, path)
-    if "table" in spec:
+    if "table" in _object(spec, path):
+        _reject_unknown(spec, {"table"}, path, "not read next to a table")
         m, gv = _table(spec["table"], ("m", "g"), f"{path}.table", ("m", "g"))
         return CustomMaturityMap(g=HermiteCubic(m, gv), g_inv=HermiteCubic(gv, m), name="table")
+    _reject_unknown(spec, {"c"}, path)
     return LinearMaturityMap(c=_number(_need(spec, "c", path), f"{path}.c"))
 
 
 def _build_beta(spec: dict, path: str):
-    _reject_unknown(spec, {"form", "beta0", "theta", "n", "lipschitz"}, path)
     form = _need(spec, "form", path)
-    if form == "hill":
-        return HillReintroduction(
-            beta0=_scalar_field(spec.get("beta0", 1.0), f"{path}.beta0"),
-            theta=_number(spec.get("theta", 1.0), f"{path}.theta"),
-            n=_number(spec.get("n", 1.0), f"{path}.n"))
-    if form == "constant":
-        return ConstantReintroduction(
-            beta0=_scalar_field(spec.get("beta0", 0.0), f"{path}.beta0"))
     if form == "custom":
         # callables are not expressible in JSON; reject with the contract's
         # reason so a missing Lipschitz declaration surfaces as config error
         raise ConfigurationError(
             f"{path}: custom reintroduction laws need library construction "
             "with a declared Lipschitz constant")
-    raise ConfigurationError(f"{path}.form: unknown form {form!r}")
+    if form not in ("hill", "constant"):
+        raise ConfigurationError(f"{path}.form: unknown form {form!r}")
+    _reject_unknown(spec, ("form", "beta0") + (("theta", "n") if form == "hill" else ()),
+                    path, f"not read by form {form}")
+    if form == "hill":
+        return HillReintroduction(
+            beta0=_scalar_field(spec.get("beta0", 1.0), f"{path}.beta0"),
+            theta=_number(spec.get("theta", 1.0), f"{path}.theta"),
+            n=_number(spec.get("n", 1.0), f"{path}.n"))
+    return ConstantReintroduction(beta0=_scalar_field(spec.get("beta0", 0.0), f"{path}.beta0"))
 
 
 def _build_kernel(spec: dict, tau_lower: float, tau_upper: float, path: str):
@@ -549,6 +551,7 @@ def _write_profile(path, times, values, header):
 
 def cmd_check(cfg: dict) -> int:
     params = build_params(cfg)
+    build_grid(cfg, params)
     kern = Kernels(params)
     tau0 = kern.flow.tau0()
     margin = kern.invariance_margin()

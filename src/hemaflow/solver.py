@@ -35,15 +35,15 @@ count from the factorial envelope), and the rows of any that turn out not
 to be needed are dropped. Each row keeps its arithmetic, so the iterates,
 deltas and iteration counts are those of one sweep at a time, bit for bit.
 
-Every read at (t, x) -- the solve's ring, the warmup record,
-``SolutionField.lookup`` -- goes through one store, ``HistoryField``,
-which wraps slice arrays and reads them monotone-cubically in x and linearly
-in t. Every read is a block read over an array of times; a scalar time is a
-block of one. The solver builds the stores it reads a field through by one
-recipe, ``Solver._slices``: main plus band on its own grid, holding
-n_history + 2 slices. The solve's ring is one, and so are the readers of
-``proliferating`` and the residual, which first check that the field lies on
-the solver's grid.
+Main plus band is one slice array, the band's own nodes after the main ones:
+the solve, the warmup and ``proliferating`` march it, their main field and
+band its views ``[:, :M]`` and ``[:, M - 1:]``, so g(1) is one memory cell.
+Every read at (t, x) goes through one store, ``HistoryField``, which wraps
+one slice array and reads it monotone-cubically in x and linearly in t, a
+scalar time as a block of one. The solver builds its stores by one recipe,
+``Solver._slices``, holding n_history + 2 slices of main plus band or main
+alone: the solve's ring and the readers of ``proliferating`` and the
+residual, which check that a field lies on the grid and join a loaded one.
 
 The store builds through ``PchipInterpolator``, the slice form of the
 package's one cubic (``hemaflow.cubic``), with the constants of each node set
@@ -208,12 +208,12 @@ class PchipInterpolator(HermiteCubic):
 
     extrapolate = False
 
-    def __init__(self, x: np.ndarray, y, window_index: Optional[int] = None):
-        _check_finite(y, window_index)
+    def __init__(self, x: np.ndarray, y):
+        _check_finite(y)
         super().__init__(x, y)
 
 
-def _check_finite(y, window_index: Optional[int]) -> None:
+def _check_finite(y, window_index: Optional[int] = None) -> None:
     if not np.isfinite(y).all():
         # the first place a NaN-producing rate law shows up in a solve
         where = "" if window_index is None else f" in window {window_index}"
@@ -287,11 +287,11 @@ class HistoryField:
     """Slices of a field at times i*dt on a fixed x-grid, read monotone-cubically
     in x and linearly in t.
 
-    Wraps an existing ``(n_slices, M)`` array without copying; with an ``upper``
-    band array, row i is ``values[i]`` followed by ``upper[i][1:]`` and ``x``
-    spans both. Slices ``0 .. filled - 1`` are readable, and the owner raises
-    ``filled`` as it finalizes slices. Slice i's cubic coefficients live in
-    slot ``i % capacity`` of one ``(capacity, 4, K)`` block, ``capacity`` being
+    Wraps one existing ``(n_slices, K)`` array, K = ``x.size``, without
+    copying; with a band, the band is the tail of each row. Slices ``0 ..
+    filled - 1`` are readable, and the owner raises ``filled`` as it
+    finalizes slices. Slice i's cubic coefficients live in slot ``i %
+    capacity`` of one ``(capacity, 4, K - 1)`` block, ``capacity`` being
     ``keep`` or the slice count if fewer. A block read builds the slices it
     lacks together, as one batched cubic per ``_BUILD_ROWS`` slices (a single
     slice through the 1-D cubic, with the same bits), and a slice whose slot
@@ -303,22 +303,15 @@ class HistoryField:
     """
 
     def __init__(self, x: np.ndarray, dt: float, values: np.ndarray, *,
-                 upper: Optional[np.ndarray] = None, filled: Optional[int] = None,
-                 keep: float = math.inf):
+                 filled: Optional[int] = None, keep: float = math.inf):
         self.x = x
         self.dt = dt
         self.values = values
-        self.upper = upper
         self.filled = len(values) if filled is None else filled
         self.capacity = int(max(1, min(keep, len(values))))
         self.nodes = NodeSet(x)
         self._block = np.empty((self.capacity, 4, x.size - 1))
         self._held = np.full(self.capacity, -1)         # the slice in each slot
-
-    def row(self, i: int) -> np.ndarray:
-        if self.upper is None:
-            return self.values[i]
-        return np.concatenate([self.values[i], self.upper[i][1:]])
 
     def _build(self, rows: np.ndarray) -> None:
         """Build the slices ``rows`` (distinct modulo capacity) into their
@@ -326,12 +319,10 @@ class HistoryField:
         cubic, with the same bits."""
         slots = rows % self.capacity
         if rows.size == 1:
-            self._block[slots[0]] = PchipInterpolator(self.nodes, self.row(rows[0])).c
+            self._block[slots[0]] = PchipInterpolator(self.nodes, self.values[rows[0]]).c
         else:
-            y = self.values[rows]
-            if self.upper is not None:
-                y = np.concatenate([y, self.upper[rows, 1:]], axis=1)
-            self._block[slots] = PchipInterpolator(self.nodes, y).c.transpose(1, 0, 2)
+            self._block[slots] = PchipInterpolator(self.nodes,
+                                                   self.values[rows]).c.transpose(1, 0, 2)
         self._held[slots] = rows
 
     def _refuse(self, t) -> None:
@@ -491,13 +482,23 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")   # names np.loadtxt would decompr
 _DEFLATE_LEVEL = 2
 
 
-def _flow_coordinates(field: "SolutionField") -> np.ndarray:
-    """The field's flow coordinates, which a field read back from CSV lacks."""
+def _joined(field: "SolutionField"):
+    """The field's flow coordinates, which a field read back from CSV lacks,
+    and its N slices, as main plus band in one array when there is a band."""
     if field.x is None:
         raise DomainError(
             "this field carries no flow coordinates (CSV stores maturities "
             "only); reload it with SolutionField.load to look it up")
-    return field.x
+    band = field.upper
+    if band is None:
+        return field.x, field.N
+    x, whole = np.concatenate([field.x, band.x[1:]]), field.N.base
+    # a solve's N and band are the views [:, :M] and [:, M - 1:] of one array
+    if (whole is not None and whole is band.N.base and whole.shape == (len(field.N), x.size)
+            and field.N.strides == band.N.strides == whole.strides
+            and np.shares_memory(field.N[:, -1], band.N[:, 0])):
+        return x, whole
+    return x, np.concatenate([field.N, band.N[:, 1:]], axis=1)
 
 
 class SolutionField:
@@ -531,11 +532,8 @@ class SolutionField:
         """N, joined by the band's N when there is one, at time t (linear
         between slices) and flow coordinates xq."""
         if self._history is None:
-            x, band = _flow_coordinates(self), self.upper
-            if band is not None:
-                x = np.concatenate([x, band.x[1:]])
-            self._history = HistoryField(x, self.dt, self.N,
-                                         upper=None if band is None else band.N)
+            x, values = _joined(self)
+            self._history = HistoryField(x, self.dt, values)
         return self._history.lookup(t, xq)
 
     # -- serialization -------------------------------------------------------
@@ -681,8 +679,8 @@ class _RunState:
 
     def __init__(self):
         self.N = None             # (n_slices, M) main field, filled as we go
-        self.band = None          # (n_slices, NB) or None
-        self.ring = None          # HistoryField over N (and band); filled = finalized slices
+        self.band = None          # (n_slices, NB) tail view of the ring's array, or None
+        self.ring = None          # HistoryField over main plus band; filled = finalized slices
         self.edge = None          # PchipInterpolator through phi(tau_upper, .)
         self.age_points = ()      # the 16 age-node queries, Located on ring.x
         self.n_slices = 0
@@ -764,23 +762,23 @@ class Solver:
 
     # -- reading slices ------------------------------------------------------------
 
-    def _slices(self, N: np.ndarray, band: Optional[np.ndarray],
-                filled: Optional[int] = None) -> HistoryField:
-        """The store the solver reads slices through: N, joined by the band's N
-        when there is one, on this grid, holding n_history + 2 slices. A
+    def _slices(self, values: np.ndarray, filled: Optional[int] = None) -> HistoryField:
+        """The store the solver reads slices through: ``values`` on ``x_full``
+        or ``x_nodes`` as its width says, holding n_history + 2 slices. A
         window's reaches t - a, a in (tau_lower, tau_upper), P's sink and the
         residual's division ages each span at most n_history + 1 slices, so no
         slice is rebuilt while still needed."""
         grid = self.grid
-        return HistoryField(grid.x_nodes if band is None else grid.x_full, grid.dt, N,
-                            upper=band, filled=filled, keep=grid.n_history + 2)
+        x = grid.x_full if values.shape[1] == grid.x_full.size else grid.x_nodes
+        return HistoryField(x, grid.dt, values, filled=filled, keep=grid.n_history + 2)
 
     def _reader(self, field: "SolutionField") -> HistoryField:
-        """``_slices`` over a solved field, which must lie on this grid: the same
-        nodes, the same band nodes and slices dt apart from t = 0."""
+        """``_slices`` over a solved field with flow coordinates on this grid:
+        the same nodes, the same band nodes and slices dt apart from t = 0."""
         grid, band = self.grid, field.upper
         n = field.times.size
-        if not (np.array_equal(_flow_coordinates(field), grid.x_nodes)
+        if field.x is not None and not (
+                np.array_equal(field.x, grid.x_nodes)
                 and field.N.shape == (n, grid.x_nodes.size)
                 and np.allclose(field.times, np.arange(n) * grid.dt, rtol=0.0,
                                 atol=_TIME_SNAP * grid.dt)
@@ -788,7 +786,7 @@ class Solver:
                                       and band.N.shape == (n, grid.band_x.size)))):
             raise DomainError("the field does not lie on this solver's grid (its nodes, "
                               "band nodes or slice times differ)")
-        return self._slices(field.N, None if band is None else band.N)
+        return self._slices(_joined(field)[1])
 
     # -- windowed solve ----------------------------------------------------------
 
@@ -798,9 +796,10 @@ class Solver:
         if T < grid.tau_upper - 1e-12:
             raise ConfigurationError("horizon T must be at least tau_upper")
         use_band = history.upper is not None
+        M = grid.m_nodes.size
         # a band solve holds the band's own nodes as well
-        check_slice_bytes((grid.x_full if use_band else grid.x_nodes).size,
-                          grid.n_window, grid.tau_lower, T)
+        width = (grid.x_full if use_band else grid.x_nodes).size
+        check_slice_bytes(width, grid.n_window, grid.tau_lower, T)
         for name, arr, nodes in (("history", history.values, grid.m_nodes.size),
                                  ("upper-band history", history.upper, grid.band_m.size)):
             if arr is not None and arr.shape != (nh + 1, nodes):
@@ -819,16 +818,15 @@ class Solver:
 
         st = _RunState()
         st.n_slices = nh + n_steps + 1
-        st.N = np.empty((st.n_slices, grid.m_nodes.size))
+        slices = np.empty((st.n_slices, width))
+        st.N = slices[:, :M]
         st.N[:nh + 1] = history.values
         if use_band:
-            st.band = np.empty((st.n_slices, grid.band_m.size))
-            st.band[:nh + 1] = history.upper
-            st.band[:nh + 1, 0] = history.values[:, -1]     # one value at g(1)
-        st.ring = self._slices(st.N, st.band, filled=nh + 1)
+            st.band = slices[:, M - 1:]
+            st.band[:nh + 1, 1:] = history.upper[:, 1:]
+        st.ring = self._slices(slices, filled=nh + 1)
         st.edge = PchipInterpolator(self._shift_main.nodes, st.N[nh])
         st.age_points = tuple(Located(st.ring.x, xd) for xd in self._xdelta)
-        M = grid.m_nodes.size
         st.G_carry = np.zeros(M)
         st.J_carry = np.zeros(M)
         rows = grid.n_window + 1
@@ -1026,7 +1024,7 @@ class Solver:
     def _advance_band(self, st: _RunState, i0: int, steps: int) -> None:
         """Transport-decay march of the upper band's own nodes across one
         window, on the tails of the full shift and of the stage table; the
-        band's node g(1) is the main grid's last node."""
+        band's node g(1) is the main grid's last node, one cell of the ring."""
         tail = self.grid.m_nodes.size
         stage_m = tuple(mm[tail:] for mm in self._stage_m)
         stage_psi = tuple(p[tail:] for p in self._stage_psi_r)
@@ -1036,9 +1034,8 @@ class Solver:
             return -(stage_psi[stage] + beta(stage_m[stage], u)) * u
 
         for r in range(1, steps + 1):
-            u0 = self._shift_full(st.ring.row(i0 + r - 1), st.window_index)[tail:]
+            u0 = self._shift_full(st.ring.values[i0 + r - 1], st.window_index)[tail:]
             st.band[i0 + r, 1:] = _rk4_step(u0, self.grid.dt, rhs)
-        st.band[i0 + 1:i0 + steps + 1, 0] = st.N[i0 + 1:i0 + steps + 1, -1]
 
     def solve(self, history: InitialHistory, T: float) -> SolutionField:
         """Run the method of steps to horizon T and assemble the record."""
@@ -1159,8 +1156,7 @@ class Solver:
                 record.filled = i + 1
 
         times = np.arange(nh + 1) * dt
-        return InitialHistory(times=times, values=values[:, :M].copy(),
-                              upper=values[:, M - 1:].copy())
+        return InitialHistory(times=times, values=values[:, :M], upper=values[:, M - 1:])
 
     # -- proliferating phase reconstruction ----------------------------------------
 
@@ -1248,9 +1244,9 @@ class Solver:
             for r in range(t0.size):
                 P[i0 + r] = _rk4_step(shift(P[i0 + r - 1]), dt, rhs)
 
-        field.P = P[:, :M].copy()
+        field.P = P[:, :M]
         if has_band:
-            field.upper.P = P[:, M - 1:].copy()
+            field.upper.P = P[:, M - 1:]
         field.metadata.setdefault("emit", []).append("P")
         return field
 

@@ -242,6 +242,25 @@ class TestConfigRejection:
          "model.velocity.table.m", "check"),
         # P reads only Gamma: an N0 there would be ignored, so it is refused
         (["run", "warmup"], {"Gamma": 0.1, "N0": 0.4}, "run.warmup.N0", "run"),
+        # each law reads every key it accepts: no form reads a Lipschitz
+        # constant, the constant form no Hill shape, a table no closed form
+        (["model", "beta"], {"form": "hill", "beta0": 0.3, "lipschitz": 0.3},
+         "model.beta.lipschitz", "check"),
+        (["model", "beta"], {"form": "constant", "beta0": 0.3, "theta": 1.0},
+         "model.beta.theta", "check"),
+        (["model", "beta"], {"form": "constant", "beta0": 0.3, "n": 2.0},
+         "model.beta.n", "check"),
+        (["model", "velocity"],
+         {"table": {"m": [0.0, 0.25, 0.5, 1.0], "V": [0.0, 0.25, 0.5, 1.0]}, "alpha": 1.0},
+         "model.velocity.alpha", "check"),
+        (["model", "velocity"],
+         {"table": {"m": [0.0, 0.25, 0.5, 1.0], "V": [0.0, 0.25, 0.5, 1.0]}, "p": 2.0},
+         "model.velocity.p", "check"),
+        (["model", "g"],
+         {"table": {"m": [0.0, 0.25, 0.5, 1.0], "g": [0.0, 0.125, 0.25, 0.5]}, "c": 0.5},
+         "model.g.c", "check"),
+        # check reads the grid as run does
+        (["grid"], {"m_nodes": "abc", "bogus": 1}, "grid.bogus", "check"),
     ])
     def test_malformed_section_names_path(self, tmp_path, capsys, keys, value,
                                           path, command):

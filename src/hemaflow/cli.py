@@ -28,8 +28,7 @@ import numpy as np
 
 from . import experiments as xp
 from .cubic import HermiteCubic
-from .errors import (ConfigurationError, ConvergenceError, DomainError,
-                     HemaflowError, PreconditionError)
+from .errors import ConfigurationError, ConvergenceError, HemaflowError
 from .kernels import Kernels
 from .params import (ConstantReintroduction, CustomMaturityMap,
                      CustomVelocity, HillReintroduction, LinearMaturityMap,
@@ -339,13 +338,22 @@ def build_history(spec: dict, solver: Solver, seed: int, path: str = "run.histor
 # ---------------------------------------------------------------------------
 
 def _load_config(path: str) -> dict:
+    def unique_keys(pairs):             # a key given twice is refused, not overwritten
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config is not valid JSON: {exc}")
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, nested past the recursion limit, or a key twice
+        raise ConfigurationError(f"{path}: cannot read as JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be an object")
     _reject_unknown(cfg, {"model", "grid", "run", "experiment"}, "config")
@@ -597,14 +605,11 @@ def main(argv=None) -> int:
                 return cmd_experiment(args.kind, cfg, Path(args.out),
                                       seed_override=args.seed)
             return cmd_check(cfg)
-    except (ConfigurationError, DomainError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (HemaflowError, OSError) as exc:
-        # an OSError is an output file that cannot be written; it names the file
+        # a config, domain or precondition error, or an unwritable output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -235,15 +235,6 @@ class RateFunctions:
 # reintroduction law  beta(m, N)
 # ---------------------------------------------------------------------------
 
-class _LawBase:
-    def rate(self, m, x):
-        raise NotImplementedError
-
-    def lipschitz(self, g1: float) -> float:
-        """Global Lipschitz constant of x -> x*beta(m, x) over m in [0, g1]."""
-        raise NotImplementedError
-
-
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
@@ -288,7 +279,7 @@ def _max_field(f: Callable, lo: float, hi: float) -> float:
 
 
 @dataclass(frozen=True)
-class HillReintroduction(_LawBase):
+class HillReintroduction:
     """beta(m, N) = beta0(m) * theta^n / (theta^n + N^n).
 
     The standard saturable reintroduction law: decreasing in N, with an
@@ -335,7 +326,7 @@ class HillReintroduction(_LawBase):
 
 
 @dataclass(frozen=True)
-class ConstantReintroduction(_LawBase):
+class ConstantReintroduction:
     """beta(m, N) = beta0(m), independent of the population."""
 
     beta0: ScalarField = 0.0
@@ -353,7 +344,7 @@ class ConstantReintroduction(_LawBase):
 
 
 @dataclass(frozen=True)
-class CustomReintroduction(_LawBase):
+class CustomReintroduction:
     """Arbitrary beta(m, N); the Lipschitz constant of x*beta must be declared."""
 
     fn: Callable
@@ -376,6 +367,8 @@ class CustomReintroduction(_LawBase):
                 "lipschitz_bound": self.lipschitz_bound}
 
 
+# a law gives rate(m, x) = beta(m, x) and lipschitz(g1), the global Lipschitz
+# constant of x -> x*beta(m, x) over m in [0, g1]
 ReintroductionLaw = Union[HillReintroduction, ConstantReintroduction, CustomReintroduction]
 
 

@@ -51,11 +51,15 @@ computed once, and the shift forms that cubic only on its feet's intervals
 with the same coefficient formulas; a one-row shift or slot build takes the
 1-D path, which gives the same bits sooner. The store keeps the slices'
 coefficients in one block, slot i % capacity for slice i, builds the slices a
-read lacks in batches, and reads many times in one call: a window's division
-influx is one read and one ``beta`` call per age node over all its rows, each
-slice of its span read once, and its history pull is one read of the cubic
-through phi(tau_upper, .). ``proliferating`` reads the sources of a chunk of steps
-the same way, one read per stage, and marches only the RK4 steps one at a
+read lacks in batches, and reads many times in one call. The delayed flux
+sum_q w_q beta(m_q, N) N, N read at t - a_q and x_q, is one method,
+``Solver._delayed_flux``: the solve's influx, warmup's delayed gain, the
+residual's gain and P's late sink pass only their weights, times and points.
+An array of times (a window's rows, a chunk of P's steps) reads one age node
+per read, each slice of its span once; a scalar time (warmup, a residual
+sample) reads every age node in one read with one ``beta`` call. The terms
+add in age order. The history pull is one read of the cubic through
+phi(tau_upper, .), and ``proliferating`` marches only its RK4 steps one at a
 time. The transport feet, the 16 division-age points and P's stage points
 are ``Located`` once, so a read is a gather plus a cubic; a large point set
 on a uniform node set is located by arithmetic instead of a binary search.
@@ -844,16 +848,29 @@ class Solver:
                            for u in u_probe)
         return st
 
-    def _q_slice(self, st: _RunState, i0: int, steps: int) -> np.ndarray:
-        """Inner division integral (age quadrature) at slices i0 .. i0 + steps,
-        one read and one ``beta`` call per age node on the whole block."""
-        t = np.arange(i0, i0 + steps + 1) * self.grid.dt
-        acc = np.zeros((steps + 1, self.grid.m_nodes.size))
-        for q in range(self._a_nodes.size):
-            nv = st.ring.lookup(t - self._a_nodes[q], st.age_points[q])
-            acc += (self._a_weights[q] * st.zeta_qa[q]
-                    * self.kern.beta(self._mdelta[q], nv) * nv)
+    def _delayed_flux(self, store: HistoryField, t, ages, points, m, weights) -> np.ndarray:
+        """sum_q weights[q] * beta(m[q], N) * N, N read from ``store`` at t - ages[q]
+        and points[q], added in age order: a 1-D array t reads one age node per read
+        into ``(times, points)``, a scalar t every age node in one read and one
+        ``beta`` call, ``points`` shaped ``(ages, M)``."""
+        acc = np.zeros(np.shape(t) + np.shape(m[0]))
+        if np.ndim(t):
+            for w, age, at, mq in zip(weights, ages, points, m):
+                nv = store.lookup(t - age, at)
+                acc += w * self.kern.beta(mq, nv) * nv
+        else:
+            nv = store.lookup(t - ages, points)
+            for w, rate, nq in zip(weights, self.kern.beta(m, nv), nv):
+                acc += w * rate * nq
         return acc
+
+    def _q_slice(self, st: _RunState, i0: int, steps: int) -> np.ndarray:
+        """Inner division integral (age quadrature) at slices i0 .. i0 + steps:
+        the delayed flux with weights a_w * zeta, one read and one ``beta``
+        call per age node on the whole block."""
+        t = np.arange(i0, i0 + steps + 1) * self.grid.dt
+        return self._delayed_flux(st.ring, t, self._a_nodes, st.age_points, self._mdelta,
+                                  self._a_weights[:, None] * st.zeta_qa)
 
     def solve_window(self, st: _RunState) -> dict:
         """Advance one method-of-steps window; returns its iteration record."""
@@ -1085,9 +1102,6 @@ class Solver:
         g = self.params.maturity
         beta = self.kern.beta
         M = grid.m_nodes.size
-        x_full = grid.x_full
-        m_full = grid.m_full
-        n_full = x_full.size
 
         stage_m, stage_psi = self._stage_m, self._stage_psi_r
         # the table's head, the main nodes, for the source terms
@@ -1102,7 +1116,6 @@ class Solver:
         def source(sigma: float, stage: int, r: int, record: HistoryField) -> np.ndarray:
             """Division influx at warmup time sigma, row r of the block, on main nodes."""
             out = np.zeros(M)
-            lgi = stage_lgi[stage]
             mm = stage_main[stage]
             # boundary part: mothers already proliferating at t = 0
             a_lo = max(sigma, tau_lo)
@@ -1117,20 +1130,16 @@ class Solver:
                 a_nodes, a_w = mapped_rule(tau_lo, sigma, 16)
                 k_qa = self.params.division.k(mm[None, :], a_nodes[:, None], flow.g1)
                 xi_qa = stage_xi[stage](a_nodes[:, None])
-                lg = lgi[None, :] - a_nodes[:, None]
-                nv = record.lookup(sigma - a_nodes, np.exp(lg))
-                rate = beta(flow.h_inv_log(lg), nv)
-                acc = np.zeros(M)
-                for q in range(16):
-                    acc += a_w[q] * k_qa[q] * xi_qa[q] * rate[q] * nv[q]
-                out += 2.0 * acc
+                lg = stage_lgi[stage][None, :] - a_nodes[:, None]
+                out += 2.0 * self._delayed_flux(record, sigma, a_nodes, np.exp(lg),
+                                                flow.h_inv_log(lg), a_w[:, None] * k_qa * xi_qa)
             return out
 
-        values = np.empty((nh + 1, n_full))
-        values[0] = data.N0(m_full)
+        values = np.empty((nh + 1, grid.x_full.size))
+        values[0] = data.N0(grid.m_full)
         if not np.all(np.isfinite(values[0])):
             raise ConfigurationError("N0 must be finite")
-        record = HistoryField(x_full, dt, values, filled=1)
+        record = HistoryField(grid.x_full, dt, values, filled=1)
 
         def rhs(stage: int, u: np.ndarray) -> np.ndarray:
             out = -(stage_psi[stage] + beta(stage_m[stage], u)) * u
@@ -1177,7 +1186,6 @@ class Solver:
         tau_up = grid.tau_upper
         _, dec_g = self._ensure_tables(float(field.times[-1]) + tau_up)
         flow = self.flow
-        beta = self.kern.beta
         reader = self._reader(field)
         has_band = field.upper is not None
         n_act = reader.x.size
@@ -1205,14 +1213,14 @@ class Solver:
                 gam = _eval_two_arg(Gamma, mothers, tau_up - s)
                 out[early] = gam * dec_g.survival(stage_x[stage], s)
             if not early.all():
-                late = ~early
-                nv = reader.lookup(sigma[late] - tau_up, at_back[stage])
-                out[late] = stage_xi_up[stage] * beta(stage_m_back[stage], nv) * nv
+                out[~early] = self._delayed_flux(reader, sigma[~early], (tau_up,),
+                                                 (at_back[stage],), (stage_m_back[stage],),
+                                                 (stage_xi_up[stage],))
             return out
 
         def influx(sigma: np.ndarray, stage: int) -> np.ndarray:
             nv = reader.lookup(sigma, at_x[stage])
-            return beta(stage_m[stage], nv) * nv
+            return self.kern.beta(stage_m[stage], nv) * nv
 
         # initial proliferating load: age integral of Gamma
         z, w = gauss_legendre(16)
@@ -1247,7 +1255,8 @@ class Solver:
         field.P = P[:, :M]
         if has_band:
             field.upper.P = P[:, M - 1:]
-        field.metadata.setdefault("emit", []).append("P")
+        if "P" not in field.metadata.setdefault("emit", []):
+            field.metadata["emit"].append("P")
         return field
 
     # -- a-posteriori residual -------------------------------------------------------
@@ -1300,19 +1309,11 @@ class Solver:
         nv_here = here[:, jj]
         delta = self.params.rates.delta_fn()(mj)
         decay = -(delta + self.kern.beta(mj, nv_here)) * nv_here
-        a = self._a_nodes
-        md = self._mdelta[:, jj].T                                  # (J, 16)
-        xd = self._xdelta[:, jj]                                    # (16, J)
-        # math.exp, not np.exp: the two differ in the last bit on some inputs
-        xg = np.array([math.exp(v) for v in self._log_gi[jj].tolist()])[:, None]
-        weight = (self._a_weights * self.params.division.k(mj[:, None], a, self.flow.g1)
-                  * dec_g.survival(xg, a))
+        weights = self._a_weights[:, None] * self._zeta_matrix(dec_g)[:, jj]
         # one read of main plus band (as the solve reads it) per sample time, its
         # 16 ages as rows: no read spans a history depth, so no slice is built twice
-        nv = np.stack([reader.lookup(tk - a, xd) for tk in t.tolist()])
-        nv = np.ascontiguousarray(nv.transpose(0, 2, 1))
-        # the age sum along a contiguous last axis adds as np.sum of 16 values does
-        gain = 2.0 * np.sum(weight * self.kern.beta(md, nv) * nv, axis=-1)
+        gain = np.stack([self._delayed_flux(reader, tk, self._a_nodes, self._xdelta[:, jj],
+                                            self._mdelta[:, jj], weights) for tk in t.tolist()])
         return dN_dt + dflux_dm - decay - gain
 
     def residual_stats(self, field: SolutionField) -> dict:

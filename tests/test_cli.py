@@ -383,10 +383,22 @@ class TestConfigRejection:
     def test_missing_config_file(self, tmp_path):
         assert run_cli(tmp_path, "check", str(tmp_path / "nope.json")) == 2
 
-    def test_malformed_json(self, tmp_path):
+    def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run_cli(tmp_path, "check", str(path)) == 2
+        # not UTF-8, nested past the recursion limit, a key given twice: each
+        # exits 2 naming the file, never with a traceback
+        for text, names in ((b'{"model": "\xff"}', "utf-8"),
+                            (b'{"model": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+                             "recursion"),
+                            (b'{"model": 1, "model": 2}', "'model'")):
+            path.write_bytes(text)
+            capsys.readouterr()
+            for command in ("check", "run"):
+                assert run_cli(tmp_path, command, str(path)) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {path}: ") and names in err
 
 
 MUTATION_MODEL = {
@@ -465,6 +477,63 @@ class TestConfigMutation:
                         escaped.append((command, ".".join(map(str, path)), bad, code))
         capsys.readouterr()
         assert not escaped, escaped
+
+
+def _fuzz_config(rng) -> dict:
+    """A run config drawn with every key at once: power-law V, Hill beta, 8-16
+    nodes, tau_upper a whole number of steps past tau_lower, and a random,
+    constant or warmup history."""
+    dt_divisor = int(rng.integers(1, 9))
+    tau_lower = float(rng.uniform(0.2, 2.0))
+    tau_upper = tau_lower * (dt_divisor + int(rng.integers(1, 2 * dt_divisor + 1))) / dt_divisor
+    history = [{"kind": "random", "level": float(rng.uniform(0.01, 1.0))},
+               {"kind": "constant", "value": float(rng.uniform(0.0, 2.0))},
+               {"kind": "warmup", "Gamma": float(rng.uniform(0.0, 0.5)),
+                "N0": {"const": float(rng.uniform(0.0, 1.0))}}][int(rng.integers(3))]
+    emit = ["N", "P", "residuals"]
+    rng.shuffle(emit)
+    return {
+        "model": {
+            "velocity": {"alpha": float(np.exp(rng.uniform(np.log(0.05), np.log(20.0)))),
+                         "p": float(rng.uniform(1.0, 3.0))},
+            "g": {"c": float(rng.uniform(0.01, 0.99))},
+            "delta": float(rng.uniform(0.0, 0.2)),
+            "gamma": float(rng.uniform(0.0, 0.3)),
+            "beta": {"form": "hill", "beta0": float(rng.uniform(0.0, 2.0)),
+                     "theta": float(rng.uniform(0.2, 3.0)), "n": float(rng.uniform(1.0, 4.0))},
+            "k": {"form": "uniform", "kappa": float(rng.uniform(0.2, 2.0))},
+            "tau_lower": tau_lower,
+            "tau_upper": tau_upper,
+        },
+        "grid": {"m_nodes": int(rng.integers(8, 17)), "dt_divisor": dt_divisor},
+        "run": {"horizon": tau_upper + float(rng.uniform(0.0, 3.0)),
+                "emit": emit[:int(rng.integers(1, 4))], "seed": int(rng.integers(100)),
+                "history": history},
+    }
+
+
+class TestConfigFuzz:
+    def test_many_keys_at_once_exit_cleanly(self, tmp_path, capsys, monkeypatch):
+        # seeded configs that change every key together: each runs (0), is
+        # refused (2), fails in the solver (3) or a verdict (4), and none
+        # raises out of main; both running and refusing occur. A small c
+        # gives a warmup's band ~1e5 nodes: an 8 MB slice cap keeps each
+        # run small, and a run past it is refused by name
+        monkeypatch.setattr("hemaflow.solver.MAX_SLICE_BYTES", 2 ** 23)
+        rng = np.random.default_rng(15)
+        codes, escaped = [], []
+        for n in range(40):
+            cfg = _fuzz_config(rng)
+            try:
+                code = run_cli(tmp_path, "run", write_config(tmp_path, cfg))
+            except Exception as exc:  # noqa: BLE001 - the defect under test
+                code = repr(exc)
+            codes.append(code)
+            if code not in (0, 2, 3, 4):
+                escaped.append((n, cfg, code))
+        capsys.readouterr()
+        assert not escaped, escaped
+        assert {0, 2} <= set(codes), codes
 
 
 class TestCheck:

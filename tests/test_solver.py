@@ -1226,11 +1226,15 @@ def _residual_one_sample(solver, field, t, m):
     xd = np.exp(lgi - a_nodes)
     md = solver.flow.h_inv_log(lgi - a_nodes)
     k_q = solver.params.division.k(np.full(16, mj), a_nodes, solver.flow.g1)
-    xi_q = np.exp(dec_g.log_survival(np.full(16, math.exp(lgi)), a_nodes))
+    xi_q = np.exp(dec_g.log_survival(np.full(16, np.exp(lgi)), a_nodes))
     nv = np.array([float(field.lookup(t - a, np.asarray([xq]))[0])
                    for a, xq in zip(a_nodes, xd)])
-    gain = 2.0 * float(np.sum(solver._a_weights * k_q * xi_q *
-                              solver.kern.beta(md, nv) * nv))
+    # the solver's delayed-flux terms, a_w * zeta * beta * N with zeta = 2 k xi,
+    # added in age order as it adds them
+    gain = 0.0
+    for term in (solver._a_weights * (2.0 * k_q * xi_q) * solver.kern.beta(md, nv)
+                 * nv).tolist():
+        gain += term
     return float(dN_dt + dflux_dm - decay - gain)
 
 

@@ -113,6 +113,15 @@ class TestProliferating:
         assert np.all(field.P == 0.0)
         assert np.all(field.upper.P == 0.0)
 
+    def test_runs_again_recording_P_once(self):
+        solver = Solver(reference_params(), m_nodes=32, dt_divisor=8)
+        gamma_fn = lambda m, a: (1.0 + m) * np.exp(-0.7 * np.asarray(a))
+        field = solver.solve(InitialHistory.from_callable(smooth_history, solver.grid), T=4.0)
+        first = solver.proliferating(field, gamma_fn).P
+        assert field.metadata["emit"] == ["P"]
+        assert np.array_equal(solver.proliferating(field, gamma_fn).P, first)
+        assert field.metadata["emit"] == ["P"]
+
     def test_initial_load_is_age_integral(self):
         solver = Solver(reference_params(), m_nodes=96, dt_divisor=16)
         gamma_fn = lambda m, a: (1.0 + m) * np.exp(-0.7 * np.asarray(a))

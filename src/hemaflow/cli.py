@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -386,35 +385,15 @@ def _make_out(out_dir: Path) -> None:
         raise ConfigurationError(f"--out: {exc}")
 
 
-def _start_worker(task, *args):
-    """Run ``task(*args)`` on a worker thread. The returned ``join`` waits for
-    it and raises in the caller what it raised."""
-    raised = []
-
-    def work():
-        try:
-            task(*args)
-        except BaseException as exc:  # noqa: BLE001 - handed to join
-            raised.append(exc)
-
-    worker = threading.Thread(target=work)
-    worker.start()
-
-    def join():
-        worker.join()
-        if raised:
-            raise raised[0]
-    return join
-
-
 def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
     """Solve the config's run and write ``solution.csv``, ``solution.npz``,
     ``solution.meta.json`` and, with ``residuals`` in ``run.emit``,
     ``residuals.json`` to ``out_dir``. The directory is made once every
     config key has been read, before the solve. The CSV is formatted on a
-    worker thread while this one compresses the npz and samples the
-    residuals (zlib releases the GIL); the worker is joined before return
-    or raise, and what it raised is raised here."""
+    one-thread executor while this thread compresses the npz and samples the
+    residuals (zlib releases the GIL); the worker has ended before return or
+    raise, and what it raised is raised here, in place of any error here."""
+    from concurrent.futures import ThreadPoolExecutor
     solver = _make_solver(cfg)
     run = _run_section(cfg, ("horizon", "emit", "seed", "history", "warmup"))
     hist_spec = run.get("history", {"kind": "zero"})
@@ -452,15 +431,16 @@ def cmd_run(cfg: dict, out_dir: Path, seed_override=None) -> int:
     wall = time.perf_counter() - t0
 
     csv_path = out_dir / "solution.csv"
-    join_csv = _start_worker(field.to_csv, csv_path)
-    try:
-        field.save(out_dir / "solution")
-        if "residuals" in emit:
-            stats = solver.residual_stats(field)
-            with open(out_dir / "residuals.json", "w") as fh:
-                json.dump(stats, fh, indent=2)
-    finally:
-        join_csv()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        csv = pool.submit(field.to_csv, csv_path)
+        try:
+            field.save(out_dir / "solution")
+            if "residuals" in emit:
+                stats = solver.residual_stats(field)
+                with open(out_dir / "residuals.json", "w") as fh:
+                    json.dump(stats, fh, indent=2)
+        finally:
+            csv.result()
     meta = field.metadata
     print(f"wrote {csv_path}")
     print(f"  N in [{field.N.min():.6g}, {field.N.max():.6g}]  "
@@ -489,8 +469,7 @@ def _plus_profile(history: InitialHistory, spec, solver: Solver, path: str):
     """``history`` plus the maturity profile ``spec`` at every slice; a band
     is kept as it is."""
     profile = _history_profile(spec, path)
-    return InitialHistory(times=history.times.copy(),
-                          values=history.values + profile(solver.grid.m_nodes)[None, :],
+    return InitialHistory(values=history.values + profile(solver.grid.m_nodes)[None, :],
                           upper=None if history.upper is None else history.upper.copy())
 
 

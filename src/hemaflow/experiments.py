@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import ConfigurationError, DomainError, PreconditionError
 from .flow import FlowMap
 from .kernels import InvarianceMargin, Kernels
 from .quadrature import gauss_jacobi
@@ -438,6 +438,8 @@ def exp_positivity(solver: Solver, *, n_runs: int = 20, seed: int = 0,
     """Nonnegative histories must produce nonnegative populations: ``n_runs``
     solves from ``random_nonneg_history(seed + i)``, each to ``horizon``
     (default 5 tau_upper)."""
+    if not (isinstance(n_runs, (int, np.integer)) and n_runs >= 1):
+        raise ConfigurationError(f"n_runs must be an integer >= 1, got {n_runs!r}")
     grid = solver.grid
     probe = np.linspace(0.0, solver.flow.g1, 1025)
     if float(np.min(solver.kern.psi_resting(probe))) <= 0.0:
@@ -519,6 +521,9 @@ def resolvent_sweep(flow: FlowMap, lambdas, n_w: int, seed: int) -> ResolventSwe
     c3 sin(k m), c standard normal and k uniform on [1, 6], each at every
     lambda in ``lambdas``; the verdict holds when every check passes."""
     lambdas = np.asarray(lambdas, dtype=float)
+    if not (isinstance(n_w, (int, np.integer)) and n_w >= 1 and lambdas.size):
+        raise ConfigurationError(f"a sweep needs an integer n_w >= 1 and a lambda, got "
+                                 f"n_w = {n_w!r} and {lambdas.size} lambdas")
     rng = np.random.default_rng(seed)
     verdict = True
     for _ in range(n_w):
@@ -541,6 +546,10 @@ def resolvent_sweep(flow: FlowMap, lambdas, n_w: int, seed: int) -> ResolventSwe
 def picard_rate_check(field: SolutionField) -> PicardRateReport:
     """Recorded per-window deltas against the envelope 2 M (alpha l L)^n / n!."""
     meta = field.metadata
+    missing = {"lipschitz_l", "alpha_bar", "windows"} - meta.keys()
+    if missing:
+        raise DomainError(f"the field carries no solve record ({', '.join(sorted(missing))} "
+                          "missing from its metadata); check a field from Solver.solve")
     l = meta["lipschitz_l"]
     alpha_bar = meta["alpha_bar"]
     worst = 0.0

@@ -15,15 +15,16 @@ whose contraction constant scales with the window length.
 The maturity grid is uniform in the flow coordinate x = h(m), where one step
 dt of the flow is the exact map x -> x * exp(-dt). Every transport is that
 one step, ``_Shift``: monotone-cubic re-interpolation of a slice at the fixed
-feet x * exp(-dt), on the main nodes or on main plus band. The running
-integrals G and J ride along it, each step a shift plus a trapezoid increment
-(the attenuation tables make the flow factorization of K exact), and
-``_rk4_step`` integrates the band, warmup and proliferating equations along
-characteristics. Those three marches share one stage table, built with the
-solver: a step's stage points x * exp(-s) for s = dt, dt/2, 0 on main plus
-band, their maturities and both phases' decay rates there. A march on the
-main nodes reads the table's head, the band march its tail, which is also the
-tail of the full shift.
+feet x * exp(-dt), on the main nodes, on main plus band, or from main plus
+band to the band's own nodes. The running integrals G and J ride along it,
+each step a shift plus a trapezoid increment (the attenuation tables make the
+flow factorization of K exact), and ``_rk4_step`` integrates the band, warmup
+and proliferating equations along characteristics, the resting phase's two
+through one step, ``Solver._resting_step``. The marches share one stage
+table, built with the solver: a step's stage points x * exp(-s) for s = dt,
+dt/2, 0 on main plus band, their maturities and both phases' decay rates
+there; a march reads the table's tail as wide as its nodes. Warmup and P
+advance in chunks of steps by one rule, ``Solver._chunks``.
 
 A window's sweeps run as a wavefront (``Solver._j_sweep``): row r of Picard
 iterate k needs only rows r - 1 and r of iterate k - 1, so one wave step
@@ -58,8 +59,8 @@ residual's gain and P's late sink pass only their weights, times and points.
 An array of times (a window's rows, a chunk of P's steps) reads one age node
 per read, each slice of its span once; a scalar time (warmup, a residual
 sample) reads every age node in one read with one ``beta`` call. The terms
-add in age order. The history pull is one read of the cubic through
-phi(tau_upper, .), and ``proliferating`` marches only its RK4 steps one at a
+add in age order. The history pull is one read of slice n_history from the
+solve's store, and ``proliferating`` marches only its RK4 steps one at a
 time. The transport feet, the 16 division-age points and P's stage points
 are ``Located`` once, so a read is a gather plus a cubic; a large point set
 on a uniform node set is located by arithmetic instead of a binary search.
@@ -110,12 +111,18 @@ def check_slice_bytes(m_nodes, dt_divisor, tau_lower: float, T: float) -> None:
                                  f"above the cap of {MAX_SLICE_BYTES}")
 
 
-def _eval_two_arg(fn: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Evaluate fn on broadcast arrays, falling back to np.vectorize."""
+def _eval_two_arg(fn: Callable, a: np.ndarray, b: np.ndarray, name: str = "a callable"):
+    """Evaluate fn on broadcast arrays, falling back to np.vectorize; a value
+    that fits neither way is refused, by the callable's ``name``."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
     try:
-        return fit_shape(fn(a, b), np.broadcast_shapes(a.shape, b.shape))
+        return fit_shape(fn(a, b), shape)
     except (ValueError, TypeError):
-        return np.vectorize(fn, otypes=[float])(a, b)
+        try:
+            return np.vectorize(fn, otypes=[float])(a, b)
+        except (ValueError, TypeError) as err:
+            raise ConfigurationError(f"{name} gives neither floats shaped {shape} nor one "
+                                     f"float per scalar pair ({err})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +188,14 @@ class Grid:
                 raise ConfigurationError(
                     f"{name} must be an integer >= {least}, got {value!r}")
         top = float(flow.h(flow.g1))
+        # the band (g(1), 1] at the main spacing, top / (m_nodes - 1), which is
+        # linspace's step: its history must fit the cap too, checked before
+        # anything is allocated
+        band = (1.0 - top) / (top / (m_nodes - 1)) if top > 0.0 else math.inf
+        check_slice_bytes(m_nodes + band, dt_divisor, tau_lower, tau_upper)
         xs = np.linspace(0.0, top, m_nodes)
         ms = np.asarray(flow.h_inv(xs))
         ms[0], ms[-1] = 0.0, flow.g1
-        # the band (g(1), 1] at the main spacing: its history must fit the cap too
-        band = (1.0 - top) / float(xs[1] - xs[0]) if top > 0.0 else math.inf
-        check_slice_bytes(m_nodes + band, dt_divisor, tau_lower, tau_upper)
         # snap within round-off: one ulp of h(g(1)) must not add a node
         n_band = max(2, int(math.ceil(band * (1.0 - 1e-9))) + 1)
         bx = np.linspace(top, 1.0, n_band)
@@ -377,13 +386,11 @@ class HistoryField:
             # consecutive slices, every time ahead or none: the span, read once
             span = self._read_rows(np.arange(i[0], i[-1] + 1 + ahead[0]), index, xq)
             out, nxt = span[:R], span[1:]
-        elif ahead.any():
+        else:
             # both slices of every time in one read; one point set serves all
             block = self._read_rows(np.concatenate([i, i + ahead]), index if
                                     index.shape[0] == 1 else np.concatenate([index, index]), xq)
             out, nxt = block[:R], block[R:]
-        else:
-            out = self._read_rows(i, index, xq)
         if ahead.any():
             # a row at theta = 0 read slice i twice, and v + 0.0 * v is v
             theta = theta[:, None]
@@ -427,7 +434,6 @@ class InitialHistory:
     phase reconstruction.
     """
 
-    times: np.ndarray
     values: np.ndarray
     upper: Optional[np.ndarray] = None
 
@@ -440,18 +446,16 @@ class InitialHistory:
     @classmethod
     def from_callable(cls, phi: Callable, grid: Grid, *,
                       upper: Optional[Callable] = None) -> "InitialHistory":
-        times = np.arange(grid.n_history + 1) * grid.dt
-        tt = times[:, None]
-        vals = _eval_two_arg(phi, tt, grid.m_nodes[None, :])
+        tt = (np.arange(grid.n_history + 1) * grid.dt)[:, None]
+        vals = _eval_two_arg(phi, tt, grid.m_nodes[None, :], "the history phi")
         up = None
         if upper is not None:
-            up = _eval_two_arg(upper, tt, grid.band_m[None, :])
-        return cls(times=times, values=vals, upper=up)
+            up = _eval_two_arg(upper, tt, grid.band_m[None, :], "the band history upper")
+        return cls(values=vals, upper=up)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "InitialHistory":
-        times = np.arange(grid.n_history + 1) * grid.dt
-        return cls(times=times, values=np.zeros((times.size, grid.m_nodes.size)))
+        return cls(values=np.zeros((grid.n_history + 1, grid.m_nodes.size)))
 
 
 @dataclass
@@ -673,7 +677,6 @@ class _Window:
         self.M_sup = 0.0
         self.deltas: list = []    # one per complete iterate
         self.converged = None     # the iterate that passed the test
-        self.failed = None        # (iterate, error): a non-finite shift, held back
         self.J_end = None         # the refresh sweep's J at the last slice
 
 
@@ -685,7 +688,6 @@ class _RunState:
         self.N = None             # (n_slices, M) main field, filled as we go
         self.band = None          # (n_slices, NB) tail view of the ring's array, or None
         self.ring = None          # HistoryField over main plus band; filled = finalized slices
-        self.edge = None          # PchipInterpolator through phi(tau_upper, .)
         self.age_points = ()      # the 16 age-node queries, Located on ring.x
         self.n_slices = 0
         self.G_carry = None       # running influx integral at the last finalized slice
@@ -732,15 +734,16 @@ class Solver:
         self._a_nodes, self._a_weights = a_nodes, a_weights
         self._xdelta = np.exp(self._log_gi[None, :] - a_nodes[:, None])   # (16, M)
         self._mdelta = flow.h_inv_log(self._log_gi[None, :] - a_nodes[:, None])
-        # one-step transports of the main grid and of main plus band (warmup,
-        # P and, by its tail, the band march)
+        # one-step transports of the main grid, of main plus band (warmup and
+        # P) and from main plus band to the band's own nodes (the band march)
         x_full = grid.x_full
         self._shift_main = _Shift(xs, xs, grid.dt)
         self._shift_full = _Shift(x_full, x_full, grid.dt)
+        self._shift_band = _Shift(x_full, grid.band_x[1:], grid.dt)
         # the stage table of a characteristic step: points x e^-s on main plus
         # band at s = dt, dt/2, 0, their maturities and the resting and
-        # proliferating decay rates there; main nodes read the head [:M], the
-        # band's own nodes the tail [M:]
+        # proliferating decay rates there; main nodes read the head [:M], a
+        # march on main plus band or on the band's own nodes its tail
         self._stage_x = tuple(x_full * math.exp(-s) for s in (grid.dt, 0.5 * grid.dt, 0.0))
         self._stage_m = tuple(np.asarray(flow.h_inv(sx)) for sx in self._stage_x)
         self._stage_psi_r = tuple(self.kern.psi_resting(mm) for mm in self._stage_m)
@@ -829,7 +832,6 @@ class Solver:
             st.band = slices[:, M - 1:]
             st.band[:nh + 1, 1:] = history.upper[:, 1:]
         st.ring = self._slices(slices, filled=nh + 1)
-        st.edge = PchipInterpolator(self._shift_main.nodes, st.N[nh])
         st.age_points = tuple(Located(st.ring.x, xd) for xd in self._xdelta)
         st.G_carry = np.zeros(M)
         st.J_carry = np.zeros(M)
@@ -889,7 +891,7 @@ class Solver:
         back = np.arange(i0 - nh, i0 - nh + steps + 1) * grid.dt
         # math.exp, not np.exp: the two differ in the last bit on some inputs
         shrink = np.array([math.exp(-b) for b in back.tolist()])
-        pulled = st.edge(grid.x_nodes * shrink[:, None])
+        pulled = st.ring.lookup(nh * grid.dt, grid.x_nodes * shrink[:, None])
         win.pulled = pulled * st.dec_r.survival(grid.x_nodes, back[:, None])
         n0 = st.N[i0]
         win.half_w0 = half * (self.kern.beta(grid.m_nodes, n0) * n0)
@@ -943,8 +945,9 @@ class Solver:
         ``st.depth`` iterates run ahead of their convergence test; once one
         passes, the next is the refresh sweep and later ones are dropped. If
         the window needs more, the next wave starts from the last complete
-        iterate. A non-finite shift in an iterate raises only once the
-        iterates before it show that the one-at-a-time order would run it.
+        iterate. A non-finite shift in an iterate that runs ahead ends the
+        wave at that lane: the iterate runs again, and raises, as the first
+        lane of the next wave, which the one-at-a-time order would reach.
         """
         steps, half_q, pulled = win.steps, win.half_q, win.pulled
         base = st.iterates[0]
@@ -981,15 +984,14 @@ class Solver:
                 x[0] = carry[0]             # J_past is pure transport
             try:
                 moved = self._shift_main(x, st.window_index)
-            except ConvergenceError as err:
+            except ConvergenceError:
                 bad = int(np.argmin(np.isfinite(x).all(axis=1))) + lo - fixed
                 if bad < 0 or k0 + bad <= len(win.deltas):
                     raise                   # G, J_past or an iterate that runs next
-                win.failed = (k0 + 1 + bad, err)
+                # the lanes from bad on go; iterate k0 + 1 + bad runs again, and
+                # raises, as the first lane of a later wave if it is needed
                 live = bad
-                hi = fixed + min(j_hi, live)
-                if hi <= lo:
-                    continue
+                hi = fixed + live
                 moved = self._shift_main(x[:hi - lo], st.window_index)
                 j_hi = hi - fixed
             moved *= K_step
@@ -1035,24 +1037,41 @@ class Solver:
                 f"Picard iterations (last delta {delta:.3e}); "
                 "reduce dt or weaken the reintroduction law",
                 window_index=st.window_index, last_delta=delta)
-        if win.failed is not None and win.failed[0] == k + 1:
-            raise win.failed[1]             # held back until iterate k + 1 was due
 
     def _advance_band(self, st: _RunState, i0: int, steps: int) -> None:
         """Transport-decay march of the upper band's own nodes across one
-        window, on the tails of the full shift and of the stage table; the
-        band's node g(1) is the main grid's last node, one cell of the ring."""
-        tail = self.grid.m_nodes.size
-        stage_m = tuple(mm[tail:] for mm in self._stage_m)
-        stage_psi = tuple(p[tail:] for p in self._stage_psi_r)
-        beta = self.kern.beta
-
-        def rhs(stage, u):
-            return -(stage_psi[stage] + beta(stage_m[stage], u)) * u
-
+        window, from their own feet on main plus band; the band's node g(1) is
+        the main grid's last node, one cell of the ring."""
         for r in range(1, steps + 1):
-            u0 = self._shift_full(st.ring.values[i0 + r - 1], st.window_index)[tail:]
-            st.band[i0 + r, 1:] = _rk4_step(u0, self.grid.dt, rhs)
+            u0 = self._shift_band(st.ring.values[i0 + r - 1], st.window_index)
+            st.band[i0 + r, 1:] = self._resting_step(u0)
+
+    def _resting_step(self, u0: np.ndarray, src=None) -> np.ndarray:
+        """One RK4 step of the resting phase, u' = -(psi + beta(m, u)) u, from
+        the foot values u0 on the stage table's tail as wide as u0: main plus
+        band, or the band's own nodes. ``src[stage]``, when given, adds a
+        source on u0's first nodes (warmup's, on the main nodes)."""
+        n, beta = u0.shape[-1], self.kern.beta
+        stage_m = tuple(mm[-n:] for mm in self._stage_m)
+        stage_psi = tuple(p[-n:] for p in self._stage_psi_r)
+
+        def rhs(stage: int, u: np.ndarray) -> np.ndarray:
+            out = -(stage_psi[stage] + beta(stage_m[stage], u)) * u
+            if src is not None:
+                out[:src[stage].size] += src[stage]
+            return out
+        return _rk4_step(u0, self.grid.dt, rhs)
+
+    def _chunks(self, n: int, width: int):
+        """The steps to slices 1 .. n - 1 as chunks (i0, (t, t + dt/2, t + dt)):
+        i0 the slice of the first step, t the steps' start times. A chunk holds
+        at most ``_CHUNK_BYTES`` of (steps, width) floats and n_history steps,
+        so P's store, read for the sink first, builds each slice once."""
+        dt = self.grid.dt
+        chunk = max(1, min(self.grid.n_history, _CHUNK_BYTES // (8 * width)))
+        for i0 in range(1, n, chunk):
+            t0 = np.arange(i0 - 1, min(i0 + chunk, n) - 1) * dt
+            yield i0, (t0, t0 + 0.5 * dt, t0 + dt)
 
     def solve(self, history: InitialHistory, T: float) -> SolutionField:
         """Run the method of steps to horizon T and assemble the record."""
@@ -1100,21 +1119,16 @@ class Solver:
         _, dec_g = self._ensure_tables(2.0 * tau_up)
         flow = self.flow
         g = self.params.maturity
-        beta = self.kern.beta
         M = grid.m_nodes.size
 
-        stage_m, stage_psi = self._stage_m, self._stage_psi_r
-        # the table's head, the main nodes, for the source terms
-        stage_main = tuple(mm[:M] for mm in stage_m)
+        # the stage table's head, the main nodes, for the source terms
+        stage_main = tuple(mm[:M] for mm in self._stage_m)
         stage_lgi = tuple(flow.log_h(g.inverse(mm)) for mm in stage_main)
         # survival(x_gi, .) at each stage's points, their ln x and Phi read once
         stage_xi = tuple(dec_g.survival_to(np.exp(lg)) for lg in stage_lgi)
-        # steps per block: the boundary part's factors that depend on sigma
-        # alone are read for a block of steps at once, six (steps, M) arrays
-        block = max(1, min(nh, _CHUNK_BYTES // (8 * M)))
 
         def source(sigma: float, stage: int, r: int, record: HistoryField) -> np.ndarray:
-            """Division influx at warmup time sigma, row r of the block, on main nodes."""
+            """Division influx at warmup time sigma, row r of the chunk, on main nodes."""
             out = np.zeros(M)
             mm = stage_main[stage]
             # boundary part: mothers already proliferating at t = 0
@@ -1122,7 +1136,7 @@ class Solver:
             if a_lo < tau_up - 1e-14:
                 a_nodes, a_w = mapped_rule(a_lo, tau_up, 16)
                 gam = _eval_two_arg(data.Gamma, mothers_now[stage][r][None, :],
-                                    (a_nodes - sigma)[:, None])
+                                    (a_nodes - sigma)[:, None], "Gamma")
                 k_qa = self.params.division.k(mm[None, :], a_nodes[:, None], flow.g1)
                 out += 2.0 * xi_now[stage][r] * np.einsum("q,qj->j", a_w, k_qa * gam)
             # delayed part: daughters of cells reintroduced after t = 0
@@ -1136,19 +1150,19 @@ class Solver:
             return out
 
         values = np.empty((nh + 1, grid.x_full.size))
-        values[0] = data.N0(grid.m_full)
+        n0 = data.N0(grid.m_full)
+        try:
+            values[0] = n0
+        except (ValueError, TypeError):
+            raise ConfigurationError(f"N0 gives shape {np.shape(n0)} on the "
+                                     f"{values.shape[1]} maturity nodes") from None
         if not np.all(np.isfinite(values[0])):
             raise ConfigurationError("N0 must be finite")
         record = HistoryField(grid.x_full, dt, values, filled=1)
 
-        def rhs(stage: int, u: np.ndarray) -> np.ndarray:
-            out = -(stage_psi[stage] + beta(stage_m[stage], u)) * u
-            out[:M] += src[stage]
-            return out
-
-        for i0 in range(1, nh + 1, block):
-            t0 = np.arange(i0 - 1, min(i0 + block, nh + 1) - 1) * dt
-            sigmas = (t0, t0 + 0.5 * dt, t0 + dt)
+        # the boundary part's factors that depend on sigma alone are read for a
+        # chunk of steps at once, six (steps, M) arrays
+        for i0, sigmas in self._chunks(nh + 1, M):
             # Delta(sigma, m) and the survival to x_gi over sigma, row r for step i0 + r
             mothers_now = [flow.h_inv_log(lgi - s[:, None])
                            for lgi, s in zip(stage_lgi, sigmas)]
@@ -1157,15 +1171,14 @@ class Solver:
                 i = i0 + r
                 src = tuple(source(sigma, stage, r, record)
                             for stage, sigma in enumerate(stage_sigmas))
-                values[i] = _rk4_step(self._shift_full(values[i - 1]), dt, rhs)
+                values[i] = self._resting_step(self._shift_full(values[i - 1]), src)
                 if not np.all(np.isfinite(values[i])):
                     raise ConfigurationError(
                         f"warmup produced non-finite densities at t = {i * dt:.6g}; "
                         "check Gamma and N0")
                 record.filled = i + 1
 
-        times = np.arange(nh + 1) * dt
-        return InitialHistory(times=times, values=values[:, :M], upper=values[:, M - 1:])
+        return InitialHistory(values=values[:, :M], upper=values[:, M - 1:])
 
     # -- proliferating phase reconstruction ----------------------------------------
 
@@ -1210,7 +1223,7 @@ class Solver:
             if early.any():
                 s = sigma[early, None]
                 mothers = flow.h_inv_log(stage_lx[stage] - s)
-                gam = _eval_two_arg(Gamma, mothers, tau_up - s)
+                gam = _eval_two_arg(Gamma, mothers, tau_up - s, "Gamma")
                 out[early] = gam * dec_g.survival(stage_x[stage], s)
             if not early.all():
                 out[~early] = self._delayed_flux(reader, sigma[~early], (tau_up,),
@@ -1229,27 +1242,22 @@ class Solver:
         for lo, hi in zip(edges[:-1], edges[1:]):
             half = 0.5 * (hi - lo)
             a_nodes = lo + half * (z + 1.0)
-            gam = _eval_two_arg(Gamma, m_act[None, :], a_nodes[:, None])
+            gam = _eval_two_arg(Gamma, m_act[None, :], a_nodes[:, None], "Gamma")
             P0 += half * np.einsum("q,qj->j", w, gam)
 
         n_slices = field.times.size
         P = np.empty((n_slices, n_act))
         P[0] = P0
         shift = self._shift_full if has_band else self._shift_main
-        # at most a history depth of steps per chunk: with the sink read before
-        # the influx, a store holding n_history + 2 slices builds each slice once
-        chunk = max(1, min(grid.n_history, _CHUNK_BYTES // (8 * n_act)))
 
         def rhs(stage: int, u: np.ndarray) -> np.ndarray:
             # row r of the chunk's sources, as the march below sets r
             return -stage_psi[stage] * u + src[stage][r] - drain[stage][r]
 
-        for i0 in range(1, n_slices, chunk):
-            t0 = np.arange(i0 - 1, min(i0 + chunk, n_slices) - 1) * dt
-            sigmas = (t0, t0 + 0.5 * dt, t0 + dt)
+        for i0, sigmas in self._chunks(n_slices, n_act):
             drain = [sink(sigma, stage) for stage, sigma in enumerate(sigmas)]
             src = [influx(sigma, stage) for stage, sigma in enumerate(sigmas)]
-            for r in range(t0.size):
+            for r in range(sigmas[0].size):
                 P[i0 + r] = _rk4_step(shift(P[i0 + r - 1]), dt, rhs)
 
         field.P = P[:, :M]

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from hemaflow import InitialHistory, Kernels, PreconditionError, Solver
+from hemaflow import (ConfigurationError, DomainError, InitialHistory, Kernels,
+                      PreconditionError, SolutionField, Solver)
 from hemaflow.experiments import (compute_tbar, exp_extinction,
                                   exp_invariance, exp_positivity,
                                   exp_uniqueness, picard_rate_check,
                                   random_nonneg_history, resolvent_check,
-                                  smooth_bump)
+                                  resolvent_sweep, smooth_bump)
 
 from refcase import reference_params, smooth_history
 
@@ -246,7 +247,26 @@ class TestResolvent:
             resolvent_check(flow, lambda m: m, 0.0)
 
 
+@pytest.mark.parametrize("run", [
+    lambda solver: exp_positivity(solver, n_runs=0),
+    lambda solver: exp_positivity(solver, n_runs=-3),
+    lambda solver: exp_positivity(solver, n_runs=2.5),
+    lambda solver: resolvent_sweep(solver.flow, [1.0], 0, 0),
+    lambda solver: resolvent_sweep(solver.flow, [1.0], 1.5, 0),
+    lambda solver: resolvent_sweep(solver.flow, [], 2, 0),
+], ids=["positivity-0", "positivity-neg", "positivity-float", "resolvent-no-w",
+        "resolvent-float-w", "resolvent-no-lambda"])
+def test_no_verdict_over_zero_cases(solver_coarse, run):
+    with pytest.raises(ConfigurationError):
+        run(solver_coarse)
+
+
 class TestPicardRate:
+    def test_field_without_solve_record_refused(self):
+        field = SolutionField(np.arange(3.0), None, np.arange(3.0), np.zeros((3, 3)))
+        with pytest.raises(DomainError, match="lipschitz_l"):
+            picard_rate_check(field)
+
     def test_no_reintroduction_trivial(self):
         solver = Solver(reference_params(beta_form="constant", beta0=0.0),
                         m_nodes=96, dt_divisor=16)

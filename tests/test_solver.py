@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -82,6 +83,20 @@ class TestGrid:
     def test_bad_grid_sizes_rejected(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             Solver(reference_params(), **{key: value})
+
+    def test_slice_cap_checked_before_allocating(self):
+        # the band is counted from h(g(1)) and the main step alone, so a grid
+        # past the cap is refused before its nodes exist
+        with pytest.raises(ConfigurationError, match="cap"):
+            Solver(reference_params(), m_nodes=2 ** 62)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="cap"):
+                Solver(reference_params(), m_nodes=2 ** 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_degenerate_delays_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -961,10 +976,13 @@ class TestSolveBasics:
         solver.start(band, 6.0)
 
     def test_history_shape_checked(self, solver_ref):
-        hist = InitialHistory(times=np.arange(3) * solver_ref.grid.dt,
-                              values=np.zeros((3, 8)))
+        hist = InitialHistory(values=np.zeros((3, 8)))
         with pytest.raises(ConfigurationError):
             solver_ref.solve(hist, T=6.0)
+
+    def test_history_callable_of_wrong_shape_named(self, solver_ref):
+        with pytest.raises(ConfigurationError, match="the history phi"):
+            InitialHistory.from_callable(lambda t, m: np.ones(3), solver_ref.grid)
 
     def test_nonfinite_history_rejected(self, solver_ref):
         hist = InitialHistory.zeros(solver_ref.grid)

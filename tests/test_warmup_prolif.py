@@ -18,6 +18,11 @@ def zero_gamma(m, a):
 
 
 class TestWarmup:
+    def test_n0_of_wrong_shape_named(self):
+        solver = Solver(reference_params(), m_nodes=64, dt_divisor=8)
+        with pytest.raises(ConfigurationError, match=r"N0 gives shape \(3,\)"):
+            solver.warmup(WarmupData(Gamma=zero_gamma, N0=lambda m: np.ones(3)))
+
     def test_empty_data_gives_zero_history(self):
         solver = Solver(reference_params(), m_nodes=96, dt_divisor=16)
         hist = solver.warmup(WarmupData(Gamma=zero_gamma, N0=lambda m: 0.0 * m))
@@ -30,7 +35,7 @@ class TestWarmup:
         solver = Solver(par, m_nodes=512, dt_divisor=64)
         n0 = lambda m: 1.0 + 0.5 * np.cos(np.pi * m)
         hist = solver.warmup(WarmupData(Gamma=zero_gamma, N0=n0))
-        tt = hist.times[:, None]
+        tt = (np.arange(solver.grid.n_history + 1) * solver.grid.dt)[:, None]
         mm = solver.grid.m_nodes[None, :]
         closed = n0(mm * np.exp(-tt)) * np.exp(-1.04 * tt)
         err = np.max(np.abs(hist.values - closed)) / np.max(closed)

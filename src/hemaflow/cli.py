@@ -32,7 +32,8 @@ from .kernels import Kernels
 from .params import (ConstantReintroduction, CustomMaturityMap,
                      CustomVelocity, HillReintroduction, LinearMaturityMap,
                      ModelParams, PowerLawVelocity, RateFunctions,
-                     SeparableKernel, SeparableUniformKernel, as_field)
+                     SeparableKernel, SeparableUniformKernel, as_field,
+                     validate_maturity_map, validate_velocity)
 from .solver import InitialHistory, Solver, WarmupData, check_slice_bytes
 
 EXIT_OK = 0
@@ -100,10 +101,10 @@ def _integer(val, path: str, minimum: int, maximum: float = math.inf) -> int:
     return int(val)
 
 
-def _fits(path: str, *size) -> None:
-    """check_slice_bytes(*size), naming ``path`` when it refuses."""
+def _named(path: str, check, *args):
+    """``check(*args)``, naming ``path`` when it refuses."""
     try:
-        check_slice_bytes(*size)
+        return check(*args)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}")
 
@@ -112,8 +113,8 @@ def _horizon(val, solver: Solver, path: str, band: bool) -> float:
     """A horizon whose solve fits the slice cap, the band's nodes counted for
     a history with a ``band``."""
     T, grid = _number(val, path), solver.grid
-    _fits(path, (grid.x_full if band else grid.x_nodes).size, grid.n_window,
-          grid.tau_lower, T)
+    size = (grid.x_full if band else grid.x_nodes).size
+    _named(path, check_slice_bytes, size, grid.n_window, grid.tau_lower, T)
     return T
 
 
@@ -168,24 +169,31 @@ def _table(spec, columns, path: str, increasing) -> list:
 
 
 def _build_velocity(spec: dict, path: str):
+    """The velocity law; a refusal by its own checks names ``path``."""
     if "table" in _object(spec, path):
         _reject_unknown(spec, {"table"}, path, "not read next to a table")
         m, v = _table(spec["table"], ("m", "V"), f"{path}.table", ("m",))
         interp = HermiteCubic(m, v)
-        return CustomVelocity(V=interp, V_prime=interp.derivative(), name="table")
-    _reject_unknown(spec, {"alpha", "p"}, path)
-    alpha = _number(_need(spec, "alpha", path), f"{path}.alpha")
-    p = _number(spec.get("p", 1.0), f"{path}.p")
-    return PowerLawVelocity(alpha=alpha, p=p)
+        law = CustomVelocity(V=interp, V_prime=interp.derivative(), name="table")
+    else:
+        _reject_unknown(spec, {"alpha", "p"}, path)
+        alpha = _number(_need(spec, "alpha", path), f"{path}.alpha")
+        law = _named(path, PowerLawVelocity, alpha, _number(spec.get("p", 1.0), f"{path}.p"))
+    _named(path, validate_velocity, law)
+    return law
 
 
 def _build_maturity(spec: dict, path: str):
+    """The division map; a refusal by its own checks names ``path``."""
     if "table" in _object(spec, path):
         _reject_unknown(spec, {"table"}, path, "not read next to a table")
         m, gv = _table(spec["table"], ("m", "g"), f"{path}.table", ("m", "g"))
-        return CustomMaturityMap(g=HermiteCubic(m, gv), g_inv=HermiteCubic(gv, m), name="table")
-    _reject_unknown(spec, {"c"}, path)
-    return LinearMaturityMap(c=_number(_need(spec, "c", path), f"{path}.c"))
+        law = CustomMaturityMap(g=HermiteCubic(m, gv), name="table")
+    else:
+        _reject_unknown(spec, {"c"}, path)
+        law = _named(path, LinearMaturityMap, _number(_need(spec, "c", path), f"{path}.c"))
+    _named(path, validate_maturity_map, law)
+    return law
 
 
 def _build_beta(spec: dict, path: str):
@@ -254,8 +262,9 @@ def build_grid(cfg: dict, params: ModelParams) -> dict:
     _reject_unknown(grid, {"m_nodes", "dt_divisor"}, "grid")
     m_nodes = _integer(grid.get("m_nodes", 512), "grid.m_nodes", 8)
     dt_divisor = _integer(grid.get("dt_divisor", 64), "grid.dt_divisor", 1)
-    _fits("grid.m_nodes", m_nodes, 1, params.tau_lower, params.tau_upper)
-    _fits("grid.dt_divisor", m_nodes, dt_divisor, params.tau_lower, params.tau_upper)
+    _named("grid.m_nodes", check_slice_bytes, m_nodes, 1, params.tau_lower, params.tau_upper)
+    _named("grid.dt_divisor", check_slice_bytes, m_nodes, dt_divisor, params.tau_lower,
+           params.tau_upper)
     return {"m_nodes": m_nodes, "dt_divisor": dt_divisor}
 
 
@@ -353,8 +362,6 @@ def _load_config(path: str) -> dict:
     except (ValueError, RecursionError) as exc:
         # not UTF-8, not JSON, nested past the recursion limit, or a key twice
         raise ConfigurationError(f"{path}: cannot read as JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("config root must be an object")
     _reject_unknown(cfg, {"model", "grid", "run", "experiment"}, "config")
     return cfg
 

@@ -103,15 +103,17 @@ class _TabulatedCoords:
         self._floor_slope = slope[0]
 
     def _screen(self, w_tab, m_tab):
-        # divergence screen: int_eps^m ds/V must grow by > 10 as eps drops
-        # from 1e-2 through 1e-10 (it cannot be proved, only screened)
-        w = lambda m: float(np.interp(np.log(m), np.log(m_tab), w_tab))
-        growth = w(1e-10) - w(1e-2)
-        if not growth > 10.0:
+        # divergence screen (it cannot be proved, only screened): int ds/V must
+        # grow over eps in [1e-10, 1e-8] by at least 0.8 of its growth over
+        # [1e-8, 1e-6]. That ratio is 1 for V ~ alpha*m whatever alpha, and
+        # 100**(p - 1) for V ~ m**p, so p below about 0.95 is refused.
+        deep, near = -np.diff(np.interp(np.log([1e-10, 1e-8, 1e-6]), np.log(m_tab), w_tab))
+        if not deep >= 0.8 * near:
             raise ConfigurationError(
                 "custom velocity fails the divergence screen near m = 0: "
-                f"int ds/V grew by only {growth:.3g} over eps in [1e-10, 1e-2]; "
-                "zero maturity must be unreachable (int_0 ds/V = inf)")
+                f"int ds/V grew by only {deep:.3g} over eps in [1e-10, 1e-8], against "
+                f"{near:.3g} over [1e-8, 1e-6]; zero maturity must be unreachable "
+                "(int_0 ds/V = inf)")
 
     def _w(self, u):
         u = np.asarray(u, dtype=float)
@@ -231,7 +233,7 @@ class FlowMap:
         return _maybe_scalar(out, s, m)
 
     def crossing_time(self, m):
-        """Time for maturity to grow from m to g_inv(m); delta(s, m) < m iff s exceeds it."""
+        """Time for maturity to grow from m to g^-1(m); delta(s, m) < m iff s exceeds it."""
         m_arr = np.asarray(m, dtype=float)
         if np.any(m_arr <= 0.0) or np.any(m_arr > self.g1 + _EPS):
             raise DomainError("crossing_time needs m in (0, g(1)]")

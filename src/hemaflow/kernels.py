@@ -188,29 +188,21 @@ class Kernels:
         return float(out[0]) if np.ndim(m) == 0 else out
 
     def zeta(self, m, a):
-        """Division weight k(m, a) attenuated along the mother's phase."""
+        """k(m, a) * xi(g^-1(m), a) over m and a broadcast together: the division
+        weight attenuated along the mother's phase. One inversion per call."""
         a_arr = np.asarray(a, dtype=float)
         lo, hi = self.params.tau_lower, self.params.tau_upper
         if np.any(a_arr < lo - 1e-12) or np.any(a_arr > hi + 1e-12):
             raise DomainError("division age must lie in [tau_lower, tau_upper]")
         m_arr = np.asarray(m, dtype=float)
-        mothers = self.flow.maturity.inverse(m_arr)
-        if np.ndim(a) == 0:
-            out = self.k(m_arr, a_arr) * self.xi(mothers, float(a_arr))
-            return float(out) if np.ndim(m) == 0 else out
-        # vector ages: evaluate column by column (t must be scalar per call)
-        shape = np.broadcast_shapes(m_arr.shape, a_arr.shape)
-        m_b = np.broadcast_to(m_arr, shape)
-        a_b = np.broadcast_to(a_arr, shape)
-        out = np.empty(shape)
-        flat_a = a_b.ravel()
-        flat_m = m_b.ravel()
-        flat_out = out.ravel()
+        m_b, a_b, mothers = np.broadcast_arrays(m_arr, a_arr,
+                                                self.flow.maturity.inverse(m_arr))
+        flat_m, flat_a, mothers = m_b.ravel(), a_b.ravel(), mothers.ravel()
+        out = np.empty(flat_m.shape)
         for av in np.unique(flat_a):
             sel = flat_a == av
-            mm = flat_m[sel]
-            flat_out[sel] = self.k(mm, av) * self.xi(self.flow.maturity.inverse(mm), float(av))
-        return out
+            out[sel] = self.k(flat_m[sel], av) * self.xi(mothers[sel], float(av))
+        return float(out[0]) if m_b.ndim == 0 else out.reshape(m_b.shape)
 
     # -- fast tables for the solver --------------------------------------------
 

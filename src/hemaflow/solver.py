@@ -729,7 +729,7 @@ class Solver:
 
         flow, g = self.flow, params.maturity
         xs = grid.x_nodes
-        self._log_gi = flow.log_h(g.inverse(grid.m_nodes))        # ln h(g_inv(m_j))
+        self._log_gi = flow.log_h(g.inverse(grid.m_nodes))        # ln h(g^-1(m_j))
         a_nodes, a_weights = mapped_rule(params.tau_lower, params.tau_upper, 16)
         self._a_nodes, self._a_weights = a_nodes, a_weights
         self._xdelta = np.exp(self._log_gi[None, :] - a_nodes[:, None])   # (16, M)

@@ -28,6 +28,10 @@ BASE_CONFIG = {
 }
 
 
+# a curved g on 5 rows: its inverse is computed, not tabulated
+CURVED_G = {"m": [0.0, 0.25, 0.5, 0.75, 1.0], "g": [0.0, 0.1, 0.22, 0.36, 0.5]}
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -102,6 +106,36 @@ class TestRun:
                          write_config(tmp_path, cfg, f"c{k}.json")]) == 0
             P.append(SolutionField.load(out / "solution").P)
         assert np.array_equal(P[0], P[1])
+
+    @pytest.mark.parametrize("keys, value, equivalent, seed", [
+        # a sum of terms is the profile they add up to
+        (["run", "history"], {"kind": "sum", "terms": [
+            {"kind": "constant", "value": 0.2}, {"kind": "poly_m", "coeffs": [0.0, 0.5]}]},
+         {"kind": "poly_m", "coeffs": [0.2, 0.5]}, None),
+        # a separable kernel with density 1 is the uniform one on [1, 2]
+        (["model", "k"], {"form": "separable", "kappa": 1.0, "density": {"poly": [1.0]}},
+         {"form": "uniform", "kappa": 1.0}, None),
+        # --seed 7 stands in for run.seed 7
+        (["run", "seed"], 0, 7, "7"),
+    ])
+    def test_vocabulary_matches_its_equivalent(self, tmp_path, keys, value, equivalent,
+                                               seed):
+        tables = []
+        for given, args in ((value, [] if seed is None else ["--seed", seed]),
+                            (equivalent, [])):
+            cfg = copy.deepcopy(BASE_CONFIG)
+            cfg["run"]["history"] = {"kind": "random", "level": 0.1}
+            cfg[keys[0]][keys[1]] = given
+            out = tmp_path / f"out{len(tables)}"
+            assert main(["--out", str(out), *args, "run", write_config(tmp_path, cfg)]) == 0
+            tables.append((out / "solution.csv").read_bytes())
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_curved_maturity_table(self, tmp_path, command):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["model"]["g"] = {"table": CURVED_G}
+        assert run_cli(tmp_path, command, write_config(tmp_path, cfg)) == 0
 
 
 class TestOutputs:
@@ -261,6 +295,23 @@ class TestConfigRejection:
          "model.g.c", "check"),
         # check reads the grid as run does
         (["grid"], {"m_nodes": "abc", "bogus": 1}, "grid.bogus", "check"),
+        (["model", "velocity"], {"p": 2.0}, "model.velocity.alpha: required key missing",
+         "check"),
+        (["model", "delta"], {"const": 0.1, "poly": [0.1]},
+         "model.delta: give either const or poly", "check"),
+        (["model", "velocity"],
+         {"table": {"m": [0.0, 0.25, 0.5, 1.0], "V": [0.0, 0.25, 0.5]}},
+         "model.velocity.table: m and V must match", "check"),
+        (["experiment"], None, "experiment: section required", "positivity"),
+        # a law's own checks refuse under the law's path
+        (["model", "velocity"],
+         {"table": {"m": [0.0, 0.25, 0.5, 1.0], "V": [0.1, 0.25, 0.5, 1.0]}},
+         "model.velocity: velocity must vanish at m = 0", "check"),
+        (["model", "g"],
+         {"table": {"m": [0.0, 0.25, 0.5, 0.75, 1.0], "g": [0.0, 0.3, 0.35, 0.4, 0.5]}},
+         "model.g: g(m) < m must hold", "check"),
+        (["model", "velocity"], {"alpha": -1.0}, "model.velocity: velocity.alpha", "check"),
+        (["model", "g"], {"c": 1.5}, "model.g: maturity map fraction c", "run"),
     ])
     def test_malformed_section_names_path(self, tmp_path, capsys, keys, value,
                                           path, command):
@@ -380,6 +431,12 @@ class TestConfigRejection:
         assert err.startswith("error: run.horizon") and "run.emit" in err
         assert not (tmp_path / "out").exists()
 
+    def test_root_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert run_cli(tmp_path, "check", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: config: expected an object")
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli(tmp_path, "check", str(tmp_path / "nope.json")) == 2
 
@@ -424,6 +481,9 @@ def _experiment_base(kind, history, **keys):
 MUTATION_BUMP = {"kind": "bump", "center": 0.35, "width": 0.09, "amplitude": 0.3}
 MUTATION_BASES = (
     (("check",), {"model": MUTATION_MODEL}),
+    # the laws given by a table or a density reach their leaves too
+    (("check",), {"model": dict(MUTATION_MODEL, g={"table": CURVED_G}, k={
+        "form": "separable", "kappa": 1.0, "density": {"poly": [0.5, 0.5]}})}),
     (("run",), {"model": MUTATION_MODEL, "grid": MUTATION_GRID,
                 "run": {"horizon": 2.0, "emit": ["N", "P"], "seed": 0,
                         "history": {"kind": "warmup", "Gamma": 0.2,
@@ -553,6 +613,24 @@ class TestCheck:
         tau0 = float(out.splitlines()[1].split(":")[1])
         assert tau0 == pytest.approx(np.log(1.0 / 0.999), rel=1e-6)
 
+    @pytest.mark.parametrize("alpha", [2.0, 5.0, 20.0])
+    def test_steep_velocity_table(self, tmp_path, capsys, alpha):
+        # V = alpha*m on 5 rows passes the divergence screen; with g = m/2
+        # every crossing takes ln(2)/alpha
+        cfg = copy.deepcopy(BASE_CONFIG)
+        m = [0.0, 0.25, 0.5, 0.75, 1.0]
+        cfg["model"]["velocity"] = {"table": {"m": m, "V": [alpha * x for x in m]}}
+        assert run_cli(tmp_path, "check", write_config(tmp_path, cfg)) == 0
+        tau0 = float(capsys.readouterr().out.splitlines()[1].split(":")[1])
+        assert tau0 == pytest.approx(np.log(2.0) / alpha, abs=1e-9)
+
+    def test_constant_beta(self, tmp_path, capsys):
+        # l is the sup of beta0 over [0, g(1)], here beta0(0)
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["model"]["beta"] = {"form": "constant", "beta0": {"poly": [0.3, -0.2]}}
+        assert run_cli(tmp_path, "check", write_config(tmp_path, cfg)) == 0
+        assert "lipschitz l       : 0.3\n" in capsys.readouterr().out
+
 
 class TestExperimentCommand:
     def test_extinction_passes_and_reports_horizon(self, tmp_path):
@@ -578,6 +656,16 @@ class TestExperimentCommand:
                              delimiter=",", skiprows=1)
         assert profile.shape[1] == 2
         assert np.max(profile[:, 1]) > 0.0
+
+    def test_uniqueness_on_a_warmup_history(self, tmp_path):
+        # the warmup carries a band, which the histories' scale reads too
+        cfg = experiment_config("uniqueness", b=0.2,
+                                perturbation={"kind": "bump", "center": 0.35,
+                                              "width": 0.09, "amplitude": 0.3})
+        cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.2, "N0": 0.5}
+        assert run_cli(tmp_path, "experiment", "uniqueness",
+                       write_config(tmp_path, cfg)) == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["verdict"]
 
     def test_uniqueness_precondition_exit_2(self, tmp_path, capsys):
         cfg = experiment_config("uniqueness", b=0.2,

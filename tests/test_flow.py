@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_jacobi, roots_legendre
 
-from hemaflow import (ConfigurationError, CustomVelocity, DomainError,
-                      FlowMap, LinearMaturityMap, PowerLawVelocity)
+from hemaflow import (ConfigurationError, CustomMaturityMap, CustomVelocity,
+                      DomainError, FlowMap, LinearMaturityMap, PowerLawVelocity)
 from hemaflow.cubic import HermiteCubic
 from hemaflow.quadrature import adaptive_panels, gauss_jacobi, gauss_legendre
 
@@ -211,10 +211,20 @@ class TestTau0:
 
 
 class TestDivergenceScreen:
-    def test_steep_linear_decay_rejected(self):
-        # V ~ 2m near zero grows the probe integral by only ~9.2 < 10
-        vel = CustomVelocity(V=lambda m: 2.0 * m, V_prime=lambda m: 2.0 + 0.0 * m)
-        with pytest.raises(ConfigurationError):
+    def test_steep_linear_decay_accepted(self):
+        # V = alpha*m grows int ds/V by ln(100)/alpha over either probe range
+        # of eps: the screen compares the two, so it holds whatever alpha
+        for alpha in (2.0, 5.0, 20.0):
+            vel = CustomVelocity(V=lambda m: alpha * m, V_prime=lambda m: alpha + 0.0 * m)
+            assert FlowMap(vel, G_HALF).tau0() == pytest.approx(np.log(2.0) / alpha,
+                                                                rel=1e-9)
+
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    def test_sublinear_velocity_rejected(self, p):
+        # V = m^p with p < 1 leaves m = 0 in finite time: the deeper range
+        # grows int ds/V by only 100^(p - 1) of the shallower one's growth
+        vel = CustomVelocity(V=lambda m: m ** p, V_prime=lambda m: p * m ** (p - 1.0))
+        with pytest.raises(ConfigurationError, match="divergence screen"):
             FlowMap(vel, G_HALF)
 
     def test_unit_linear_decay_accepted(self):
@@ -230,6 +240,32 @@ class TestDivergenceScreen:
         with pytest.raises(ConfigurationError, match="not finite"):
             FlowMap(vel, G_HALF)
         assert time.perf_counter() - start < 60.0
+
+
+class TestCustomMaturityMap:
+    """The inverse of a custom g is computed from g alone."""
+
+    G = CustomMaturityMap(g=lambda m: m / (1.0 + m))       # inverse y / (1 - y)
+
+    def test_inverse_to_two_ulp_at_every_magnitude(self):
+        y = np.concatenate([[1e-300, 1e-12], np.linspace(0.0, 0.5, 129)[1:]])
+        want = y / (1.0 - y)
+        assert np.all(np.abs(self.G.inverse(y) - want) <= 2.0 * np.spacing(want))
+
+    def test_inverse_ends(self):
+        assert self.G.inverse(0.0) == 0.0
+        assert np.array_equal(self.G.inverse([0.5 + 1e-12, 0.7, 1.0]), np.ones(3))
+
+    def test_inverse_is_the_least_float_reaching_y(self):
+        # ancestry reads a tabulated g through its inverse: a curved 5-row
+        # table, the least float m with g(m) >= y, and not its predecessor
+        g = CustomMaturityMap(g=HermiteCubic(np.linspace(0.0, 1.0, 5),
+                                             np.array([0.0, 0.1, 0.22, 0.36, 0.5])))
+        y = np.linspace(0.0, 0.5, 65)[1:]
+        m = g.inverse(y)
+        assert np.all(g(m) >= y) and np.all(g(np.nextafter(m, 0.0)) < y)
+        fl = FlowMap(PowerLawVelocity(alpha=1.0, p=1.0), g)
+        assert fl.delta(0.0, y) == pytest.approx(m, rel=1e-12)
 
 
 def _table_velocity():

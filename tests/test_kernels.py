@@ -216,6 +216,16 @@ class TestLipschitz:
 
 
 class TestInvarianceMargin:
+    def test_zeta_inverts_maturities_once_per_call(self, monkeypatch):
+        # the margin reads zeta twice, on its scan grid and on the refined
+        # patch, each with many distinct ages
+        calls = []
+        inverse = LinearMaturityMap.inverse
+        monkeypatch.setattr(LinearMaturityMap, "inverse",
+                            lambda self, y: calls.append(1) or inverse(self, y))
+        Kernels(reference_params()).invariance_margin()
+        assert len(calls) == 2
+
     def test_no_reintroduction_always_satisfied(self):
         kern = Kernels(reference_params(beta_form="constant", beta0=0.0))
         margin = kern.invariance_margin()

@@ -28,12 +28,10 @@ import numpy as np
 from . import experiments as xp
 from .cubic import HermiteCubic
 from .errors import ConfigurationError, ConvergenceError, HemaflowError
-from .kernels import Kernels
 from .params import (ConstantReintroduction, CustomMaturityMap,
                      CustomVelocity, HillReintroduction, LinearMaturityMap,
                      ModelParams, PowerLawVelocity, RateFunctions,
-                     SeparableKernel, SeparableUniformKernel, as_field,
-                     validate_maturity_map, validate_velocity)
+                     SeparableKernel, SeparableUniformKernel, as_field)
 from .solver import InitialHistory, Solver, WarmupData, check_slice_bytes
 
 EXIT_OK = 0
@@ -101,12 +99,13 @@ def _integer(val, path: str, minimum: int, maximum: float = math.inf) -> int:
     return int(val)
 
 
-def _named(path: str, check, *args):
-    """``check(*args)``, naming ``path`` when it refuses."""
+def _named(path: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, naming ``path`` when it refuses, followed
+    by the refusal's own key, if it names one."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}")
+        raise ConfigurationError(f"{path}{'' if exc.key is None else '.' + exc.key}: {exc}")
 
 
 def _horizon(val, solver: Solver, path: str, band: bool) -> float:
@@ -174,13 +173,10 @@ def _build_velocity(spec: dict, path: str):
         _reject_unknown(spec, {"table"}, path, "not read next to a table")
         m, v = _table(spec["table"], ("m", "V"), f"{path}.table", ("m",))
         interp = HermiteCubic(m, v)
-        law = CustomVelocity(V=interp, V_prime=interp.derivative(), name="table")
-    else:
-        _reject_unknown(spec, {"alpha", "p"}, path)
-        alpha = _number(_need(spec, "alpha", path), f"{path}.alpha")
-        law = _named(path, PowerLawVelocity, alpha, _number(spec.get("p", 1.0), f"{path}.p"))
-    _named(path, validate_velocity, law)
-    return law
+        return _named(path, CustomVelocity, interp, interp.derivative(), "table")
+    _reject_unknown(spec, {"alpha", "p"}, path)
+    alpha = _number(_need(spec, "alpha", path), f"{path}.alpha")
+    return _named(path, PowerLawVelocity, alpha, _number(spec.get("p", 1.0), f"{path}.p"))
 
 
 def _build_maturity(spec: dict, path: str):
@@ -188,12 +184,9 @@ def _build_maturity(spec: dict, path: str):
     if "table" in _object(spec, path):
         _reject_unknown(spec, {"table"}, path, "not read next to a table")
         m, gv = _table(spec["table"], ("m", "g"), f"{path}.table", ("m", "g"))
-        law = CustomMaturityMap(g=HermiteCubic(m, gv), name="table")
-    else:
-        _reject_unknown(spec, {"c"}, path)
-        law = _named(path, LinearMaturityMap, _number(_need(spec, "c", path), f"{path}.c"))
-    _named(path, validate_maturity_map, law)
-    return law
+        return _named(path, CustomMaturityMap, HermiteCubic(m, gv), "table")
+    _reject_unknown(spec, {"c"}, path)
+    return _named(path, LinearMaturityMap, _number(_need(spec, "c", path), f"{path}.c"))
 
 
 def _build_beta(spec: dict, path: str):
@@ -209,11 +202,12 @@ def _build_beta(spec: dict, path: str):
     _reject_unknown(spec, ("form", "beta0") + (("theta", "n") if form == "hill" else ()),
                     path, f"not read by form {form}")
     if form == "hill":
-        return HillReintroduction(
-            beta0=_scalar_field(spec.get("beta0", 1.0), f"{path}.beta0"),
-            theta=_number(spec.get("theta", 1.0), f"{path}.theta"),
-            n=_number(spec.get("n", 1.0), f"{path}.n"))
-    return ConstantReintroduction(beta0=_scalar_field(spec.get("beta0", 0.0), f"{path}.beta0"))
+        return _named(path, HillReintroduction,
+                      beta0=_scalar_field(spec.get("beta0", 1.0), f"{path}.beta0"),
+                      theta=_number(spec.get("theta", 1.0), f"{path}.theta"),
+                      n=_number(spec.get("n", 1.0), f"{path}.n"))
+    return _named(path, ConstantReintroduction,
+                  _scalar_field(spec.get("beta0", 0.0), f"{path}.beta0"))
 
 
 def _build_kernel(spec: dict, tau_lower: float, tau_upper: float, path: str):
@@ -224,35 +218,37 @@ def _build_kernel(spec: dict, tau_lower: float, tau_upper: float, path: str):
     if form == "uniform":
         if "density" in spec:
             raise ConfigurationError(f"{path}.density: not allowed for uniform form")
-        return SeparableUniformKernel(tau_lower=tau_lower, tau_upper=tau_upper,
-                                      kappa=kappa, taper=taper)
+        return _named(path, SeparableUniformKernel, tau_lower=tau_lower,
+                      tau_upper=tau_upper, kappa=kappa, taper=taper)
     if form == "separable":
         dens = spec.get("density")
         if not isinstance(dens, dict) or "poly" not in dens:
             raise ConfigurationError(f"{path}.density: expected {{poly: [...]}}")
         rho = _poly(dens["poly"], f"{path}.density.poly")
-        return SeparableKernel(tau_lower=tau_lower, tau_upper=tau_upper,
-                               kappa=kappa, age_density=rho, taper=taper)
+        return _named(path, SeparableKernel, tau_lower=tau_lower, tau_upper=tau_upper,
+                      kappa=kappa, age_density=rho, taper=taper)
     raise ConfigurationError(f"{path}.form: unknown form {form!r}")
 
 
 def build_params(cfg: dict) -> ModelParams:
+    """The model; each part is built, and so checked, under its key path."""
     model = _need(cfg, "model", "config")
     _reject_unknown(model, {"velocity", "g", "delta", "gamma", "beta", "k",
                             "tau_lower", "tau_upper"}, "model")
     tau_lower = _number(_need(model, "tau_lower", "model"), "model.tau_lower")
     tau_upper = _number(_need(model, "tau_upper", "model"), "model.tau_upper")
-    if not tau_lower < tau_upper:
+    if not 0.0 < tau_lower < tau_upper:
         raise ConfigurationError(
-            "model.tau_lower: must be strictly below model.tau_upper")
-    return ModelParams(
-        velocity=_build_velocity(_need(model, "velocity", "model"), "model.velocity"),
-        maturity=_build_maturity(_need(model, "g", "model"), "model.g"),
-        rates=RateFunctions(
-            delta=_scalar_field(model.get("delta", 0.0), "model.delta"),
-            gamma=_scalar_field(model.get("gamma", 0.0), "model.gamma")),
-        reintroduction=_build_beta(_need(model, "beta", "model"), "model.beta"),
-        division=_build_kernel(model.get("k", {}), tau_lower, tau_upper, "model.k"))
+            "model.tau_lower: must be positive and strictly below model.tau_upper")
+    # a rate or kernel refusal names its key, delta, gamma or k
+    return _named("model", ModelParams,
+                  velocity=_build_velocity(_need(model, "velocity", "model"), "model.velocity"),
+                  maturity=_build_maturity(_need(model, "g", "model"), "model.g"),
+                  rates=_named("model", RateFunctions,
+                               delta=_scalar_field(model.get("delta", 0.0), "model.delta"),
+                               gamma=_scalar_field(model.get("gamma", 0.0), "model.gamma")),
+                  reintroduction=_build_beta(_need(model, "beta", "model"), "model.beta"),
+                  division=_build_kernel(model.get("k", {}), tau_lower, tau_upper, "model.k"))
 
 
 def build_grid(cfg: dict, params: ModelParams) -> dict:
@@ -367,8 +363,10 @@ def _load_config(path: str) -> dict:
 
 
 def _make_solver(cfg: dict) -> Solver:
+    """The solver of the config's model and grid; of its own checks only the
+    grid's can refuse, each naming its key."""
     params = build_params(cfg)
-    return Solver(params, **build_grid(cfg, params))
+    return _named("grid", Solver, params, **build_grid(cfg, params))
 
 
 def _run_section(cfg: dict, allowed) -> dict:
@@ -544,9 +542,10 @@ def _write_profile(path, times, values, header):
 
 
 def cmd_check(cfg: dict) -> int:
-    params = build_params(cfg)
-    build_grid(cfg, params)
-    kern = Kernels(params)
+    """Build the model and grid as ``run`` does and print the model constants;
+    an unbounded crossing-time supremum prints as tau0 = inf."""
+    solver = _make_solver(cfg)
+    params, kern = solver.params, solver.kern
     tau0 = kern.flow.tau0()
     margin = kern.invariance_margin()
     ok = params.tau_lower > tau0

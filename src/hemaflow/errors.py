@@ -6,7 +6,12 @@ class HemaflowError(Exception):
 
 
 class ConfigurationError(HemaflowError, ValueError):
-    """A model, grid, or run configuration is invalid."""
+    """A model, grid, or run configuration is invalid; ``key``, if given,
+    names the refusing constructor's argument at fault."""
+
+    def __init__(self, message, *, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class DomainError(HemaflowError, ValueError):

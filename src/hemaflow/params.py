@@ -1,8 +1,10 @@
 """Model ingredients: maturation velocity, division map, rates, and kernels.
 
-Everything here is declarative: these classes validate and describe the model
-but perform no quadrature. The heavy lifting (flow coordinates, attenuation
-integrals) lives in :mod:`hemaflow.flow` and :mod:`hemaflow.kernels`.
+Each part checks itself when it is built and describes itself for the model
+digest. A velocity law also carries its flow coordinates h(m) =
+exp(-int_m^1 ds/V): in closed form for a power law, tabulated once by
+adaptive quadrature for a custom velocity. The maps built on them live in
+:mod:`hemaflow.flow`, the attenuation integrals in :mod:`hemaflow.kernels`.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Union, get_args
 
 import numpy as np
 
+from .cubic import HermiteCubic
 from .errors import ConfigurationError
+from .quadrature import adaptive_panels
 
 ScalarField = Union[float, Callable]
 
@@ -48,6 +52,15 @@ def _describe_field(f: ScalarField):
     return float(f)
 
 
+_DIGEST_M = np.linspace(0.0, 1.0, 257)      # the maturities a custom law's digest reads
+
+
+def _values_digest(f: Callable) -> str:
+    """Hash of f's values at ``_DIGEST_M``: a custom velocity or map describes
+    itself by its own numbers, so distinct tables differ and equal ones agree."""
+    return hashlib.sha256(np.asarray(f(_DIGEST_M), dtype=float).tobytes()).hexdigest()[:16]
+
+
 def _smoothstep(x):
     x = np.clip(x, 0.0, 1.0)
     return x * x * (3.0 - 2.0 * x)
@@ -57,9 +70,21 @@ def _smoothstep(x):
 # maturation velocity
 # ---------------------------------------------------------------------------
 
+def _check_round_trip(law, tol: float) -> None:
+    """Refuse a law whose flow coordinates do not invert to ``tol``: the
+    log-coordinate round trip, immune to underflow of h itself, which
+    reaches the double floor already at moderate m when p > 1."""
+    m = np.linspace(1e-8, 1.0, 65)
+    err = np.max(np.abs(law.h_inv_log(law.log_h(m)) - m))
+    if not err <= tol:
+        raise ConfigurationError(
+            f"flow coordinate round-trip error {err:.2e} exceeds {tol:.0e}")
+
+
 @dataclass(frozen=True)
 class PowerLawVelocity:
-    """V(m) = alpha * m**p with alpha > 0 and p >= 1.
+    """V(m) = alpha * m**p with alpha > 0 and p >= 1, with the closed-form
+    flow coordinates h(m) = exp(-int_m^1 ds/V) and their inverse.
 
     For p >= 1 the time to reach any positive maturity from zero diverges,
     so the zero-maturity state is never left; no numerical screening needed.
@@ -73,6 +98,8 @@ class PowerLawVelocity:
             raise ConfigurationError("velocity.alpha must be > 0")
         if not (self.p >= 1.0):
             raise ConfigurationError("velocity.p must be >= 1")
+        validate_velocity(self)
+        _check_round_trip(self, 1e-10)
 
     def __call__(self, m):
         m = np.asarray(m, dtype=float)
@@ -84,22 +111,107 @@ class PowerLawVelocity:
             return np.full(m.shape, self.alpha)
         return self.alpha * self.p * m ** (self.p - 1.0)
 
+    def log_h(self, m):
+        m = np.asarray(m, dtype=float)
+        with np.errstate(divide="ignore"):
+            if self.p == 1.0:
+                return np.log(m) / self.alpha
+            c = self.alpha * (self.p - 1.0)
+            out = np.where(m > 0.0, -(m ** (1.0 - self.p) - 1.0) / c, -np.inf)
+        return out
+
+    def h(self, m):
+        m = np.asarray(m, dtype=float)
+        if self.p == 1.0:
+            return m ** (1.0 / self.alpha)
+        return np.exp(self.log_h(m))
+
+    def h_inv(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.p == 1.0:
+            return x ** self.alpha
+        c = self.alpha * (self.p - 1.0)
+        with np.errstate(divide="ignore"):
+            out = np.where(x > 0.0, (1.0 - c * np.log(np.maximum(x, 1e-300))) ** (-1.0 / (self.p - 1.0)), 0.0)
+        return out
+
+    def h_inv_log(self, log_x):
+        """h_inv of exp(log_x); safe for very negative log_x."""
+        log_x = np.asarray(log_x, dtype=float)
+        if self.p == 1.0:
+            return np.exp(self.alpha * log_x)
+        c = self.alpha * (self.p - 1.0)
+        return np.where(np.isfinite(log_x), (1.0 - c * log_x) ** (-1.0 / (self.p - 1.0)), 0.0)
+
     def describe(self):
         return {"kind": "power_law", "alpha": self.alpha, "p": self.p}
 
 
+_TABLE_FLOOR, _TABLE_NODES = 1e-12, 4096     # a custom velocity's table: log-spaced m
+
+
 @dataclass(frozen=True)
 class CustomVelocity:
-    """User-supplied velocity with its derivative.
+    """User-supplied velocity with its derivative, and its flow coordinates
+    tabulated once, when the law is built.
 
-    Must satisfy V(0) = 0 and V > 0 on (0, 1]. The divergence of the
-    crossing-time integral near zero is screened numerically when flow
-    coordinates are built; it cannot be certified, only screened.
+    Must satisfy V(0) = 0 and V > 0 on (0, 1]. W(m) = int_m^1 ds/V is
+    accumulated over log-spaced panels by adaptive 15-point Gauss-Legendre
+    (every panel's first two levels in one call of V) and stored as a
+    Hermite spline in u = ln m (slopes -m/V(m) are exact); the inverse is a
+    second Hermite spline of u against W. Below the table floor both
+    directions extrapolate with the local slope, which is first-order exact
+    when V is asymptotically linear. The divergence of W near zero is
+    screened on the table; it cannot be certified, only screened.
     """
 
     V: Callable
     V_prime: Callable
     name: str = "custom"
+    # the table's two splines, its u range, and W and dW/du at the floor
+    _w_of_u: HermiteCubic = field(init=False, repr=False, compare=False)
+    _u_of_w: HermiteCubic = field(init=False, repr=False, compare=False)
+    _u_min: float = field(init=False, repr=False, compare=False)
+    _u_max: float = field(init=False, repr=False, compare=False)
+    _w_at_floor: float = field(init=False, repr=False, compare=False)
+    _floor_slope: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        validate_velocity(self)
+        m_tab = np.logspace(math.log10(_TABLE_FLOOR), 0.0, _TABLE_NODES)
+        # a V that underflows makes 1/V inf; the check below raises on it
+        with np.errstate(divide="ignore", over="ignore"):
+            increments = adaptive_panels(lambda s: 1.0 / self(s), m_tab)
+        w_tab = np.concatenate([[0.0], np.cumsum(increments[::-1])])[::-1]
+        self._screen(w_tab, m_tab)
+        u_tab = np.log(m_tab)
+        slope = -m_tab / self(m_tab)                # dW/du, strictly negative
+        order = np.argsort(w_tab)                   # W decreasing in u
+        if not (np.isfinite([w_tab, slope, 1.0 / slope]).all()
+                and (np.diff(w_tab[order]) > 0.0).all()):
+            raise ConfigurationError("custom velocity: the flow-coordinate table is not "
+                                     f"finite; V must be finite and positive on [{_TABLE_FLOOR:g}, 1]")
+        built = {"_w_of_u": HermiteCubic(u_tab, w_tab, slope),
+                 "_u_of_w": HermiteCubic(w_tab[order], u_tab[order], 1.0 / slope[order]),
+                 "_u_min": u_tab[0], "_u_max": u_tab[-1],
+                 "_w_at_floor": w_tab[0], "_floor_slope": slope[0]}
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
+        _check_round_trip(self, 1e-7)
+
+    @staticmethod
+    def _screen(w_tab, m_tab):
+        # divergence screen (it cannot be proved, only screened): int ds/V must
+        # grow over eps in [1e-10, 1e-8] by at least 0.8 of its growth over
+        # [1e-8, 1e-6]. That ratio is 1 for V ~ alpha*m whatever alpha, and
+        # 100**(p - 1) for V ~ m**p, so p below about 0.95 is refused.
+        deep, near = -np.diff(np.interp(np.log([1e-10, 1e-8, 1e-6]), np.log(m_tab), w_tab))
+        if not deep >= 0.8 * near:
+            raise ConfigurationError(
+                "custom velocity fails the divergence screen near m = 0: "
+                f"int ds/V grew by only {deep:.3g} over eps in [1e-10, 1e-8], against "
+                f"{near:.3g} over [1e-8, 1e-6]; zero maturity must be unreachable "
+                "(int_0 ds/V = inf)")
 
     def __call__(self, m):
         m = np.asarray(m, dtype=float)
@@ -109,11 +221,58 @@ class CustomVelocity:
         m = np.asarray(m, dtype=float)
         return fit_shape(self.V_prime(m), m.shape)
 
+    def _w(self, u):
+        u = np.asarray(u, dtype=float)
+        inside = np.clip(u, self._u_min, self._u_max)
+        out = self._w_of_u(inside)
+        below = u < self._u_min
+        if np.any(below):
+            out = np.where(below, self._w_at_floor + self._floor_slope * (u - self._u_min), out)
+        return out
+
+    def log_h(self, m):
+        m = np.asarray(m, dtype=float)
+        with np.errstate(divide="ignore"):
+            u = np.log(np.maximum(m, 1e-300))
+        return np.where(m > 0.0, -self._w(u), -np.inf)
+
+    def h(self, m):
+        return np.exp(self.log_h(m))
+
+    def h_inv_log(self, log_x):
+        log_x = np.asarray(log_x, dtype=float)
+        finite = np.isfinite(log_x)
+        every = finite.all()                # then neither where below is needed
+        w_target = -log_x if every else -np.where(finite, log_x, np.inf)
+        w_lo, w_hi = 0.0, self._w_at_floor
+        inside = np.clip(w_target, w_lo, w_hi)
+        u = self._u_of_w(inside)
+        deep = w_target > w_hi
+        if np.any(deep):
+            u = np.where(deep, self._u_min + (w_target - w_hi) / self._floor_slope, u)
+        out = np.exp(u)
+        return np.asarray(out) if every else np.where(finite, out, 0.0)
+
+    def h_inv(self, x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            log_x = np.log(np.maximum(x, 1e-300))
+        return np.where(x > 0.0, self.h_inv_log(log_x), 0.0)
+
     def describe(self):
-        return {"kind": "custom", "name": self.name}
+        return {"kind": "custom", "name": self.name, "values": _values_digest(self)}
 
 
 VelocityModel = Union[PowerLawVelocity, CustomVelocity]
+
+
+def velocity_law(v) -> VelocityModel:
+    """``v`` if it is one of the two laws, the only velocities that carry
+    flow coordinates; any other object is refused by its type's name."""
+    if not isinstance(v, get_args(VelocityModel)):
+        raise ConfigurationError("the velocity must be a PowerLawVelocity or a "
+                                 f"CustomVelocity, not {type(v).__name__}")
+    return v
 
 
 def validate_velocity(v: VelocityModel) -> None:
@@ -137,6 +296,7 @@ class LinearMaturityMap:
     def __post_init__(self):
         if not (0.0 < self.c < 1.0):
             raise ConfigurationError("maturity map fraction c must lie in (0, 1)")
+        validate_maturity_map(self)
 
     @property
     def g1(self) -> float:
@@ -164,6 +324,9 @@ class CustomMaturityMap:
     g: Callable
     name: str = "custom"
 
+    def __post_init__(self):
+        validate_maturity_map(self)
+
     @property
     def g1(self) -> float:
         return float(np.asarray(self.g(1.0)))
@@ -186,7 +349,7 @@ class CustomMaturityMap:
         return np.where(y > 0.0, np.where(y > self.g1, 1.0, hi.view(np.float64)), 0.0)
 
     def describe(self):
-        return {"kind": "custom", "name": self.name}
+        return {"kind": "custom", "name": self.name, "values": _values_digest(self)}
 
 
 MaturityMap = Union[LinearMaturityMap, CustomMaturityMap]
@@ -220,6 +383,9 @@ class RateFunctions:
     delta: ScalarField = 0.0
     gamma: ScalarField = 0.0
 
+    def __post_init__(self):
+        self.validate()
+
     def delta_fn(self) -> Callable:
         return as_field(self.delta)
 
@@ -228,10 +394,9 @@ class RateFunctions:
 
     def validate(self) -> None:
         m = np.linspace(0.0, 1.0, 257)
-        if np.any(self.delta_fn()(m) < 0.0):
-            raise ConfigurationError("delta must be nonnegative on [0, 1]")
-        if np.any(self.gamma_fn()(m) < 0.0):
-            raise ConfigurationError("gamma must be nonnegative on [0, 1]")
+        for key, rate in (("delta", self.delta_fn()), ("gamma", self.gamma_fn())):
+            if np.any(rate(m) < 0.0):
+                raise ConfigurationError(f"{key} must be nonnegative on [0, 1]", key=key)
 
     def describe(self):
         return {"delta": _describe_field(self.delta), "gamma": _describe_field(self.gamma)}
@@ -284,6 +449,21 @@ def _max_field(f: Callable, lo: float, hi: float) -> float:
     return scan_max(f, np.linspace(lo, hi, 2049), max_iter=80, tol=1e-13)
 
 
+def probe_reintroduction(law) -> None:
+    """Refuse a law whose rate is not finite, not nonnegative or not
+    nonincreasing in the population, on 65 maturities at five levels."""
+    m = np.linspace(0.0, 1.0, 65)
+    levels = np.array([0.0, 0.5, 1.0, 4.0, 20.0])
+    vals = np.stack([law.rate(m, np.full(m.shape, x)) for x in levels])
+    if not np.all(np.isfinite(vals)):
+        raise ConfigurationError("beta must be finite")
+    if np.any(vals < 0.0):
+        raise ConfigurationError("beta must be nonnegative")
+    if np.any(np.diff(vals, axis=0) > 1e-12):
+        raise ConfigurationError(
+            "beta must be nonincreasing in the population argument")
+
+
 @dataclass(frozen=True)
 class HillReintroduction:
     """beta(m, N) = beta0(m) * theta^n / (theta^n + N^n).
@@ -311,6 +491,7 @@ class HillReintroduction:
                                      "bound (n - 1)^2 / 4n overflows")
         object.__setattr__(self, "_beta0", as_field(self.beta0))
         object.__setattr__(self, "_tn", self.theta ** self.n)
+        probe_reintroduction(self)
 
     def rate(self, m, x):
         m = np.asarray(m, dtype=float)
@@ -337,6 +518,9 @@ class ConstantReintroduction:
 
     beta0: ScalarField = 0.0
 
+    def __post_init__(self):
+        probe_reintroduction(self)
+
     def rate(self, m, x):
         m = np.asarray(m, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -356,6 +540,9 @@ class CustomReintroduction:
     fn: Callable
     lipschitz_bound: Optional[float] = None
     name: str = "custom"
+
+    def __post_init__(self):
+        probe_reintroduction(self)
 
     def rate(self, m, x):
         m = np.asarray(m, dtype=float)
@@ -495,34 +682,27 @@ class ModelParams:
     def __post_init__(self):
         if self.division is None:
             raise ConfigurationError("a division kernel (with its delays) is required")
-        validate_velocity(self.velocity)
-        validate_maturity_map(self.maturity)
-        self.rates.validate()
-        self._probe_reintroduction()
+        velocity_law(self.velocity)
+        # the package's parts check themselves when built; any other object
+        # given for a part is checked here
+        if not isinstance(self.maturity, get_args(MaturityMap)):
+            validate_maturity_map(self.maturity)
+        if not isinstance(self.rates, RateFunctions):
+            self.rates.validate()
+        if not isinstance(self.reintroduction, get_args(ReintroductionLaw)):
+            probe_reintroduction(self.reintroduction)
         self._probe_division()
 
-    def _probe_reintroduction(self):
-        m = np.linspace(0.0, 1.0, 65)
-        levels = np.array([0.0, 0.5, 1.0, 4.0, 20.0])
-        vals = np.stack([self.reintroduction.rate(m, np.full(m.shape, x))
-                         for x in levels])
-        if not np.all(np.isfinite(vals)):
-            raise ConfigurationError("beta must be finite")
-        if np.any(vals < 0.0):
-            raise ConfigurationError("beta must be nonnegative")
-        if np.any(np.diff(vals, axis=0) > 1e-12):
-            raise ConfigurationError(
-                "beta must be nonincreasing in the population argument")
-
     def _probe_division(self):
+        # the one check that reads two parts: k on [0, g(1)]
         g1 = self.maturity.g1
         m = np.linspace(0.0, 1.0, 65)
         ages = np.linspace(self.tau_lower, self.tau_upper, 17)
         vals = self.division.k(m[None, :], ages[:, None], g1)
         if np.any(vals < 0.0):
-            raise ConfigurationError("division kernel k must be nonnegative")
+            raise ConfigurationError("division kernel k must be nonnegative", key="k")
         if np.any(np.abs(vals[:, m >= g1]) > 0.0):
-            raise ConfigurationError("division kernel k must vanish for m >= g(1)")
+            raise ConfigurationError("division kernel k must vanish for m >= g(1)", key="k")
 
     @property
     def tau_lower(self) -> float:
@@ -544,8 +724,8 @@ class ModelParams:
     def digest(self) -> str:
         """Reproducibility hash of the declarative description.
 
-        Custom callables contribute only their qualified names; structured
-        (CLI-built) models hash deterministically.
+        A custom velocity or maturity map contributes a hash of its values;
+        other custom callables contribute only their qualified names.
         """
         blob = json.dumps(self.describe(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]

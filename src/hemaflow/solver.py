@@ -102,13 +102,15 @@ _CHUNK_BYTES = 2 ** 17
 MAX_SLICE_BYTES = 2 ** 30  # float64 slices one solve may hold (1 GiB)
 
 
-def check_slice_bytes(m_nodes, dt_divisor, tau_lower: float, T: float) -> None:
+def check_slice_bytes(m_nodes, dt_divisor, tau_lower: float, T: float,
+                      key: Optional[str] = None) -> None:
     """Refuse, before allocating, a solve to horizon T whose float64 slices
-    (m_nodes wide, dt = tau_lower / dt_divisor; counts clip at 1e300) pass the cap."""
+    (m_nodes wide, dt = tau_lower / dt_divisor; counts clip at 1e300) pass the
+    cap; the refusal carries ``key``."""
     need = 8.0 * min(m_nodes, 1e300) * (T / tau_lower * min(dt_divisor, 1e300) + 1.0)
     if not need <= MAX_SLICE_BYTES:
         raise ConfigurationError(f"the solve would hold {need:.3g} bytes of slices, "
-                                 f"above the cap of {MAX_SLICE_BYTES}")
+                                 f"above the cap of {MAX_SLICE_BYTES}", key=key)
 
 
 def _eval_two_arg(fn: Callable, a: np.ndarray, b: np.ndarray, name: str = "a callable"):
@@ -151,7 +153,7 @@ class Grid:
             if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
                 raise ConfigurationError(
                     f"dt must divide {name}: {name}/dt = {n_steps:.12g} is not "
-                    "an integer (adjust dt_divisor)")
+                    "an integer (adjust dt_divisor)", key="dt_divisor")
         if self.x_nodes.size < 8:
             raise ConfigurationError("need at least 8 maturity nodes")
         if np.any(np.diff(self.m_nodes) <= 0.0):
@@ -192,7 +194,7 @@ class Grid:
         # linspace's step: its history must fit the cap too, checked before
         # anything is allocated
         band = (1.0 - top) / (top / (m_nodes - 1)) if top > 0.0 else math.inf
-        check_slice_bytes(m_nodes + band, dt_divisor, tau_lower, tau_upper)
+        check_slice_bytes(m_nodes + band, dt_divisor, tau_lower, tau_upper, key="m_nodes")
         xs = np.linspace(0.0, top, m_nodes)
         ms = np.asarray(flow.h_inv(xs))
         ms[0], ms[-1] = 0.0, flow.g1
@@ -306,9 +308,10 @@ class HistoryField:
     finalizes slices. Slice i's cubic coefficients live in slot ``i %
     capacity`` of one ``(capacity, 4, K - 1)`` block, ``capacity`` being
     ``keep`` or the slice count if fewer. A block read builds the slices it
-    lacks together, as one batched cubic per ``_BUILD_ROWS`` slices (a single
-    slice through the 1-D cubic, with the same bits), and a slice whose slot
-    was taken since is rebuilt when read again. Every read is a block read: a
+    lacks together, as one batched cubic per ``_BUILD_ROWS`` slices, and a
+    slice whose slot was taken since is rebuilt when read again. A read spans
+    at most ``capacity`` slices, from its first to its last; a wider one
+    raises ``HistoryWindowError``. Every read is a block read: a
     scalar time is a block of one. A read with one point set at consecutive
     slice times, every time between slices or none, reads each slice of its
     span once; any other read gathers both slices of every time. A query set
@@ -328,14 +331,10 @@ class HistoryField:
 
     def _build(self, rows: np.ndarray) -> None:
         """Build the slices ``rows`` (distinct modulo capacity) into their
-        slots, as one batched cubic; one slice builds faster through the 1-D
-        cubic, with the same bits."""
+        slots, as one batched cubic."""
         slots = rows % self.capacity
-        if rows.size == 1:
-            self._block[slots[0]] = PchipInterpolator(self.nodes, self.values[rows[0]]).c
-        else:
-            self._block[slots] = PchipInterpolator(self.nodes,
-                                                   self.values[rows]).c.transpose(1, 0, 2)
+        self._block[slots] = PchipInterpolator(self.nodes,
+                                               self.values[rows]).c.transpose(1, 0, 2)
         self._held[slots] = rows
 
     def _refuse(self, t) -> None:
@@ -399,25 +398,20 @@ class HistoryField:
 
     def _read_rows(self, rows: np.ndarray, index: np.ndarray, q: Located) -> np.ndarray:
         """Slice ``rows[r]`` at the intervals ``index[r]`` (or ``index[0]``),
-        summed at q's points into ``(R, M)``. The missing slices are built in
-        batches, as many at a time as the block holds."""
+        summed at q's points into ``(R, M)``. The rows span at most
+        ``capacity`` slices; the missing ones are built first."""
         cap, n = self.capacity, self._block.shape[2]
+        todo = np.unique(rows)
+        if todo[-1] - todo[0] >= cap:
+            raise HistoryWindowError(
+                f"a read of slices {todo[0]} to {todo[-1]} spans "
+                f"{todo[-1] - todo[0] + 1} slices, more than the store's capacity of {cap}")
+        missing = todo[self._held[todo % cap] != todo]
+        for k in range(0, missing.size, _BUILD_ROWS):
+            self._build(missing[k:k + _BUILD_ROWS])
         # flat block positions in the first plane; the last axis runs over q's points
         at = ((rows % cap * 4 * n)[:, None] + index).reshape(-1, q.flat.size)
-        todo = np.unique(rows)
-        c = None
-        while todo.size:
-            group, todo = todo[todo < todo[0] + cap], todo[todo >= todo[0] + cap]
-            missing = group[self._held[group % cap] != group]
-            for k in range(0, missing.size, _BUILD_ROWS):
-                self._build(missing[k:k + _BUILD_ROWS])
-            part = [self._block.reshape(-1).take(at + k * n) for k in range(4)]
-            if c is None:
-                c = part
-            else:
-                mine = np.broadcast_to(np.isin(rows, group)[:, None],
-                                       (rows.size, index.shape[1])).reshape(at.shape)
-                c = [np.where(mine, a, b) for a, b in zip(part, c)]
+        c = [self._block.reshape(-1).take(at + k * n) for k in range(4)]
         return ppoly_sum(c, q, False).reshape(rows.size, -1)
 
 
@@ -1158,7 +1152,7 @@ class Solver:
                                      f"{values.shape[1]} maturity nodes") from None
         if not np.all(np.isfinite(values[0])):
             raise ConfigurationError("N0 must be finite")
-        record = HistoryField(grid.x_full, dt, values, filled=1)
+        record = self._slices(values, filled=1)
 
         # the boundary part's factors that depend on sigma alone are read for a
         # chunk of steps at once, six (steps, M) arrays

@@ -31,6 +31,25 @@ BASE_CONFIG = {
 # a curved g on 5 rows: its inverse is computed, not tabulated
 CURVED_G = {"m": [0.0, 0.25, 0.5, 0.75, 1.0], "g": [0.0, 0.1, 0.22, 0.36, 0.5]}
 
+# a model part that refuses itself, under run and check alike: (keys, value,
+# the expected start of the message)
+PART_REFUSALS = [
+    (["model", "delta"], -0.5, "model.delta: delta must be nonnegative"),
+    (["model", "gamma"], {"poly": [0.1, -1]}, "model.gamma: gamma must be nonnegative"),
+    (["model", "beta", "theta"], -1, "model.beta: beta.theta must be > 0"),
+    (["model", "beta", "n"], 0.5, "model.beta: beta.n must be >= 1"),
+    (["model", "beta"], {"form": "hill", "beta0": 0.3, "theta": 2.0, "n": 1e6},
+     "model.beta: beta.n is too large"),
+    (["model", "beta", "beta0"], -1, "model.beta: beta must be nonnegative"),
+    (["model", "beta", "beta0"], {"poly": [0.5, -2]}, "model.beta: beta must be nonnegative"),
+    (["model", "beta"], {"form": "constant", "beta0": -0.1},
+     "model.beta: beta must be nonnegative"),
+    (["model", "k", "kappa"], -1, "model.k: division kernel k must be nonnegative"),
+    (["model", "k"], {"form": "separable", "density": {"poly": [-1]}},
+     "model.k: division kernel k must be nonnegative"),
+    (["model", "k", "taper"], 0, "model.k: kernel taper fraction"),
+]
+
 
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
@@ -312,6 +331,9 @@ class TestConfigRejection:
          "model.g: g(m) < m must hold", "check"),
         (["model", "velocity"], {"alpha": -1.0}, "model.velocity: velocity.alpha", "check"),
         (["model", "g"], {"c": 1.5}, "model.g: maturity map fraction c", "run"),
+        (["model", "tau_lower"], -1.0, "model.tau_lower: must be positive", "check"),
+        *[(keys, value, path, command) for keys, value, path in PART_REFUSALS
+          for command in ("check", "run")],
     ])
     def test_malformed_section_names_path(self, tmp_path, capsys, keys, value,
                                           path, command):
@@ -630,6 +652,112 @@ class TestCheck:
         cfg["model"]["beta"] = {"form": "constant", "beta0": {"poly": [0.3, -0.2]}}
         assert run_cli(tmp_path, "check", write_config(tmp_path, cfg)) == 0
         assert "lipschitz l       : 0.3\n" in capsys.readouterr().out
+
+    @staticmethod
+    def _digest(tmp_path, capsys, part, table):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["model"][part] = {"table": table}
+        assert run_cli(tmp_path, "check", write_config(tmp_path, cfg)) == 0
+        return capsys.readouterr().out.splitlines()[0]
+
+    def test_model_digest_tells_tables_apart(self, tmp_path, capsys):
+        m = [0.0, 0.25, 0.5, 0.75, 1.0]
+        velocities = [self._digest(tmp_path, capsys, "velocity",
+                                   {"m": m, "V": [a * x for x in m]}) for a in (2, 5, 20, 5)]
+        maps = [self._digest(tmp_path, capsys, "g", {"m": m, "g": [c * x for x in m]})
+                for c in (0.3, 0.5, 0.3)]
+        assert velocities[0].startswith("model digest")
+        # equal tables, built twice, agree
+        assert len(set(velocities[:3])) == 3 and velocities[3] == velocities[1]
+        assert maps[0] != maps[1] and maps[2] == maps[0]
+
+
+class TestCheckAgreesWithRun:
+    """``check`` builds the model and grid as ``run`` does: the same refusals,
+    named by key, and a model that runs is one that checks."""
+
+    @staticmethod
+    def _both(tmp_path, capsys, cfg):
+        """(exit code, stderr) of run, then of check, and check's stdout."""
+        path = write_config(tmp_path, cfg)
+        out = []
+        for command in ("run", "check"):
+            code = run_cli(tmp_path, command, path)
+            captured = capsys.readouterr()
+            out.append((code, captured.err))
+        return out, captured.out
+
+    @staticmethod
+    def _steep(c):
+        # V = 5 m^2: the crossing-time supremum diverges, and a small g(1)
+        # makes a wide band, which a warmup history carries
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["model"]["velocity"] = {"alpha": 5.0, "p": 2.0}
+        cfg["model"]["g"] = {"c": c}
+        cfg["grid"] = {"m_nodes": 16, "dt_divisor": 4}
+        cfg["run"]["history"] = {"kind": "warmup", "Gamma": 0.1, "N0": {"poly": [0.45, 0.1]}}
+        return cfg
+
+    def test_a_grid_step_that_misses_tau_upper_names_dt_divisor(self, tmp_path, capsys):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["model"]["tau_upper"] = 2.1
+        results, _ = self._both(tmp_path, capsys, cfg)
+        for code, err in results:
+            assert code == 2
+            assert err.startswith("error: grid.dt_divisor: dt must divide tau_upper")
+
+    def test_an_unbounded_tau0_checks_as_inf(self, tmp_path, capsys):
+        (run, check), out = self._both(tmp_path, capsys, self._steep(0.05))
+        assert run == (0, "") and check == (0, "")
+        lines = out.splitlines()
+        assert lines[1].split(":")[1].strip() == "inf"
+        assert lines[2].startswith("tau_lower > tau0  : NO")
+        assert "lipschitz l       : 0.3\n" in out and "decay floor I     : 0.05\n" in out
+        # an experiment that needs tau0 refuses by its precondition
+        cfg = experiment_config("uniqueness", b=0.01,
+                                perturbation={"kind": "constant", "value": 0.1})
+        cfg["model"], cfg["grid"] = (self._steep(0.05)[key] for key in ("model", "grid"))
+        assert run_cli(tmp_path, "experiment", "uniqueness", write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: stem-cell horizon needs tau_lower > tau0 (tau_lower = 1, tau0 = inf)")
+
+    def test_a_band_past_the_cap_names_m_nodes(self, tmp_path, capsys):
+        results, _ = self._both(tmp_path, capsys, self._steep(0.01))
+        for code, err in results:
+            assert code == 2
+            assert err.startswith("error: grid.m_nodes: the solve would hold")
+
+    def test_a_velocity_table_that_fails_the_screen_names_its_path(self, tmp_path, capsys):
+        m = [0.0] + np.logspace(-12, 0, 60).tolist()
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["model"]["velocity"] = {"table": {"m": m, "V": np.sqrt(m).tolist()}}
+        results, _ = self._both(tmp_path, capsys, cfg)
+        for code, err in results:
+            assert code == 2
+            assert err.startswith("error: model.velocity: custom velocity fails the "
+                                  "divergence screen")
+
+    @pytest.mark.parametrize("velocity", [
+        {"table": {"m": [i / 16 for i in range(17)], "V": [i / 16 for i in range(17)]}},
+        {"alpha": 1.0, "p": 1.0}])
+    def test_one_velocity_check_and_one_table_per_command(self, tmp_path, capsys,
+                                                          monkeypatch, velocity):
+        from hemaflow import params
+        calls = {"validate_velocity": 0, "adaptive_panels": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(params, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(params, name, counted)
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["model"]["velocity"] = velocity
+        path = write_config(tmp_path, cfg)
+        tables = 1 if "table" in velocity else 0
+        for command in ("run", "check"):
+            calls.update(validate_velocity=0, adaptive_panels=0)
+            assert run_cli(tmp_path, command, path) == 0
+            assert calls == {"validate_velocity": 1, "adaptive_panels": tables}
+        capsys.readouterr()
 
 
 class TestExperimentCommand:

@@ -206,8 +206,7 @@ class TestTau0:
 
     def test_superlinear_velocity_diverges(self):
         fl = FlowMap(PowerLawVelocity(alpha=1.0, p=2.0), G_HALF)
-        with pytest.raises(ConfigurationError):
-            fl.tau0()
+        assert fl.tau0() == np.inf
 
 
 class TestDivergenceScreen:
@@ -223,9 +222,8 @@ class TestDivergenceScreen:
     def test_sublinear_velocity_rejected(self, p):
         # V = m^p with p < 1 leaves m = 0 in finite time: the deeper range
         # grows int ds/V by only 100^(p - 1) of the shallower one's growth
-        vel = CustomVelocity(V=lambda m: m ** p, V_prime=lambda m: p * m ** (p - 1.0))
         with pytest.raises(ConfigurationError, match="divergence screen"):
-            FlowMap(vel, G_HALF)
+            CustomVelocity(V=lambda m: m ** p, V_prime=lambda m: p * m ** (p - 1.0))
 
     def test_unit_linear_decay_accepted(self):
         FlowMap(quadratic_velocity(), G_HALF)
@@ -234,12 +232,40 @@ class TestDivergenceScreen:
         # 1/V overflows to inf below m = 1e-11, so int ds/V is not finite
         # there; the quadrature stops at the first non-finite panel instead
         # of splitting it to full depth
-        vel = CustomVelocity(V=lambda m: np.where(m < 1e-11, m * 1e-300, m),
-                             V_prime=lambda m: np.where(m < 1e-11, 1e-300, 1.0))
         start = time.perf_counter()
         with pytest.raises(ConfigurationError, match="not finite"):
-            FlowMap(vel, G_HALF)
+            CustomVelocity(V=lambda m: np.where(m < 1e-11, m * 1e-300, m),
+                           V_prime=lambda m: np.where(m < 1e-11, 1e-300, 1.0))
         assert time.perf_counter() - start < 60.0
+
+
+class TestVelocityLaws:
+    """A velocity law carries its flow coordinates, built and checked with it."""
+
+    def test_flow_map_refuses_a_velocity_that_is_neither_law(self):
+        class LinearVelocity:
+            def __call__(self, m):
+                return np.asarray(m, dtype=float)
+
+            def derivative(self, m):
+                return np.ones(np.shape(m))
+        with pytest.raises(ConfigurationError,
+                           match="PowerLawVelocity or a CustomVelocity, not LinearVelocity"):
+            FlowMap(LinearVelocity(), G_HALF)
+
+    def test_a_velocity_not_vanishing_at_zero_is_refused_before_tabulation(self, monkeypatch):
+        from hemaflow import params
+        monkeypatch.setattr(params, "adaptive_panels", lambda *args: pytest.fail("tabulated"))
+        with pytest.raises(ConfigurationError, match="velocity must vanish at m = 0"):
+            CustomVelocity(V=lambda m: m + 0.1, V_prime=lambda m: np.ones(np.shape(m)))
+
+    def test_flow_maps_share_the_law_table(self, monkeypatch):
+        from hemaflow import params
+        velocity = quadratic_velocity()
+        monkeypatch.setattr(params, "adaptive_panels", lambda *args: pytest.fail("tabulated"))
+        first, second = FlowMap(velocity, G_HALF), FlowMap(velocity, LinearMaturityMap(c=0.3))
+        m = np.linspace(0.0, 1.0, 33)
+        assert np.array_equal(first.h(m), second.h(m))
 
 
 class TestCustomMaturityMap:

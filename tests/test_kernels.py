@@ -215,6 +215,62 @@ class TestLipschitz:
                 lipschitz_bound=0.3))
 
 
+class TestModelParts:
+    """The package's parts check themselves when built, once; ModelParams
+    checks any other object given for a part."""
+
+    class LinearVelocity:
+        def __call__(self, m):
+            return np.asarray(m, dtype=float)
+
+        def derivative(self, m):
+            return np.ones(np.shape(m))
+
+    class IdentityMap:                  # g(m) = m, not below m
+        g1 = 0.5
+
+        def __call__(self, m):
+            return np.asarray(m, dtype=float)
+
+    class NegativeRates:
+        def validate(self):
+            raise ConfigurationError("rates refused")
+
+    class NegativeLaw:
+        def rate(self, m, x):
+            return np.full(np.broadcast_shapes(np.shape(m), np.shape(x)), -1.0)
+
+    @staticmethod
+    def _params(**parts):
+        return ModelParams(**{"velocity": PowerLawVelocity(alpha=1.0),
+                              "maturity": LinearMaturityMap(c=0.5),
+                              "rates": RateFunctions(delta=0.05, gamma=0.1),
+                              "reintroduction": HillReintroduction(beta0=0.3),
+                              "division": SeparableUniformKernel(tau_lower=1.0,
+                                                                 tau_upper=2.0), **parts})
+
+    @pytest.mark.parametrize("part, value, message", [
+        ("velocity", LinearVelocity(), "PowerLawVelocity or a CustomVelocity, not LinearVelocity"),
+        ("maturity", IdentityMap(), r"g\(m\) < m must hold"),
+        ("rates", NegativeRates(), "rates refused"),
+        ("reintroduction", NegativeLaw(), "beta must be nonnegative")])
+    def test_other_objects_are_checked(self, part, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            self._params(**{part: value})
+
+    def test_package_parts_are_checked_once(self, monkeypatch):
+        from hemaflow import params
+        calls = []
+        for name in ("validate_velocity", "validate_maturity_map", "probe_reintroduction"):
+            check = getattr(params, name)
+            monkeypatch.setattr(params, name, lambda part, _name=name, _check=check:
+                                calls.append(_name) or _check(part))
+        monkeypatch.setattr(RateFunctions, "validate", lambda self: calls.append("rates"))
+        Kernels(self._params())
+        assert sorted(calls) == ["probe_reintroduction", "rates", "validate_maturity_map",
+                                 "validate_velocity"]
+
+
 class TestInvarianceMargin:
     def test_zeta_inverts_maturities_once_per_call(self, monkeypatch):
         # the margin reads zeta twice, on its scan grid and on the refined

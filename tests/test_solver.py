@@ -362,12 +362,12 @@ class TestShift:
 def _uniform_sets():
     """Uniform node sets of 9 to 12,289 nodes, and the tabulated flow's u = ln m
     table, which is log-spaced m and so uniform to rounding."""
-    flow = FlowMap(cli_module._build_velocity(
+    velocity = cli_module._build_velocity(
         {"table": {"m": [i / 16 for i in range(17)], "V": [i / 16 for i in range(17)]}},
-        "model.velocity"), LinearMaturityMap(c=0.5))
+        "model.velocity")
     sets = [pytest.param(np.linspace(-2.0, 1.5, n), id=f"linspace-{n}")
             for n in (9, 513, 4097, 12289)]
-    return sets + [pytest.param(flow._coords._w_of_u.nodes.x, id="flow-u-table")]
+    return sets + [pytest.param(velocity._w_of_u.nodes.x, id="flow-u-table")]
 
 
 class TestLocated:
@@ -406,7 +406,7 @@ class TestLocated:
             velocity = cli_module._build_velocity(
                 {"table": {"m": table, "V": [v + 0.5 * v * v for v in table]}},
                 "model.velocity")
-            x = FlowMap(velocity, LinearMaturityMap(c=0.5))._coords._u_of_w.nodes.x
+            x = velocity._u_of_w.nodes.x
         monkeypatch.setattr(NodeSet, "guess", lambda self, flat: pytest.fail("guessed"))
         nodes = NodeSet(x)
         xq = self._points(x, np.random.default_rng(7))
@@ -570,7 +570,7 @@ class TestHistoryField:
 
     @pytest.mark.parametrize("keep", [math.inf, 3, 1])
     def test_many_times_read_as_one_time_each(self, keep):
-        # slices that do not fit the block together are read in turns
+        # the times span slices 0 to 6: a store holding fewer refuses the read
         rng = np.random.default_rng(6)
         values = np.cumsum(rng.normal(size=(7, 9)), axis=1)
         ring = HistoryField(self.x, 0.25, values, keep=keep)
@@ -579,6 +579,11 @@ class TestHistoryField:
         shared = np.linspace(0.0, 0.5, 13)
         for xq, each in ((raw, raw), (shared, [shared] * times.size),
                          (Located(self.x, shared), [shared] * times.size)):
+            if keep < 7:
+                with pytest.raises(HistoryWindowError, match=f"0 to 6 spans 7 slices, "
+                                   f"more than the store's capacity of {keep}$"):
+                    ring.lookup(times, xq)
+                continue
             got = ring.lookup(times, xq)
             expected = np.array([ring.lookup(t, row) for t, row in zip(times, each)])
             _assert_same_bits(got, expected)
@@ -610,8 +615,8 @@ class TestHistoryField:
     def test_shared_points_read_as_the_scalar_lookup_at_each_time(self, keep, monkeypatch):
         # one point set at times that are not consecutive slices, or that lie
         # between slices for some times and on them for others, gathers the
-        # slices of every time in one read; at keep = 4 the span of 9 slices
-        # is read in turns
+        # slices of every time in one read; at keep = 4 a read spanning more
+        # than 4 slices is refused
         rng = np.random.default_rng(21)
         values = np.cumsum(rng.normal(size=(10, 9)), axis=1)
         values[9] = np.nan                  # not filled yet: building it would raise
@@ -629,11 +634,17 @@ class TestHistoryField:
             expected = np.array([ring.lookup(t, xq) for t in times.tolist()])
             for points in (xq, Located(self.x, xq)):
                 reads.clear()
+                if keep < 9:            # every set spans more than 4 slices
+                    with pytest.raises(HistoryWindowError, match="capacity of 4$"):
+                        ring.lookup(times, points)
+                    assert reads == [1]
+                    continue
                 got = ring.lookup(times, points)
                 assert reads == [1]         # one read, one row of intervals
                 _assert_same_bits(got, expected)
-            assert np.array_equal(np.isnan(got),
-                                  np.broadcast_to((xq < 0.0) | (xq > 0.5), got.shape))
+            if keep >= 9:
+                assert np.array_equal(np.isnan(got),
+                                      np.broadcast_to((xq < 0.0) | (xq > 0.5), got.shape))
 
     def test_empty_times_read_an_empty_block(self, field_ref):
         ring = HistoryField(np.linspace(0.0, 1.0, 9), 0.25, np.ones((3, 9)))
@@ -674,14 +685,15 @@ class TestHistoryField:
         assert np.array_equal(batch._held, np.arange(70))
         _assert_same_bits(batch._block, one)
 
-    def test_a_single_slice_builds_through_the_1d_cubic(self, monkeypatch):
+    def test_a_single_slice_builds_as_a_batch_of_one(self, monkeypatch):
         values = np.cumsum(np.random.default_rng(23).normal(size=(3, 9)), axis=1)
         builds, kernel = [], solver_module.PchipInterpolator
         monkeypatch.setattr(solver_module, "PchipInterpolator",
                             lambda nodes, y: builds.append(y.shape) or kernel(nodes, y))
         ring = HistoryField(self.x, 0.25, values)
         assert np.array_equal(ring.lookup(0.5, self.x), values[2])
-        assert builds == [(9,)]
+        assert builds == [(1, 9)]
+        # the bits of the 1-D cubic
         _assert_same_bits(ring._block[2], kernel(self.x, values[2]).c)
 
     @pytest.mark.parametrize("keep", [math.inf, 4])
@@ -698,8 +710,13 @@ class TestHistoryField:
                             or read(self, rows, index, q))
         for times in (0.25 * np.arange(2, 9), 0.25 * np.arange(2, 9) + 0.1):
             reads.clear()
-            got = ring.lookup(times, xq)
             span = list(range(2, 9 + (times[0] % 0.25 > 0)))
+            if keep < len(span):
+                with pytest.raises(HistoryWindowError, match=f"slices 2 to {span[-1]} spans {len(span)} slices"):
+                    ring.lookup(times, xq)
+                assert reads == [span]
+                continue
+            got = ring.lookup(times, xq)
             assert reads == [span]
             _assert_same_bits(got, np.array([ring.lookup(t, xq) for t in times.tolist()]))
             shuffled = rng.permutation(times.size)      # not consecutive: the general path

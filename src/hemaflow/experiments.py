@@ -433,12 +433,17 @@ def exp_invariance(solver: Solver, phi, b: float, *,
                             verdict_small_m=verdict_small)
 
 
+def _is_count(n) -> bool:
+    """``n`` is an integer >= 1, as the CLI reads one: a bool is not a count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+
+
 def exp_positivity(solver: Solver, *, n_runs: int = 20, seed: int = 0,
                    horizon: Optional[float] = None) -> PositivityReport:
     """Nonnegative histories must produce nonnegative populations: ``n_runs``
     solves from ``random_nonneg_history(seed + i)``, each to ``horizon``
     (default 5 tau_upper)."""
-    if not (isinstance(n_runs, (int, np.integer)) and n_runs >= 1):
+    if not _is_count(n_runs):
         raise ConfigurationError(f"n_runs must be an integer >= 1, got {n_runs!r}")
     grid = solver.grid
     probe = np.linspace(0.0, solver.flow.g1, 1025)
@@ -474,8 +479,8 @@ def resolvent_check(flow: FlowMap, w: Callable, lam: float) -> ResolventReport:
     quadrature (48 nodes, on 512 points uniform in x) is spectrally accurate
     in the smoothness of w.
     """
-    if lam <= 0.0:
-        raise DomainError("resolvent parameter lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"resolvent parameter lambda must be finite and positive, got {lam!r}")
     g1 = flow.g1
     top = float(flow.h(g1))
     xs = np.linspace(0.0, top, 512)
@@ -521,7 +526,7 @@ def resolvent_sweep(flow: FlowMap, lambdas, n_w: int, seed: int) -> ResolventSwe
     c3 sin(k m), c standard normal and k uniform on [1, 6], each at every
     lambda in ``lambdas``; the verdict holds when every check passes."""
     lambdas = np.asarray(lambdas, dtype=float)
-    if not (isinstance(n_w, (int, np.integer)) and n_w >= 1 and lambdas.size):
+    if not (_is_count(n_w) and lambdas.size):
         raise ConfigurationError(f"a sweep needs an integer n_w >= 1 and a lambda, got "
                                  f"n_w = {n_w!r} and {lambdas.size} lambdas")
     rng = np.random.default_rng(seed)

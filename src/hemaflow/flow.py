@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .params import MaturityMap, VelocityModel, scan_max, velocity_law
+from .params import MaturityMap, VelocityModel, package_law, scan_max
 
 _EPS = 1e-12
 
@@ -33,8 +33,8 @@ class FlowMap:
     operations are pure."""
 
     def __init__(self, velocity: VelocityModel, maturity: MaturityMap):
-        self.velocity = velocity_law(velocity)
-        self.maturity = maturity
+        self.velocity = package_law(velocity, VelocityModel, "velocity")
+        self.maturity = package_law(maturity, MaturityMap, "maturity")
         self.g1 = maturity.g1
         self._tau0: Optional[float] = None
 

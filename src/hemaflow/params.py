@@ -1,10 +1,12 @@
 """Model ingredients: maturation velocity, division map, rates, and kernels.
 
-Each part checks itself when it is built and describes itself for the model
-digest. A velocity law also carries its flow coordinates h(m) =
-exp(-int_m^1 ds/V): in closed form for a power law, tabulated once by
-adaptive quadrature for a custom velocity. The maps built on them live in
-:mod:`hemaflow.flow`, the attenuation integrals in :mod:`hemaflow.kernels`.
+A model part is one of the laws defined here, and each law checks itself
+when it is built; ``ModelParams`` refuses any other object by its type's
+name and describes the model, for its digest, by one rule. A velocity law
+also carries its flow coordinates h(m) = exp(-int_m^1 ds/V): in closed form
+for a power law, tabulated once by adaptive quadrature for a custom velocity.
+The maps built on them live in :mod:`hemaflow.flow`, the attenuation
+integrals in :mod:`hemaflow.kernels`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Union, get_args
 
 import numpy as np
@@ -46,19 +48,8 @@ def as_field(f: ScalarField) -> Callable:
     return const
 
 
-def _describe_field(f: ScalarField):
-    if callable(f):
-        return getattr(f, "__qualname__", None) or repr(f)
-    return float(f)
-
-
-_DIGEST_M = np.linspace(0.0, 1.0, 257)      # the maturities a custom law's digest reads
-
-
-def _values_digest(f: Callable) -> str:
-    """Hash of f's values at ``_DIGEST_M``: a custom velocity or map describes
-    itself by its own numbers, so distinct tables differ and equal ones agree."""
-    return hashlib.sha256(np.asarray(f(_DIGEST_M), dtype=float).tobytes()).hexdigest()[:16]
+_M = np.linspace(0.0, 1.0, 257)                  # maturities the rates' check and digest read
+_LEVELS = np.array([0.0, 0.5, 1.0, 4.0, 20.0])   # populations beta's check and digest read
 
 
 def _smoothstep(x):
@@ -142,9 +133,6 @@ class PowerLawVelocity:
             return np.exp(self.alpha * log_x)
         c = self.alpha * (self.p - 1.0)
         return np.where(np.isfinite(log_x), (1.0 - c * log_x) ** (-1.0 / (self.p - 1.0)), 0.0)
-
-    def describe(self):
-        return {"kind": "power_law", "alpha": self.alpha, "p": self.p}
 
 
 _TABLE_FLOOR, _TABLE_NODES = 1e-12, 4096     # a custom velocity's table: log-spaced m
@@ -259,20 +247,21 @@ class CustomVelocity:
             log_x = np.log(np.maximum(x, 1e-300))
         return np.where(x > 0.0, self.h_inv_log(log_x), 0.0)
 
-    def describe(self):
-        return {"kind": "custom", "name": self.name, "values": _values_digest(self)}
-
 
 VelocityModel = Union[PowerLawVelocity, CustomVelocity]
 
 
-def velocity_law(v) -> VelocityModel:
-    """``v`` if it is one of the two laws, the only velocities that carry
-    flow coordinates; any other object is refused by its type's name."""
-    if not isinstance(v, get_args(VelocityModel)):
-        raise ConfigurationError("the velocity must be a PowerLawVelocity or a "
-                                 f"CustomVelocity, not {type(v).__name__}")
-    return v
+def package_law(part, laws, key: str):
+    """``part`` if it is an instance of ``laws``, a class or a Union of them:
+    the package's laws check themselves when built, so any other object is
+    refused by its type's name, under ``key``."""
+    classes = get_args(laws) or (laws,)
+    if not isinstance(part, classes):
+        names = [f"a {law.__name__}" for law in classes]
+        listed = ", ".join(names[:-1]) + " or " + names[-1] if names[1:] else names[0]
+        raise ConfigurationError(f"the {key} must be {listed}, not {type(part).__name__}",
+                                 key=key)
+    return part
 
 
 def validate_velocity(v: VelocityModel) -> None:
@@ -310,9 +299,6 @@ class LinearMaturityMap:
         y = np.asarray(y, dtype=float)
         return np.minimum(y / self.c, 1.0)
 
-    def describe(self):
-        return {"kind": "linear", "c": self.c}
-
 
 _ONE_BITS = np.float64(1.0).view(np.int64)     # the order of the float 1.0
 
@@ -347,9 +333,6 @@ class CustomMaturityMap:
             up = self(mid.view(np.float64)) >= y
             lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
         return np.where(y > 0.0, np.where(y > self.g1, 1.0, hi.view(np.float64)), 0.0)
-
-    def describe(self):
-        return {"kind": "custom", "name": self.name, "values": _values_digest(self)}
 
 
 MaturityMap = Union[LinearMaturityMap, CustomMaturityMap]
@@ -393,13 +376,9 @@ class RateFunctions:
         return as_field(self.gamma)
 
     def validate(self) -> None:
-        m = np.linspace(0.0, 1.0, 257)
         for key, rate in (("delta", self.delta_fn()), ("gamma", self.gamma_fn())):
-            if np.any(rate(m) < 0.0):
+            if np.any(rate(_M) < 0.0):
                 raise ConfigurationError(f"{key} must be nonnegative on [0, 1]", key=key)
-
-    def describe(self):
-        return {"delta": _describe_field(self.delta), "gamma": _describe_field(self.gamma)}
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +432,7 @@ def probe_reintroduction(law) -> None:
     """Refuse a law whose rate is not finite, not nonnegative or not
     nonincreasing in the population, on 65 maturities at five levels."""
     m = np.linspace(0.0, 1.0, 65)
-    levels = np.array([0.0, 0.5, 1.0, 4.0, 20.0])
-    vals = np.stack([law.rate(m, np.full(m.shape, x)) for x in levels])
+    vals = np.stack([law.rate(m, np.full(m.shape, x)) for x in _LEVELS])
     if not np.all(np.isfinite(vals)):
         raise ConfigurationError("beta must be finite")
     if np.any(vals < 0.0):
@@ -507,10 +485,6 @@ class HillReintroduction:
         shape = max(1.0, (n - 1.0) ** 2 / (4.0 * n))
         return b0 * shape
 
-    def describe(self):
-        return {"kind": "hill", "beta0": _describe_field(self.beta0),
-                "theta": self.theta, "n": self.n}
-
 
 @dataclass(frozen=True)
 class ConstantReintroduction:
@@ -528,9 +502,6 @@ class ConstantReintroduction:
 
     def lipschitz(self, g1: float) -> float:
         return _max_field(as_field(self.beta0), 0.0, g1)
-
-    def describe(self):
-        return {"kind": "constant", "beta0": _describe_field(self.beta0)}
 
 
 @dataclass(frozen=True)
@@ -554,10 +525,6 @@ class CustomReintroduction:
             raise ConfigurationError(
                 "custom reintroduction law needs a declared Lipschitz constant")
         return float(self.lipschitz_bound)
-
-    def describe(self):
-        return {"kind": "custom", "name": self.name,
-                "lipschitz_bound": self.lipschitz_bound}
 
 
 # a law gives rate(m, x) = beta(m, x) and lipschitz(g1), the global Lipschitz
@@ -610,11 +577,6 @@ class SeparableUniformKernel(_TaperedSeparable):
         a = np.asarray(a, dtype=float)
         return np.full(a.shape, 1.0 / (self.tau_upper - self.tau_lower))
 
-    def describe(self):
-        return {"kind": "separable_uniform", "kappa": _describe_field(self.kappa),
-                "taper": self.taper, "tau_lower": self.tau_lower,
-                "tau_upper": self.tau_upper}
-
 
 @dataclass(frozen=True)
 class SeparableKernel(_TaperedSeparable):
@@ -629,11 +591,6 @@ class SeparableKernel(_TaperedSeparable):
     def age_weight(self, a):
         a = np.asarray(a, dtype=float)
         return fit_shape(self.age_density(a), a.shape)
-
-    def describe(self):
-        return {"kind": "separable", "kappa": _describe_field(self.kappa),
-                "taper": self.taper, "tau_lower": self.tau_lower,
-                "tau_upper": self.tau_upper}
 
 
 @dataclass(frozen=True)
@@ -657,10 +614,6 @@ class CustomDivisionKernel:
         out = fit_shape(self.fn(m, a), shape)
         return np.where(np.broadcast_to(m, shape) >= g1, 0.0, out)
 
-    def describe(self):
-        return {"kind": "custom", "name": self.name,
-                "tau_lower": self.tau_lower, "tau_upper": self.tau_upper}
-
 
 DivisionKernel = Union[SeparableUniformKernel, SeparableKernel, CustomDivisionKernel]
 
@@ -669,9 +622,24 @@ DivisionKernel = Union[SeparableUniformKernel, SeparableKernel, CustomDivisionKe
 # the assembled model
 # ---------------------------------------------------------------------------
 
+# each part of a model: the laws it may be, and its values where its checks
+# read them, which a part with a callable field gives its description
+_PARTS = {
+    "velocity": (VelocityModel, lambda v, model: (v(_M), v.derivative(_M))),
+    "maturity": (MaturityMap, lambda g, model: g(_M)),
+    "rates": (RateFunctions, lambda r, model: (r.delta_fn()(_M), r.gamma_fn()(_M))),
+    "reintroduction": (ReintroductionLaw, lambda b, model: [
+        b.rate(_M, np.full(_M.shape, x)) for x in _LEVELS]),
+    "division": (DivisionKernel, lambda k, model: k.k(
+        _M[None, :], np.linspace(model.tau_lower, model.tau_upper, 17)[:, None],
+        model.maturity.g1)),
+}
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Everything that defines one model instance."""
+    """Everything that defines one model instance: each part one of the
+    package's laws, which checked itself when it was built."""
 
     velocity: VelocityModel
     maturity: MaturityMap
@@ -680,17 +648,8 @@ class ModelParams:
     division: DivisionKernel = None
 
     def __post_init__(self):
-        if self.division is None:
-            raise ConfigurationError("a division kernel (with its delays) is required")
-        velocity_law(self.velocity)
-        # the package's parts check themselves when built; any other object
-        # given for a part is checked here
-        if not isinstance(self.maturity, get_args(MaturityMap)):
-            validate_maturity_map(self.maturity)
-        if not isinstance(self.rates, RateFunctions):
-            self.rates.validate()
-        if not isinstance(self.reintroduction, get_args(ReintroductionLaw)):
-            probe_reintroduction(self.reintroduction)
+        for key, (laws, _) in _PARTS.items():
+            package_law(getattr(self, key), laws, key)
         self._probe_division()
 
     def _probe_division(self):
@@ -713,19 +672,23 @@ class ModelParams:
         return self.division.tau_upper
 
     def describe(self) -> dict:
-        return {
-            "velocity": self.velocity.describe(),
-            "maturity": self.maturity.describe(),
-            "rates": self.rates.describe(),
-            "reintroduction": self.reintroduction.describe(),
-            "division": self.division.describe(),
-        }
+        """Each part as its class name and its declared numbers and strings. A
+        part with a callable field adds a hash of its values: V and V', g,
+        delta and gamma on 257 maturities in [0, 1], beta on those at five
+        populations, and k on those at 17 ages in [tau_lower, tau_upper]."""
+        out = {}
+        for key, (_, read) in _PARTS.items():
+            part = getattr(self, key)
+            declared = {f.name: getattr(part, f.name) for f in fields(part) if f.init}
+            out[key] = {"kind": type(part).__name__}
+            out[key].update((name, v if v is None or isinstance(v, str) else float(v))
+                            for name, v in declared.items() if not callable(v))
+            if any(map(callable, declared.values())):
+                values = np.asarray(read(part, self), dtype=float)
+                out[key]["values"] = hashlib.sha256(values.tobytes()).hexdigest()[:16]
+        return out
 
     def digest(self) -> str:
-        """Reproducibility hash of the declarative description.
-
-        A custom velocity or maturity map contributes a hash of its values;
-        other custom callables contribute only their qualified names.
-        """
+        """Reproducibility hash of ``describe``."""
         blob = json.dumps(self.describe(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]

@@ -148,6 +148,9 @@ class Grid:
     tau_upper: float
 
     def __post_init__(self):
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigurationError(f"dt must be finite and positive, got {self.dt!r}",
+                                     key="dt")
         for name, n_steps in (("tau_lower", self.tau_lower / self.dt),
                               ("tau_upper", self.tau_upper / self.dt)):
             if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):

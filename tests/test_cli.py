@@ -671,6 +671,18 @@ class TestCheck:
         assert len(set(velocities[:3])) == 3 and velocities[3] == velocities[1]
         assert maps[0] != maps[1] and maps[2] == maps[0]
 
+    def test_model_digest_tells_fields_apart(self, tmp_path, capsys):
+        # a polynomial rate is described by its values, not by the name of
+        # the function that evaluates it
+        digests = []
+        for coeffs in ([0.05], [0.5], [0.05]):
+            cfg = copy.deepcopy(BASE_CONFIG)
+            cfg["model"]["delta"] = {"poly": coeffs}
+            assert run_cli(tmp_path, "check", write_config(tmp_path, cfg)) == 0
+            digests.append(capsys.readouterr().out.splitlines()[0])
+        assert digests[0].startswith("model digest")
+        assert digests[0] != digests[1] and digests[2] == digests[0]
+
 
 class TestCheckAgreesWithRun:
     """``check`` builds the model and grid as ``run`` does: the same refusals,

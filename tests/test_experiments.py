@@ -246,16 +246,23 @@ class TestResolvent:
         with pytest.raises(DomainError):
             resolvent_check(flow, lambda m: m, 0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_nonfinite_lambda_rejected(self, flow, lam):
+        with pytest.raises(DomainError, match="finite and positive"):
+            resolvent_check(flow, lambda m: m, lam)
+
 
 @pytest.mark.parametrize("run", [
     lambda solver: exp_positivity(solver, n_runs=0),
     lambda solver: exp_positivity(solver, n_runs=-3),
     lambda solver: exp_positivity(solver, n_runs=2.5),
+    lambda solver: exp_positivity(solver, n_runs=True),
     lambda solver: resolvent_sweep(solver.flow, [1.0], 0, 0),
     lambda solver: resolvent_sweep(solver.flow, [1.0], 1.5, 0),
+    lambda solver: resolvent_sweep(solver.flow, [1.0], n_w=True, seed=0),
     lambda solver: resolvent_sweep(solver.flow, [], 2, 0),
-], ids=["positivity-0", "positivity-neg", "positivity-float", "resolvent-no-w",
-        "resolvent-float-w", "resolvent-no-lambda"])
+], ids=["positivity-0", "positivity-neg", "positivity-float", "positivity-bool",
+        "resolvent-no-w", "resolvent-float-w", "resolvent-bool-w", "resolvent-no-lambda"])
 def test_no_verdict_over_zero_cases(solver_coarse, run):
     with pytest.raises(ConfigurationError):
         run(solver_coarse)

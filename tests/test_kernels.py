@@ -7,9 +7,9 @@ import pytest
 
 from hemaflow import (ConfigurationError, CustomDivisionKernel,
                       CustomReintroduction, CustomVelocity, DomainError,
-                      HillReintroduction, Kernels, LinearMaturityMap,
+                      FlowMap, HillReintroduction, Kernels, LinearMaturityMap,
                       ModelParams, PowerLawVelocity, RateFunctions,
-                      SeparableUniformKernel)
+                      SeparableKernel, SeparableUniformKernel)
 from hemaflow.params import _max_field, as_field, golden_section_max
 
 from refcase import K, reference_params
@@ -129,12 +129,15 @@ class TestDivisionWeight:
 class TestHillLaw:
     def test_kept_constants_stay_out_of_identity(self):
         # rate keeps as_field(beta0) and theta^n; equality, hashing, repr and
-        # describe see the declared fields only, and replace computes them anew
+        # the model's description see the declared fields only, and replace
+        # computes them anew
         law = HillReintroduction(beta0=0.3, theta=2.0, n=3.0)
         twin = HillReintroduction(beta0=0.3, theta=2.0, n=3.0)
         assert law == twin and hash(law) == hash(twin)
         assert repr(law) == "HillReintroduction(beta0=0.3, theta=2.0, n=3.0)"
-        assert law.describe() == {"kind": "hill", "beta0": 0.3, "theta": 2.0, "n": 3.0}
+        model = dataclasses.replace(reference_params(), reintroduction=law)
+        assert model.describe()["reintroduction"] == {
+            "kind": "HillReintroduction", "beta0": 0.3, "theta": 2.0, "n": 3.0}
         m, x = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 2.0, 5)
         held = np.maximum(x, 0.0) ** 3.0
         assert np.array_equal(law.rate(m, x), np.full(5, 0.3) * 8.0 / (8.0 + held))
@@ -216,8 +219,9 @@ class TestLipschitz:
 
 
 class TestModelParts:
-    """The package's parts check themselves when built, once; ModelParams
-    checks any other object given for a part."""
+    """A model part is one of the package's laws, which check themselves when
+    built, once; ModelParams and FlowMap refuse any other object by its
+    type's name, before anything is solved."""
 
     class LinearVelocity:
         def __call__(self, m):
@@ -240,6 +244,21 @@ class TestModelParts:
         def rate(self, m, x):
             return np.full(np.broadcast_shapes(np.shape(m), np.shape(x)), -1.0)
 
+    class Half:                         # g(m) = m / 2, as a map would give it
+        g1 = 0.5
+
+        def __call__(self, m):
+            return 0.5 * np.asarray(m, dtype=float)
+
+        def inverse(self, y):
+            return np.minimum(2.0 * np.asarray(y, dtype=float), 1.0)
+
+    class UniformKernel:
+        tau_lower, tau_upper = 1.0, 2.0
+
+        def k(self, m, a, g1):
+            return np.where(np.asarray(m) >= g1, 0.0, 1.0) + 0.0 * np.asarray(a)
+
     @staticmethod
     def _params(**parts):
         return ModelParams(**{"velocity": PowerLawVelocity(alpha=1.0),
@@ -251,12 +270,33 @@ class TestModelParts:
 
     @pytest.mark.parametrize("part, value, message", [
         ("velocity", LinearVelocity(), "PowerLawVelocity or a CustomVelocity, not LinearVelocity"),
-        ("maturity", IdentityMap(), r"g\(m\) < m must hold"),
-        ("rates", NegativeRates(), "rates refused"),
-        ("reintroduction", NegativeLaw(), "beta must be nonnegative")])
+        pytest.param("maturity", IdentityMap(),
+                     "LinearMaturityMap or a CustomMaturityMap, not IdentityMap", id="maturity"),
+        pytest.param("rates", NegativeRates(), "RateFunctions, not NegativeRates", id="rates"),
+        pytest.param("reintroduction", NegativeLaw(), "HillReintroduction, a ConstantReintroduction "
+                     "or a CustomReintroduction, not NegativeLaw", id="reintroduction"),
+        pytest.param("division", UniformKernel(), "SeparableUniformKernel, a SeparableKernel or a "
+                     "CustomDivisionKernel, not UniformKernel", id="division")])
     def test_other_objects_are_checked(self, part, value, message):
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ConfigurationError, match=f"^the {part} must be a {message}$") \
+                as refusal:
             self._params(**{part: value})
+        assert refusal.value.key == part
+
+    def test_division_is_required(self):
+        with pytest.raises(ConfigurationError, match="CustomDivisionKernel, not NoneType") \
+                as refusal:
+            ModelParams(velocity=PowerLawVelocity(alpha=1.0), maturity=LinearMaturityMap(c=0.5))
+        assert refusal.value.key == "division"
+
+    def test_duck_typed_map_is_refused_before_a_solve(self):
+        # a well-behaved g = m/2 that is not a package law: it would run the
+        # whole solve and fail only when the model describes itself
+        with pytest.raises(ConfigurationError, match="not Half") as refusal:
+            self._params(maturity=self.Half())
+        assert refusal.value.key == "maturity"
+        with pytest.raises(ConfigurationError, match="not Half"):
+            FlowMap(PowerLawVelocity(alpha=1.0), self.Half())
 
     def test_package_parts_are_checked_once(self, monkeypatch):
         from hemaflow import params
@@ -269,6 +309,50 @@ class TestModelParts:
         Kernels(self._params())
         assert sorted(calls) == ["probe_reintroduction", "rates", "validate_maturity_map",
                                  "validate_velocity"]
+
+
+class TestModelDigest:
+    """One description rule: a part is its class name and its declared
+    numbers and strings, plus a hash of its values if a field is callable."""
+
+    @staticmethod
+    def _digest(**parts):
+        return dataclasses.replace(reference_params(), **parts).digest()
+
+    @staticmethod
+    def _separable(density):
+        return SeparableKernel(tau_lower=1.0, tau_upper=2.0, kappa=1.0, age_density=density)
+
+    def test_callable_fields_are_told_apart_by_their_values(self):
+        models = [
+            {"division": self._separable(lambda a: 2.0 - a)},
+            {"division": self._separable(lambda a: a - 1.0)},
+            {"reintroduction": CustomReintroduction(fn=lambda m, x: 0.4 / (1.0 + x))},
+            {"reintroduction": CustomReintroduction(fn=lambda m, x: 0.2 / (1.0 + x))},
+            {"division": CustomDivisionKernel(1.0, 2.0, fn=lambda m, a: 1.0 + 0.0 * m * a)},
+            {"division": CustomDivisionKernel(1.0, 2.0, fn=lambda m, a: 0.5 + 0.0 * m * a)},
+            {"rates": RateFunctions(delta=lambda m: 0.05 + 0.0 * m, gamma=0.1)},
+            {"rates": RateFunctions(delta=lambda m: 0.5 + 0.0 * m, gamma=0.1)},
+        ]
+        digests = [self._digest(**parts) for parts in models]
+        assert len(set(digests)) == len(models)
+
+    def test_equal_laws_built_twice_agree(self):
+        def law():
+            return {"division": self._separable(lambda a: 2.0 - a),
+                    "reintroduction": CustomReintroduction(fn=lambda m, x: 0.4 / (1.0 + x),
+                                                           lipschitz_bound=0.4)}
+        assert self._digest(**law()) == self._digest(**law())
+
+    def test_declared_numbers_alone_describe_a_numeric_part(self):
+        law = CustomReintroduction(fn=lambda m, x: 0.4 / (1.0 + x))
+        described = dataclasses.replace(reference_params(), reintroduction=law).describe()
+        assert described["velocity"] == {"kind": "PowerLawVelocity", "alpha": 1.0, "p": 1.0}
+        assert described["division"] == {"kind": "SeparableUniformKernel", "tau_lower": 1.0,
+                                          "tau_upper": 2.0, "kappa": 1.0, "taper": 0.02}
+        # fn, the callable, is described by the values hash alone
+        assert described["reintroduction"]["kind"] == "CustomReintroduction"
+        assert described["reintroduction"].keys() == {"kind", "name", "lipschitz_bound", "values"}
 
 
 class TestInvarianceMargin:

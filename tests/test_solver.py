@@ -84,6 +84,14 @@ class TestGrid:
         with pytest.raises(ConfigurationError, match=key):
             Solver(reference_params(), **{key: value})
 
+    @pytest.mark.parametrize("dt", [math.nan, 0.0, math.inf, -0.125])
+    def test_step_must_be_finite_and_positive(self, dt):
+        grid = Grid.build(Kernels(reference_params()).flow, 1.0, 2.0, m_nodes=16, dt_divisor=8)
+        with pytest.raises(ConfigurationError, match="dt must be finite and positive") \
+                as refusal:
+            dataclasses.replace(grid, dt=dt)
+        assert refusal.value.key == "dt"
+
     def test_slice_cap_checked_before_allocating(self):
         # the band is counted from h(g(1)) and the main step alone, so a grid
         # past the cap is refused before its nodes exist
